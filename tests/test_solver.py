@@ -1,7 +1,9 @@
 """Closed-form solver tests: worked instances, ironing, reward recursion,
 budget handling, and the two baseline contracts."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,3 +354,37 @@ class TestDegenerateCases:
         assert menu.item(2).vdd_size == 0.0  # the late type
         report = check_feasibility(menu, pop, GcsParams(budget=20.0))
         assert report.all_ok
+
+
+FROZEN_MENUS = json.loads((Path(__file__).parent / "fixtures" / "solver_menus.json").read_text())
+
+
+class TestFrozenMenus:
+    """Menus frozen from the solver before ironing became one PAV pass on the
+    w/A ratios: 80 seeded instances with 2-30 types, some of them late,
+    binding and slack budgets, s_max in {10, 30, 300}, most needing ironing.
+    Each case stores the raw types, the budget and the (size, reward) pairs
+    of both solvers in both budget modes, floats written with repr."""
+
+    @staticmethod
+    def _max_error(mode, scale):
+        worst = 0.0
+        for case in FROZEN_MENUS:
+            pop = make_pop(*zip(*case["types"]))
+            params = GcsParams(budget=case["budget"], s_max=case["s_max"])
+            cfg = SolverConfig(budget_mode=mode)
+            for name, solver in (("complete", solve_complete), ("partial", solve_partial)):
+                menu = solver(pop, params, case["t_max"], cfg)
+                for t, want in zip(pop.types, case["menus"][mode][name]):
+                    item = menu.item(t.index)
+                    for got, ref in zip((item.vdd_size, item.reward), want):
+                        worst = max(worst, abs(got - ref) / scale(ref))
+        return worst
+
+    def test_budget_exact_matches_frozen_menus(self):
+        assert self._max_error("budget-exact", lambda ref: 1.0) <= 1e-12
+
+    def test_paper_literal_within_ternary_search_accuracy(self):
+        # the frozen pooled sizes came from a ternary search accurate to about
+        # sqrt(machine epsilon) of the size range
+        assert self._max_error(PAPER_LITERAL, lambda ref: max(1.0, abs(ref))) <= 1e-6
