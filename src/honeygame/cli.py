@@ -79,7 +79,7 @@ def _cmd_solve(args) -> int:
         report = check_feasibility(menu, pop, sc.gcs)
         fair = check_fairness(menu, pop, sc.gcs)
         print(f"== {name} information menu (t_max = {menu.t_max:g} s) ==")
-        for t in participating_set(pop, sc.t_max):
+        for t in [t for t in pop.types if t.delay <= sc.t_max]:
             item = menu.item(t.index)
             print(
                 f"  type {t.index}: C = {t.marginal_cost:.4g}, "

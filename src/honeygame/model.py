@@ -44,7 +44,6 @@ class UavType:
     marginal_cost: float
     delay: float
     count: int = 1
-    cost_split: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.index < 1:
@@ -55,13 +54,6 @@ class UavType:
             raise ValueError(f"delay must be finite and > 0, got {self.delay}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.cost_split is not None:
-            lo, hi = self.cost_split
-            if lo + hi != self.marginal_cost:
-                raise ValueError(
-                    f"cost_split {self.cost_split} does not sum to marginal_cost "
-                    f"{self.marginal_cost}"
-                )
 
 
 @dataclass(frozen=True)
@@ -199,8 +191,7 @@ def participating_set(pop: Population, t_max: float) -> list[UavType]:
     descending marginal cost (population order is already canonical)."""
     chosen = [t for t in pop.types if t.delay <= t_max]
     return [
-        UavType(index=i + 1, marginal_cost=t.marginal_cost, delay=t.delay,
-                count=t.count, cost_split=t.cost_split)
+        UavType(index=i + 1, marginal_cost=t.marginal_cost, delay=t.delay, count=t.count)
         for i, t in enumerate(chosen)
     ]
 

@@ -6,20 +6,23 @@ Three regimes:
   interior sizes follow a water-filling rule driven by a single budget scalar;
 * partial information asymmetry: the same rule with marginal costs replaced
   by virtual costs that fold in the information rents of lower-cost types,
-  followed by a pool-adjacent-violators (ironing) pass when the relaxed sizes
-  break monotonicity, and a reward recursion that makes truth-telling binding;
+  and a reward recursion that makes truth-telling binding.  A block of
+  pooled types takes the common size clamp(x * sum W / sum A - 1, 0, s_max),
+  so sizes are monotone exactly when the ratios w_j / A_j are: ironing is
+  one pool-adjacent-violators pass on those ratios, independent of x;
 * two baselines (linear price, single uniform item) used for comparison runs.
 
-Budget handling: in ``budget-exact`` mode the scalar is solved so that total
-payments hit the budget exactly even when some sizes clamp at the bounds
-(piecewise-linear breakpoint scan, no iteration error); ``paper-literal``
-applies the full-set closed form once and then clamps.
+Budget handling, shared by both information regimes: in ``budget-exact``
+mode the scalar is solved so that total payments hit the budget exactly
+even when some sizes clamp at the bounds (one sweep over the sorted
+breakpoints of the piecewise-linear payment, no iteration error);
+``paper-literal`` applies the full-set closed form once and then clamps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     ContractItem,
@@ -52,14 +55,10 @@ _MONO_TOL = 1e-9
 @dataclass(frozen=True)
 class SolverConfig:
     budget_mode: str = BUDGET_EXACT
-    iron_tolerance: float = 1e-9
-    max_iron_iters: int = 200
 
     def __post_init__(self) -> None:
         if self.budget_mode not in (BUDGET_EXACT, PAPER_LITERAL):
             raise ValueError(f"unknown budget_mode {self.budget_mode!r}")
-        if self.iron_tolerance <= 0:
-            raise ValueError("iron_tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,14 @@ def _virtual_costs(part: list[UavType]) -> tuple[list[float], list[float]]:
     return virtual, gaps
 
 
+def _clamp_size(x: float, weight: float, unit_cost: float, s_max: float) -> float:
+    """Size clamp(x * w / a - 1, 0, s_max); a type with no unit cost is
+    saturated for free."""
+    if unit_cost <= 0.0:
+        return s_max
+    return min(s_max, max(x * weight / unit_cost - 1.0, 0.0))
+
+
 def _solve_water_level(
     unit_costs: list[float],
     weights: list[float],
@@ -105,47 +112,50 @@ def _solve_water_level(
     """Find the scalar x and sizes S_j = clamp(x * w_j / a_j - 1, 0, s_max)
     such that fixed_cost + sum a_j S_j equals the budget.
 
-    Total payment is piecewise linear and non-decreasing in x, so the
-    crossing segment is located by a breakpoint scan and solved exactly.
-    Types with zero unit cost are saturated for free.  If even full
-    saturation under-spends the budget, the saturated solution is returned
-    (payments then fall short of the budget; there is nothing left to buy).
+    Total payment is piecewise linear and non-decreasing in x: type j enters
+    the interior at a_j / w_j and saturates at a_j (1 + s_max) / w_j.  One
+    sweep over the sorted breakpoints with running sums locates the crossing
+    segment, where the linear equation is solved exactly.  Types with zero
+    unit cost are saturated for free.  If even full saturation under-spends
+    the budget, the saturated solution is returned (payments then fall short
+    of the budget; there is nothing left to buy).
     """
-    n = len(unit_costs)
-    free = [j for j in range(n) if unit_costs[j] <= 0.0]
-    priced = [j for j in range(n) if unit_costs[j] > 0.0]
+    priced = [j for j, a in enumerate(unit_costs) if a > 0.0]
 
     def sizes_at(x: float) -> list[float]:
-        out = [0.0] * n
-        for j in free:
-            out[j] = s_max
-        for j in priced:
-            out[j] = min(s_max, max(x * weights[j] / unit_costs[j] - 1.0, 0.0))
-        return out
+        return [_clamp_size(x, w, a, s_max) for a, w in zip(unit_costs, weights)]
 
     def payment(x: float) -> float:
-        return fixed_cost + sum(unit_costs[j] * s for j, s in enumerate(sizes_at(x)))
+        return fixed_cost + sum(a * s for a, s in zip(unit_costs, sizes_at(x)))
 
     if not priced:
         return 0.0, sizes_at(0.0)
 
-    breakpoints = sorted(
-        {unit_costs[j] / weights[j] for j in priced}
-        | {unit_costs[j] * (1.0 + s_max) / weights[j] for j in priced}
+    # (breakpoint, entering?, type)
+    events = sorted(
+        [(unit_costs[j] / weights[j], True, j) for j in priced]
+        + [(unit_costs[j] * (1.0 + s_max) / weights[j], False, j) for j in priced]
     )
     if budget <= payment(0.0):
-        return breakpoints[0], sizes_at(0.0)
-    top = breakpoints[-1]
+        return events[0][0], sizes_at(0.0)
+    top = events[-1][0]
     if budget >= payment(top):
         return top, sizes_at(top)
 
-    lo = 0.0
-    for bp in breakpoints:
-        if payment(bp) >= budget:
-            hi = bp
+    # Payment on the segment ending at breakpoint hi is offset + slope * hi.
+    lo, offset, slope = 0.0, fixed_cost, 0.0
+    for hi, entering, j in events:
+        if offset + slope * hi >= budget:
             break
-        lo = bp
-    # On (lo, hi) the interior set is fixed; solve the linear equation there.
+        if entering:
+            offset -= unit_costs[j]
+            slope += weights[j]
+        else:
+            offset += unit_costs[j] * (1.0 + s_max)
+            slope -= weights[j]
+        lo = hi
+    # On (lo, hi) the interior set is fixed; solve the linear equation there,
+    # summed afresh so that no rounding of the running sums reaches x.
     mid = 0.5 * (lo + hi)
     interior = [
         j
@@ -171,11 +181,10 @@ def _literal_water_level(
 ) -> tuple[float, list[float]]:
     """One-shot closed form over the full set, then clamp."""
     x = (budget + sum(unit_costs) - fixed_cost) / sum(weights)
-    sizes = [
-        s_max if a <= 0.0 else min(s_max, max(x * w / a - 1.0, 0.0))
-        for a, w in zip(unit_costs, weights)
-    ]
-    return x, sizes
+    return x, [_clamp_size(x, w, a, s_max) for a, w in zip(unit_costs, weights)]
+
+
+_WATER_LEVEL = {BUDGET_EXACT: _solve_water_level, PAPER_LITERAL: _literal_water_level}
 
 
 def _menu_from(
@@ -209,10 +218,7 @@ def solve_complete(
 
     unit = [t.count * t.marginal_cost for t in part]
     weights = [t.count / t.delay for t in part]
-    if cfg.budget_mode == BUDGET_EXACT:
-        _, sizes = _solve_water_level(unit, weights, fixed, params.budget, params.s_max)
-    else:
-        _, sizes = _literal_water_level(unit, weights, fixed, params.budget, params.s_max)
+    _, sizes = _WATER_LEVEL[cfg.budget_mode](unit, weights, fixed, params.budget, params.s_max)
     items = [
         ContractItem(s, t.marginal_cost * s + params.deploy_cost)
         for t, s in zip(part, sizes)
@@ -249,7 +255,8 @@ def solve_partial_relaxed(
     cfg: SolverConfig | None = None,
 ) -> RelaxedSolution:
     """Water-filling over virtual costs, ignoring the monotonicity
-    requirement.  Sizes may come out non-monotone; ``iron`` repairs that."""
+    requirement.  Sizes may come out non-monotone; ``solve_partial`` pools
+    the offending types with ``iron``."""
     cfg = cfg or SolverConfig()
     part = participating_set(pop, t_max)
     if not part:
@@ -260,10 +267,10 @@ def solve_partial_relaxed(
     if params.budget < fixed:
         sizes = [0.0] * len(part)
         scalar = 0.0
-    elif cfg.budget_mode == BUDGET_EXACT:
-        scalar, sizes = _solve_water_level(virtual, weights, fixed, params.budget, params.s_max)
     else:
-        scalar, sizes = _literal_water_level(virtual, weights, fixed, params.budget, params.s_max)
+        scalar, sizes = _WATER_LEVEL[cfg.budget_mode](
+            virtual, weights, fixed, params.budget, params.s_max
+        )
     lam = params.satisfaction / scalar if scalar > 0 else math.inf
     return RelaxedSolution(
         participants=tuple(part),
@@ -275,82 +282,24 @@ def solve_partial_relaxed(
     )
 
 
-def _bunch_value(
-    weights: list[float],
-    virtual: list[float],
-    lam: float,
-    varpi: float,
-    s_max: float,
-    tol: float,
-    max_iters: int,
-) -> float:
-    """Common size maximizing the pooled concave objective
-    sum_l varpi * w_l * ln(1+S) - lam * a_l * S on [0, s_max], by ternary
-    search to the configured tolerance."""
-    w = sum(weights)
-    a = sum(virtual)
+def iron(weights: list[float], virtual: list[float]) -> list[tuple[float, float, int]]:
+    """Pool adjacent violators on the ratios w_j / A_j.
 
-    def objective(s: float) -> float:
-        return varpi * w * math.log1p(s) - lam * a * s
-
-    lo, hi = 0.0, s_max
-    for _ in range(max_iters):
-        if hi - lo <= tol:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if objective(m1) < objective(m2):
-            lo = m1
-        else:
-            hi = m2
-    return 0.5 * (lo + hi)
-
-
-def _iron_blocks(
-    sizes: list[float],
-    sol: RelaxedSolution,
-    params: GcsParams,
-    cfg: SolverConfig,
-) -> list[tuple[int, int, float]]:
-    """Pool-adjacent-violators sweep; returns (start, end, value) blocks with
-    non-decreasing values.  At most J'-1 merges occur."""
-    weights = [t.count / t.delay for t in sol.participants]
-    virtual = list(sol.virtual_costs)
-    lam = sol.lambda_
-
-    # each block: [start, end, value, w_list, a_list]
-    blocks: list[list] = []
-    for j, s in enumerate(sizes):
-        blocks.append([j, j, s, [weights[j]], [virtual[j]]])
-        while len(blocks) >= 2 and blocks[-2][2] > blocks[-1][2] + cfg.iron_tolerance:
-            hi = blocks.pop()
-            lo = blocks.pop()
-            merged_w = lo[3] + hi[3]
-            merged_a = lo[4] + hi[4]
-            value = _bunch_value(
-                merged_w, merged_a, lam, params.satisfaction, params.s_max,
-                cfg.iron_tolerance, cfg.max_iron_iters,
-            )
-            blocks.append([lo[0], hi[1], value, merged_w, merged_a])
-    return [(b[0], b[1], b[2]) for b in blocks]
-
-
-def iron(
-    sizes: list[float],
-    sol: RelaxedSolution,
-    pop: Population,
-    params: GcsParams,
-    cfg: SolverConfig | None = None,
-) -> list[float]:
-    """Replace decreasing runs with their pooled optimum until the size
-    schedule is non-decreasing.  Already-monotone input is returned as is."""
-    cfg = cfg or SolverConfig()
-    blocks = _iron_blocks(list(sizes), sol, params, cfg)
-    out = [0.0] * len(sizes)
-    for start, end, value in blocks:
-        for j in range(start, end + 1):
-            out[j] = value
-    return out
+    Returns consecutive blocks (sum W, sum A, length) whose pooled ratios
+    sum W / sum A are non-decreasing, so the pooled sizes
+    clamp(x * sum W / sum A - 1, 0, s_max) are monotone at every water level
+    x.  Ratios are compared by cross-multiplication, which needs no tolerance
+    and lets a zero virtual cost stand for an infinite ratio.  Already
+    monotone ratios give one block per type.
+    """
+    blocks: list[tuple[float, float, int]] = []
+    for w, a in zip(weights, virtual):
+        blocks.append((w, a, 1))
+        while len(blocks) >= 2 and blocks[-2][0] * blocks[-1][1] > blocks[-1][0] * blocks[-2][1]:
+            w_hi, a_hi, n_hi = blocks.pop()
+            w_lo, a_lo, n_lo = blocks.pop()
+            blocks.append((w_lo + w_hi, a_lo + a_hi, n_lo + n_hi))
+    return blocks
 
 
 def solve_partial(
@@ -359,9 +308,9 @@ def solve_partial(
     t_max: float,
     cfg: SolverConfig | None = None,
 ) -> ContractMenu:
-    """Optimal menu under partial information asymmetry: relaxed sizes,
-    ironing if they are non-monotone, a budget re-solve over the bunched
-    groups so the budget still binds, then the reward recursion."""
+    """Optimal menu under partial information asymmetry: virtual costs,
+    ironing into blocks, one water level over the blocks (so the budget
+    still binds in budget-exact mode), then the reward recursion."""
     cfg = cfg or SolverConfig()
     part = participating_set(pop, t_max)
     if not part:
@@ -370,64 +319,15 @@ def solve_partial(
     if params.budget < fixed:
         return ContractMenu.zero(pop, t_max)
 
-    sol = solve_partial_relaxed(pop, params, t_max, cfg)
-    sizes = list(sol.sizes)
-    if any(a > b + cfg.iron_tolerance for a, b in zip(sizes, sizes[1:])):
-        blocks = _iron_blocks(sizes, sol, params, cfg)
-        if cfg.budget_mode == BUDGET_EXACT:
-            # Bunched types share one size variable; re-solve the budget
-            # scalar over the grouped super-types so payments stay exact.
-            # If the re-solved group sizes break monotonicity at a clamp
-            # boundary, merge the offending groups and re-solve (at most J'
-            # passes, one merge each).
-            weights = [t.count / t.delay for t in part]
-            partition = [(s, e) for s, e, _ in blocks]
-            group_sizes = [v for _, _, v in blocks]
-            for _ in range(len(part)):
-                group_w = [sum(weights[s : e + 1]) for s, e in partition]
-                group_a = [sum(sol.virtual_costs[s : e + 1]) for s, e in partition]
-                _, group_sizes = _solve_water_level(
-                    group_a, group_w, fixed, params.budget, params.s_max
-                )
-                bad = [
-                    i
-                    for i in range(len(group_sizes) - 1)
-                    if group_sizes[i] > group_sizes[i + 1] + cfg.iron_tolerance
-                ]
-                if not bad:
-                    break
-                merged: list[tuple[int, int]] = []
-                skip = False
-                for i, span in enumerate(partition):
-                    if skip:
-                        skip = False
-                        continue
-                    if i in bad:
-                        merged.append((span[0], partition[i + 1][1]))
-                        skip = True
-                    else:
-                        merged.append(span)
-                partition = merged
-            sizes = [0.0] * len(part)
-            for (s, e), value in zip(partition, group_sizes):
-                for j in range(s, e + 1):
-                    sizes[j] = value
-        else:
-            sizes = iron(sizes, sol, pop, params, cfg)
-        # clamp any residual drift from the ternary search
-        sizes = _monotone_clip(sizes)
-
+    virtual, _ = _virtual_costs(part)
+    blocks = iron([t.count / t.delay for t in part], virtual)
+    _, block_sizes = _WATER_LEVEL[cfg.budget_mode](
+        [a for _, a, _ in blocks], [w for w, _, _ in blocks], fixed, params.budget, params.s_max
+    )
+    sizes = [s for (_, _, n), s in zip(blocks, block_sizes) for _ in range(n)]
     rewards = optimal_rewards(sizes, part, params)
     items = [ContractItem(s, r) for s, r in zip(sizes, rewards)]
     return _menu_from(pop, t_max, part, items)
-
-
-def _monotone_clip(sizes: list[float]) -> list[float]:
-    out = list(sizes)
-    for j in range(1, len(out)):
-        if out[j] < out[j - 1]:
-            out[j] = out[j - 1]
-    return out
 
 
 def linear_contract(

@@ -1,5 +1,7 @@
 """End-to-end CLI tests driven through the argparse entry point."""
 
+import re
+
 import pytest
 import yaml
 
@@ -13,6 +15,18 @@ population:
   types:
     - {cost: 0.5, delay: 1.0}
     - {cost: 0.25, delay: 1.0}
+"""
+
+# the middle type misses the 2 s deadline
+LATE_SCENARIO = """
+seed: 3
+gcs: {budget: 20.0, s_max: 60.0}
+population:
+  distribution: explicit
+  types:
+    - {cost: 0.9, delay: 1.0}
+    - {cost: 0.5, delay: 9.0}
+    - {cost: 0.2, delay: 1.0}
 """
 
 LEARN_SCENARIO = """
@@ -46,6 +60,23 @@ class TestSolve:
         sizes = {e["type"]: e["vdd_size"] for e in menu["items"]}
         assert sizes[1] == pytest.approx(5.0)
         assert sizes[2] == pytest.approx(17.0)
+
+    def test_printed_rows_match_menu_files_with_late_type(self, tmp_path, capsys):
+        path = tmp_path / "late.yaml"
+        path.write_text(LATE_SCENARIO)
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        for name in ("complete", "partial"):
+            section = printed.split(f"== {name} information menu")[1].split("\n==")[0]
+            rows = re.findall(r"type (\d+): C = \S+, S = (\S+) bytes, R = (\S+)", section)
+            menu = yaml.safe_load((out / f"menu_{name}.yaml").read_text())
+            want = {e["type"]: e for e in menu["items"]}
+            assert [int(idx) for idx, _, _ in rows] == [1, 3]
+            for idx, size, reward in rows:
+                assert size == f"{want[int(idx)]['vdd_size']:.6g}"
+                assert reward == f"{want[int(idx)]['reward']:.6g}"
+            assert want[3]["vdd_size"] > 0
 
     def test_seed_override(self, tmp_path, capsys):
         path = tmp_path / "s.yaml"

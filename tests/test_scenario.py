@@ -1,5 +1,7 @@
 """Scenario file parsing, round-tripping, and population generation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ class TestLoading:
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ValueError, match="unknown keys in gcs"):
             load_scenario("gcs: {budgett: 10}")
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        path = tmp_path / "scenario.yaml"
+        path.write_text(readme.split("```yaml\n")[1].split("```")[0])
+        sc = load_scenario(path)
+        assert sc.solver.budget_mode == "budget-exact"
+        assert sc.population.count == 10
 
     def test_file_round_trip(self, tmp_path):
         sc = load_scenario(EXPLICIT_YAML)

@@ -19,9 +19,11 @@ from honeygame.model import (
     social_surplus,
     uav_utility,
 )
+from honeygame.scenario import generate_population, load_scenario
 from honeygame.solver import (
     PAPER_LITERAL,
     SolverConfig,
+    _virtual_costs,
     iron,
     linear_contract,
     optimal_rewards,
@@ -50,8 +52,6 @@ WORKED_PARAMS = GcsParams(budget=10.0)
 def binding_budget_cap(pop, satisfaction, s_max):
     """Total spend at the unconstrained optimum of the rent-adjusted
     objective; budgets below this are fully exhausted at the optimum."""
-    from honeygame.solver import _virtual_costs
-
     part = list(pop.types)
     virtual, _ = _virtual_costs(part)
     unit = [t.count * t.marginal_cost for t in part]
@@ -206,6 +206,12 @@ class TestPartialRelaxed:
         assert all(a <= b + 1e-9 for a, b in zip(sol.sizes, sol.sizes[1:]))
 
 
+def ratio_inputs(pop):
+    """Weights w_j and virtual costs A_j of an all-on-time population."""
+    virtual, _ = _virtual_costs(list(pop.types))
+    return [t.count / t.delay for t in pop.types], virtual
+
+
 class TestIroning:
     # a big delay gap makes the cheap type's relaxed size smaller,
     # violating monotonicity and forcing a bunch
@@ -217,26 +223,29 @@ class TestIroning:
         assert sol.sizes[0] > sol.sizes[1]
 
     def test_iron_restores_monotonicity(self):
-        sol = solve_partial_relaxed(self.IRON_POP, self.IRON_PARAMS, T_MAX)
-        ironed = iron(list(sol.sizes), sol, self.IRON_POP, self.IRON_PARAMS)
-        assert ironed[0] == pytest.approx(ironed[1], abs=1e-6)
+        w, a = ratio_inputs(self.IRON_POP)
+        assert iron(w, a) == [(w[0] + w[1], a[0] + a[1], 2)]
+        menu = solve_partial(self.IRON_POP, self.IRON_PARAMS, T_MAX)
+        assert menu.item(1).vdd_size == menu.item(2).vdd_size
 
     def test_monotone_input_unchanged(self):
-        sol = solve_partial_relaxed(WORKED_POP, WORKED_PARAMS, T_MAX)
-        assert iron([5.0, 17.0], sol, WORKED_POP, WORKED_PARAMS) == [5.0, 17.0]
+        w, a = ratio_inputs(WORKED_POP)
+        assert w[0] / a[0] < w[1] / a[1]
+        assert iron(w, a) == [(w[0], a[0], 1), (w[1], a[1], 1)]
 
     def test_symmetric_pair_bunches_to_common_optimum(self):
-        # the pooled optimum solves varpi*sum(w)/(1+S) = lam*sum(a)
-        pop = make_pop([0.5, 0.25], delays=[0.5, 1.8])
-        params = GcsParams(budget=10.0)
-        sol = solve_partial_relaxed(pop, params, T_MAX)
-        ironed = iron([20.0, 10.0], sol, pop, params)
-        w = [t.count / t.delay for t in sol.participants]
-        a = list(sol.virtual_costs)
-        s_star = ironed[0]
-        # stationarity of the pooled objective at the interior optimum
-        grad = params.satisfaction * sum(w) / (1.0 + s_star) - sol.lambda_ * sum(a)
-        assert grad == pytest.approx(0.0, abs=1e-5)
+        # the pooled size solves varpi*sum(w)/(1+S) = lam*sum(a) at the budget
+        # multiplier lam that also prices the unpooled interior third type
+        pop = make_pop([0.5, 0.25, 0.1], delays=[0.5, 1.8, 1.0])
+        params = GcsParams(budget=20.0)
+        w, a = ratio_inputs(pop)
+        assert [n for _, _, n in iron(w, a)] == [2, 1]
+        menu = solve_partial(pop, params, T_MAX)
+        s_star, s_3 = menu.item(1).vdd_size, menu.item(3).vdd_size
+        assert 0.0 < s_star < s_3 < params.s_max
+        lam = params.satisfaction * w[2] / ((1.0 + s_3) * a[2])
+        grad = params.satisfaction * (w[0] + w[1]) / (1.0 + s_star) - lam * (a[0] + a[1])
+        assert grad == pytest.approx(0.0, abs=1e-12)
 
     def test_full_solution_feasible_after_ironing(self):
         menu = solve_partial(self.IRON_POP, self.IRON_PARAMS, T_MAX)
@@ -244,6 +253,28 @@ class TestIroning:
         assert report.all_ok
         paid = sum(t.count * menu.item(t.index).reward for t in self.IRON_POP.types)
         assert paid == pytest.approx(10.0, rel=1e-9)
+
+    def test_paper_literal_pools_to_closed_form(self):
+        # each pooled block takes clamp(x * sum W / sum A - 1, 0, s_max) at
+        # the one-shot level x of the full participating set
+        sc = load_scenario("{}")
+        pop = generate_population(sc)
+        params = sc.gcs
+        menu = solve_partial(pop, params, sc.t_max, SolverConfig(budget_mode=PAPER_LITERAL))
+        part = participating_set(pop, sc.t_max)
+        on_time = [t for t in pop.types if t.delay <= sc.t_max]
+        virtual, _ = _virtual_costs(part)
+        weights = [t.count / t.delay for t in part]
+        fixed = params.deploy_cost * sum(t.count for t in part)
+        x = (params.budget + sum(virtual) - fixed) / sum(weights)
+        start = 0
+        blocks = iron(weights, virtual)
+        for w, a, n in blocks:
+            want = min(params.s_max, max(x * w / a - 1.0, 0.0))
+            for t in on_time[start : start + n]:
+                assert menu.item(t.index).vdd_size == pytest.approx(want, abs=1e-12)
+            start += n
+        assert len(blocks) < len(part)  # the default scenario needs ironing
 
 
 class TestPartialEndToEnd:
