@@ -103,7 +103,7 @@ def _audit(menus: dict[str, ContractMenu], pop: Population, params: GcsParams) -
             f"{partial_report.worst_violation:.3e}, fairness {fair}"
         )
     complete_report = check_feasibility(menus["complete"], pop, params)
-    if not (all(complete_report.ir_ok.values()) and complete_report.budget_ok):
+    if not (complete_report.ir_ok and complete_report.budget_ok):
         raise AuditError("complete-information menu failed IR/budget audit")
     for name in ("linear", "uniform"):
         if not check_feasibility(menus[name], pop, params).budget_ok:

@@ -10,6 +10,8 @@ function of its inputs.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -161,29 +163,28 @@ class GcsParams:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the feasibility predicates on a menu.
+    """Outcome of the feasibility predicates on a menu, built in O(J log J).
 
-    ``ir_ok``/``ic_ok`` cover exactly the participating set (reindexed);
-    ``monotone_ok`` is the compact characterization (joint size/reward
-    monotonicity, binding-type IR, adjacent cost sandwich, zero items for
-    non-participants) that is equivalent to the full IR+IC enumeration.
-    ``worst_violation`` is the most negative slack seen (0 if none).
+    ``ir_ok``/``ic_ok`` say whether IR holds for every on-time type and IC
+    for every ordered pair of them.  ``monotone_ok`` is the compact
+    characterization (joint size/reward monotonicity, binding-type IR,
+    adjacent cost sandwich, zero items for non-participants) that is
+    equivalent to the full IR+IC enumeration.  ``worst_violation`` is the
+    most negative slack seen (0 if none).  ``worst_pair`` holds the
+    population indices (j, k) of the smallest IR/IC slack, with k == j
+    meaning IR; it is ``None`` when no type meets the deadline.
     """
 
-    ir_ok: dict[int, bool]
-    ic_ok: dict[tuple[int, int], bool]
+    ir_ok: bool
+    ic_ok: bool
     budget_ok: bool
     monotone_ok: bool
     worst_violation: float
+    worst_pair: tuple[int, int] | None
 
     @property
     def all_ok(self) -> bool:
-        return (
-            all(self.ir_ok.values())
-            and all(self.ic_ok.values())
-            and self.budget_ok
-            and self.monotone_ok
-        )
+        return self.ir_ok and self.ic_ok and self.budget_ok and self.monotone_ok
 
 
 def participating_set(pop: Population, t_max: float) -> list[UavType]:
@@ -233,49 +234,89 @@ def check_feasibility(
     tol: float = FEASIBILITY_TOL,
 ) -> FeasibilityReport:
     """Evaluate IR per type, IC per ordered pair, budget feasibility, and the
-    compact monotonicity characterization over the participating set.
+    compact monotonicity characterization over the on-time types.
 
     Violations are data, not errors: slacks within ``tol`` of zero count as
     satisfied and ``worst_violation`` carries the raw minimum slack.
     """
-    part = participating_set(pop, menu.t_max)
-    # items aligned with the reindexed participating order
-    originals = [t for t in pop.types if t.delay <= menu.t_max]
-    items = [menu.item(t.index) for t in originals]
+    on_time = [t for t in pop.types if t.delay <= menu.t_max]
+    items = [menu.item(t.index) for t in on_time]
+    ir_ok, ic_ok, worst, worst_pair = _incentive_scan(on_time, items, params.deploy_cost, tol)
 
-    worst = 0.0
-    ir_ok: dict[int, bool] = {}
-    ic_ok: dict[tuple[int, int], bool] = {}
-    for j, t in enumerate(part):
-        own = uav_utility(t, items[j], menu.t_max, params)
-        ir_ok[t.index] = own >= -tol
-        worst = min(worst, own)
-        for k in range(len(part)):
-            if k == j:
-                continue
-            slack = own - uav_utility(t, items[k], menu.t_max, params)
-            ic_ok[(t.index, part[k].index)] = slack >= -tol
-            worst = min(worst, slack)
-
-    paid = sum(t.count * it.reward for t, it in zip(part, items))
+    paid = math.fsum(t.count * it.reward for t, it in zip(on_time, items))
     budget_slack = params.budget - paid
-    budget_ok = budget_slack >= -tol
-    worst = min(worst, budget_slack)
-
-    monotone_ok, mono_worst = _compact_conditions(part, items, menu, pop, params, tol)
-    worst = min(worst, mono_worst)
+    monotone_ok, mono_worst = _compact_conditions(on_time, items, menu, pop, params, tol)
 
     return FeasibilityReport(
         ir_ok=ir_ok,
         ic_ok=ic_ok,
-        budget_ok=budget_ok,
+        budget_ok=bool(budget_slack >= -tol),
         monotone_ok=monotone_ok,
-        worst_violation=worst,
+        worst_violation=float(min(0.0, worst, budget_slack, mono_worst)),
+        worst_pair=worst_pair,
     )
 
 
+def _incentive_scan(
+    on_time: list[UavType],
+    items: list[ContractItem],
+    deploy_cost: float,
+    tol: float,
+) -> tuple[bool, bool, float, tuple[int, int] | None]:
+    """IR for every on-time type and IC for every ordered pair, in O(J log J).
+
+    A type's payoff from item k is linear in its cost, R_k - C S_k, so its
+    best deviation lies on the upper envelope of those lines.  Each type's
+    IC slack is evaluated against the envelope line at its cost and that
+    line's two neighbours, which hold the best item other than its own.
+    Returns (IR ok, IC ok, smallest IR/IC slack, its population (j, k)).
+    """
+    hull = _upper_envelope(items)
+    breaks = [(ra - rb) / (sa - sb) for (sa, ra, _), (sb, rb, _) in zip(hull, hull[1:])]
+    ir_ok = ic_ok = True
+    worst, worst_pair = math.inf, None
+    for pos, (t, it) in enumerate(zip(on_time, items)):
+        c = t.marginal_cost
+        own = it.reward - (c * it.vdd_size + deploy_cost)
+        ir_ok = ir_ok and own >= -tol
+        if own < worst:
+            worst, worst_pair = own, (t.index, t.index)
+        h = bisect.bisect_left(breaks, c)
+        for _, _, k in hull[max(h - 1, 0):h + 2]:
+            if k == pos:
+                continue
+            other = items[k]
+            slack = own - (other.reward - (c * other.vdd_size + deploy_cost))
+            ic_ok = ic_ok and slack >= -tol
+            if slack < worst:
+                worst, worst_pair = slack, (t.index, on_time[k].index)
+    return bool(ir_ok), bool(ic_ok), worst, worst_pair
+
+
+def _upper_envelope(items: list[ContractItem]) -> list[tuple[float, float, int]]:
+    """The lines x -> R_k - x S_k that attain max_k (R_k - x S_k) somewhere,
+    as (S, R, position) in order of increasing x.  Equal sizes keep the
+    larger reward; an exact copy of a kept item ties it, so its owner's
+    slack against the kept one is 0 and nothing is lost by dropping it."""
+    order = sorted(range(len(items)), key=lambda k: (-items[k].vdd_size, -items[k].reward, k))
+    hull: list[tuple[float, float, int]] = []
+    for k in order:
+        s, r = items[k].vdd_size, items[k].reward
+        if hull and hull[-1][0] == s:
+            continue
+        # the last line is redundant once its neighbours cross at or before
+        # where it would take over: x(a, b) >= x(b, new)
+        while len(hull) >= 2:
+            (sa, ra, _), (sb, rb, _) = hull[-2], hull[-1]
+            if (ra - rb) * (sb - s) < (rb - r) * (sa - sb):
+                break
+            hull.pop()
+        hull.append((s, r, k))
+    return hull
+
+
 def _compact_conditions(
-    part: list[UavType],
+    on_time: list[UavType],
     items: list[ContractItem],
     menu: ContractMenu,
     pop: Population,
@@ -294,18 +335,18 @@ def _compact_conditions(
             if it.vdd_size != 0.0 or it.reward != 0.0:
                 ok = False
                 worst = min(worst, -max(it.vdd_size, it.reward))
-    if not part:
+    if not on_time:
         return ok, worst
 
-    first = uav_utility(part[0], items[0], menu.t_max, params)
+    first = uav_utility(on_time[0], items[0], menu.t_max, params)
     worst = min(worst, first)
     if first < -tol:
         ok = False
-    for j in range(1, len(part)):
+    for j in range(1, len(on_time)):
         ds = items[j].vdd_size - items[j - 1].vdd_size
         dr = items[j].reward - items[j - 1].reward
-        lo = part[j].marginal_cost * ds
-        hi = part[j - 1].marginal_cost * ds
+        lo = on_time[j].marginal_cost * ds
+        hi = on_time[j - 1].marginal_cost * ds
         for slack in (ds, dr, dr - lo, hi - dr):
             worst = min(worst, slack)
             if slack < -tol:
@@ -326,29 +367,27 @@ def check_fairness(
     larger VDD contributions never earn smaller rewards, and types that
     cannot deliver on time are paid nothing.
     """
-    part = participating_set(pop, menu.t_max)
-    originals = [t for t in pop.types if t.delay <= menu.t_max]
-    items = [menu.item(t.index) for t in originals]
+    on_time = [t for t in pop.types if t.delay <= menu.t_max]
+    items = [menu.item(t.index) for t in on_time]
+    ir_ok, ic_ok, _, _ = _incentive_scan(on_time, items, params.deploy_cost, tol)
+    late_paid = any(
+        t.delay > menu.t_max and menu.item(t.index).reward > tol for t in pop.types
+    )
+    reward = not late_paid and _reward_ordered([menu.item(t.index) for t in pop.types], tol)
+    return ir_ok and ic_ok, reward
 
-    participation = True
-    for j, t in enumerate(part):
-        own = uav_utility(t, items[j], menu.t_max, params)
-        if own < -tol:
-            participation = False
-        for other in items:
-            if own < uav_utility(t, other, menu.t_max, params) - tol:
-                participation = False
 
-    reward = True
-    all_items = [menu.item(t.index) for t in pop.types]
-    for a in all_items:
-        for b in all_items:
-            if a.vdd_size < b.vdd_size - tol and a.reward > b.reward + tol:
-                reward = False
-    for t in pop.types:
-        if t.delay > menu.t_max and menu.item(t.index).reward > tol:
-            reward = False
-    return participation, reward
+def _reward_ordered(items: list[ContractItem], tol: float) -> bool:
+    """No item a with S_a < S_b - tol and R_a > R_b + tol, for any b: a sort
+    by size, a prefix maximum of rewards, and one bisection per item."""
+    items = sorted(items, key=lambda it: it.vdd_size)
+    sizes = [it.vdd_size for it in items]
+    best = list(itertools.accumulate((it.reward for it in items), max))
+    for b in items:
+        n = bisect.bisect_left(sizes, b.vdd_size - tol)
+        if n and best[n - 1] > b.reward + tol:
+            return False
+    return True
 
 
 def defensive_effectiveness(menu: ContractMenu, pop: Population, params: GcsParams) -> float:

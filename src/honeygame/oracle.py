@@ -25,7 +25,13 @@ from .model import (
     participating_set,
 )
 
-__all__ = ["GridSpec", "grid_search_complete", "grid_search_partial"]
+__all__ = [
+    "GridSpec",
+    "grid_search_complete",
+    "grid_search_partial",
+    "enumerate_incentives",
+    "enumerate_reward_fairness",
+]
 
 MAX_ORACLE_TYPES = 3
 
@@ -161,4 +167,40 @@ def _enumerate_feasible(sizes, rewards, costs, deploy_cost, tol=1e-9) -> bool:
             other = rewards[k] - costs[j] * sizes[k] - deploy_cost
             if own < other - tol:
                 return False
+    return True
+
+
+def enumerate_incentives(sizes, rewards, costs, deploy_cost, tol=1e-9, chunk=256):
+    """Every IR and ordered-pair IC slack of a J x J array (IR on the
+    diagonal), in row blocks of ``chunk``, with the same float expressions
+    as the audits in ``model``.
+
+    Returns (IR ok, IC ok, smallest slack, its (j, k) positions); the pair is
+    the first minimum in row-major order and is None when J = 0.
+    """
+    sizes, rewards, costs = (np.asarray(v, dtype=float) for v in (sizes, rewards, costs))
+    own = rewards - (costs * sizes + deploy_cost)
+    ic_ok, worst, pair = True, math.inf, None
+    for lo in range(0, len(sizes), chunk):
+        rows = np.arange(lo, min(lo + chunk, len(sizes)))
+        slack = own[rows, None] - (rewards - (costs[rows, None] * sizes + deploy_cost))
+        diagonal = (rows - lo, rows)
+        slack[diagonal] = math.inf
+        ic_ok = ic_ok and bool(np.all(slack >= -tol))
+        slack[diagonal] = own[rows]
+        j, k = np.unravel_index(int(np.argmin(slack)), slack.shape)
+        if slack[j, k] < worst:
+            worst, pair = float(slack[j, k]), (int(lo + j), int(k))
+    return bool(np.all(own >= -tol)), ic_ok, worst, pair
+
+
+def enumerate_reward_fairness(sizes, rewards, tol=1e-9, chunk=256) -> bool:
+    """No pair with S_a < S_b - tol and R_a > R_b + tol, checked pair by pair
+    in row blocks of ``chunk``."""
+    sizes, rewards = np.asarray(sizes, dtype=float), np.asarray(rewards, dtype=float)
+    for lo in range(0, len(sizes), chunk):
+        smaller = sizes[lo:lo + chunk, None] < sizes - tol
+        richer = rewards[lo:lo + chunk, None] > rewards + tol
+        if np.any(smaller & richer):
+            return False
     return True

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,7 +97,11 @@ def _build_section(cls, data: dict, path: str):
     if unknown:
         raise ValueError(f"unknown keys in {path}: {sorted(unknown)}")
     kwargs = dict(data)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, value in kwargs.items():
+        if _is_number(defaults[key]) and not _is_number(value):
+            # PyYAML reads 0.25e6 (no exponent sign) as a string
+            raise ValueError(f"{path}.{key} must be a number, got {value!r}")
         if isinstance(value, list):
             kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         if key == "types" and value is not None:
@@ -104,13 +109,26 @@ def _build_section(cls, data: dict, path: str):
     return cls(**kwargs)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _source_text(source: str | Path) -> str:
+    """The text of a scenario file, or ``source`` itself when it cannot name
+    one (too long for a file name, or not a file)."""
+    try:
+        is_file = Path(source).is_file()
+    except (OSError, ValueError):
+        is_file = False
+    return Path(source).read_text() if is_file else str(source)
+
+
 def load_scenario(source: str | Path | dict) -> Scenario:
     """Parse a scenario from a YAML path, YAML text, or a pre-parsed dict."""
     if isinstance(source, dict):
         data = dict(source)
     else:
-        text = Path(source).read_text() if Path(str(source)).is_file() else str(source)
-        data = yaml.safe_load(text) or {}
+        data = yaml.safe_load(_source_text(source)) or {}
         if not isinstance(data, dict):
             raise ValueError("scenario document must be a mapping")
     allowed = {f.name for f in dataclasses.fields(Scenario)}

@@ -84,6 +84,18 @@ class TestSolve:
         assert main(["solve", "--scenario", str(path), "--seed", "99"]) == 0
 
 
+    def test_binding_budget_at_3000_types_passes_audit(self, tmp_path, capsys):
+        # the left-to-right payment sum overshoots 46 * 3000 by about 1e-9;
+        # math.fsum keeps the audit within its 1e-9 tolerance
+        path = tmp_path / "large.yaml"
+        path.write_text(
+            "seed: 0\ngcs: {budget: 138000.0}\n"
+            "population: {count: 3000, distribution: uniform, cost_range: [0.01, 1.0]}\n"
+        )
+        assert main(["solve", "--scenario", str(path)]) == 0
+        assert "budget ok       : False" not in capsys.readouterr().out
+
+
 class TestOracleCheck:
     def test_small_instance_passes(self, small_scenario, capsys):
         rc = main(["oracle-check", "--scenario", str(small_scenario), "--step", "1.0"])
@@ -179,3 +191,56 @@ class TestValidate:
         )
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_prints_worst_pair(self, small_scenario, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["solve", "--scenario", str(small_scenario), "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["validate", "--scenario", str(small_scenario),
+                   "--menu", str(out / "menu_partial.yaml")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(re.fullmatch(r"[a-zA-Z ]+ : \S.*", line) for line in lines)
+        assert re.fullmatch(r"worst pair   : \(\d+, \d+\)", lines[-2])
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("- 1\n- 2\n", "mapping"),
+            ("items: []\n", "t_max"),
+            ("t_max: 2.0\n", "items"),
+            ("t_max: 2.0\nitems: [{vdd_size: 1.0, reward: 2.0}]\n", "type"),
+            ("t_max: 2.0\nitems: [{type: 1, reward: 2.0}]\n", "vdd_size"),
+            ("t_max: 2.0\nitems: [{type: 1, vdd_size: 1.0}]\n", "reward"),
+            ("t_max: 2.0\nitems: [{type: 1, vdd_size: 1.0, reward: null}]\n", "reward"),
+            ("t_max: 2.0\nitems: [{type: 1\n", "expected"),
+        ],
+        ids=["not-mapping", "no-t_max", "no-items", "no-type", "no-vdd_size", "no-reward",
+             "null-reward", "bad-yaml"],
+    )
+    def test_malformed_menu_exits_2(self, small_scenario, tmp_path, capsys, text, field):
+        menu_path = tmp_path / "menu.yaml"
+        menu_path.write_text(text)
+        rc = main(["validate", "--scenario", str(small_scenario), "--menu", str(menu_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
+
+class TestScenarioErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x" * 5000, "must be a mapping"),
+            ("channel: {bw_a2a: 0.25e6}", "channel.bw_a2a"),
+            ("gcs: {budget: abc}", "gcs.budget"),
+        ],
+        ids=["long-text", "string-number", "string-budget"],
+    )
+    def test_bad_scenario_exits_2(self, capsys, text, message):
+        rc = main(["solve", "--scenario", text])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err

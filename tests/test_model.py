@@ -23,7 +23,8 @@ from honeygame.model import (
     social_surplus,
     uav_utility,
 )
-from honeygame.solver import optimal_rewards
+from honeygame.oracle import enumerate_incentives, enumerate_reward_fairness
+from honeygame.solver import optimal_rewards, solve_complete, solve_partial
 
 T_MAX = 2.0
 
@@ -176,7 +177,7 @@ class TestFeasibility:
         params = GcsParams(budget=10.0)
         menu = menu_for(pop, [5.0, 17.0], [6.5, 3.5])
         report = check_feasibility(menu, pop, params)
-        assert not all(report.ic_ok.values())
+        assert not report.ic_ok
         assert not report.monotone_ok
 
     def test_budget_violation_reported(self):
@@ -216,7 +217,9 @@ class TestFeasibility:
                 rewards = list(rng.uniform(0.0, 300.0, n))
             menu = menu_for(pop, sizes, rewards)
             report = check_feasibility(menu, pop, params)
-            enumerated = all(report.ir_ok.values()) and all(report.ic_ok.values())
+            ir, ic, _, _ = enumerate_incentives(sizes, rewards, costs, params.deploy_cost)
+            enumerated = ir and ic
+            assert (report.ir_ok, report.ic_ok) == (ir, ic)
             assert report.monotone_ok == enumerated
             agree += 1
             feasible_seen += enumerated
@@ -241,6 +244,95 @@ class TestFeasibility:
             ]
             assert all(a <= b + 1e-9 for a, b in zip(us, us[1:]))
             assert us[0] == pytest.approx(0.0, abs=1e-9)
+
+
+@st.composite
+def audit_cases(draw):
+    """Populations with tied costs and late types, and menus with tied sizes,
+    identical items, zero items, non-monotone entries, or the minimal
+    rewards of a sorted schedule (adjacent IC binding up to rounding)."""
+    n = draw(st.integers(1, 12))
+    costs = draw(st.lists(st.sampled_from([0.9, 0.5, 0.25, 0.1]) | st.floats(0.01, 1.0),
+                          min_size=n, max_size=n))
+    delays = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    pop = make_pop(costs, delays, counts)
+    n = len(pop.types)
+    size = st.sampled_from([0.0, 5.0, 17.0, 300.0]) | st.floats(0.0, 300.0)
+    reward = st.sampled_from([0.0, 3.5, 9.5]) | st.floats(0.0, 400.0)
+    sizes = draw(st.lists(size, min_size=n, max_size=n))
+    rewards = draw(st.lists(reward, min_size=n, max_size=n))
+    for j, k in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
+        if draw(st.booleans()):  # copy an item so that whole items tie
+            sizes[j], rewards[j] = sizes[k], rewards[k]
+    on_time = [j for j, t in enumerate(pop.types) if t.delay <= T_MAX]
+    if on_time and draw(st.booleans()):
+        sched = sorted(sizes[j] for j in on_time)
+        priced = optimal_rewards(sched, [pop.types[j] for j in on_time], GcsParams())
+        bump = draw(st.sampled_from([0.0, 1e-10, -1e-10, 0.5]))
+        for j, s, r in zip(on_time, sched, priced):
+            sizes[j], rewards[j] = s, max(r + bump, 0.0)
+    return pop, menu_for(pop, sizes, rewards)
+
+
+class TestAuditEnumeration:
+    """The O(J log J) audits against the J x J enumeration in ``oracle``."""
+
+    @given(case=audit_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_enumeration(self, case):
+        pop, menu = case
+        params = GcsParams()
+        on_time = [t for t in pop.types if t.delay <= T_MAX]
+        items = [menu.item(t.index) for t in on_time]
+        ir, ic, worst, pair = enumerate_incentives(
+            [it.vdd_size for it in items], [it.reward for it in items],
+            [t.marginal_cost for t in on_time], params.deploy_cost,
+        )
+        report = check_feasibility(menu, pop, params)
+        assert (report.ir_ok, report.ic_ok) == (ir, ic)
+        late_paid = any(menu.item(t.index).reward > 1e-9 for t in pop.types if t.delay > T_MAX)
+        reward_fair = not late_paid and enumerate_reward_fairness(
+            [menu.item(t.index).vdd_size for t in pop.types],
+            [menu.item(t.index).reward for t in pop.types],
+        )
+        assert check_fairness(menu, pop, params) == (ir and ic, reward_fair)
+        if pair is None:
+            assert report.worst_pair is None
+            return
+        # the reported pair attains the enumerated minimum slack
+        position = {t.index: p for p, t in enumerate(on_time)}
+        j, k = (position[i] for i in report.worst_pair)
+        c = on_time[j].marginal_cost
+        own = items[j].reward - (c * items[j].vdd_size + params.deploy_cost)
+        got = own if j == k else own - (items[k].reward - (c * items[k].vdd_size + params.deploy_cost))
+        scale = 1e-12 * max(1.0, max(it.reward for it in items))
+        assert got == pytest.approx(worst, abs=scale)
+        assert report.worst_violation <= min(0.0, worst) + scale
+
+    def test_large_binding_menus_match_compact_characterization(self):
+        # J = 10^4 types, some late, with a budget that binds
+        rng = np.random.default_rng(0)
+        n = 10_000
+        pop = make_pop(list(rng.uniform(0.01, 1.0, n)), list(rng.uniform(0.05, 2.5, n)),
+                       [int(k) for k in rng.integers(1, 4, n)])
+        params = GcsParams(budget=46.0 * n)
+        on_time = [t for t in pop.types if t.delay <= T_MAX]
+        for solver in (solve_complete, solve_partial):
+            menu = solver(pop, params, T_MAX)
+            paid = math.fsum(t.count * menu.item(t.index).reward for t in on_time)
+            assert paid == pytest.approx(params.budget, rel=1e-9)
+            report = check_feasibility(menu, pop, params)
+            participation, reward_fair = check_fairness(menu, pop, params)
+            assert report.ir_ok
+            assert report.ic_ok == report.monotone_ok
+            assert participation == report.ic_ok
+            if report.monotone_ok:
+                assert reward_fair
+        # the partial-information menu is truthful and fair; complete
+        # information prices each type at cost and ignores IC
+        assert report.monotone_ok and reward_fair
+        assert report.worst_pair is not None
 
 
 class TestFairness:

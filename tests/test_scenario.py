@@ -49,6 +49,21 @@ class TestLoading:
         with pytest.raises(ValueError, match="unknown keys in gcs"):
             load_scenario("gcs: {budgett: 10}")
 
+    def test_long_text_is_read_as_yaml(self):
+        # too long to name a file: parsed as a YAML scalar, not tried as a path
+        with pytest.raises(ValueError, match="must be a mapping"):
+            load_scenario("x" * 5000)
+        assert load_scenario("gcs: {budget: 20.0}" + " " * 5000).gcs.budget == 20.0
+
+    @pytest.mark.parametrize(
+        "text", ["channel: {bw_a2a: 0.25e6}", "learner: {episodes: null}"], ids=["string", "null"]
+    )
+    def test_non_numeric_value_rejected(self, text):
+        # YAML 1.1 reads 0.25e6 (no exponent sign) as a string
+        section, key = text.split(":")[0], text.split("{")[1].split(":")[0]
+        with pytest.raises(ValueError, match=f"{section}.{key} must be a number"):
+            load_scenario(text)
+
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         path = tmp_path / "scenario.yaml"
