@@ -268,7 +268,13 @@ def _incentive_scan(
     A type's payoff from item k is linear in its cost, R_k - C S_k, so its
     best deviation lies on the upper envelope of those lines.  Each type's
     IC slack is evaluated against the envelope line at its cost and that
-    line's two neighbours, which hold the best item other than its own.
+    line's two neighbours, which hold its best alternative among envelope
+    items.  When the type's own item is the envelope line there, its best
+    alternative may be an item off the envelope; that slack is >= 0 and
+    goes unseen, but the owner of every off-envelope item already shows a
+    slack <= 0 against the envelope line at its cost, so the minimum slack
+    and the IR/IC verdicts are unaffected.  (No per-type best deviation is
+    computed here.)
     Returns (IR ok, IC ok, smallest IR/IC slack, its population (j, k)).
     """
     hull = _upper_envelope(items)

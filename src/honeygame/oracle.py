@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    FEASIBILITY_TOL,
     ContractItem,
     ContractMenu,
     GcsParams,
@@ -137,7 +138,8 @@ def grid_search_partial(
         paid = sum(c * r for c, r in zip(counts, rewards))
         if paid > params.budget + 1e-9:
             continue
-        if not _enumerate_feasible(sizes, rewards, costs, params.deploy_cost):
+        ir_ok, ic_ok, _, _ = enumerate_incentives(sizes, rewards, costs, params.deploy_cost)
+        if not (ir_ok and ic_ok):
             continue
         obj = sum(
             params.satisfaction * (counts[j] / delays[j]) * math.log1p(sizes[j])
@@ -154,53 +156,35 @@ def grid_search_partial(
     return menu, best_obj
 
 
-def _enumerate_feasible(sizes, rewards, costs, deploy_cost, tol=1e-9) -> bool:
-    """Direct check of every IR and ordered-pair IC constraint."""
+def enumerate_incentives(sizes, rewards, costs, deploy_cost, tol=FEASIBILITY_TOL):
+    """Every IR and ordered-pair IC slack, pair by pair, with the same float
+    expressions as the audits in ``model``.
+
+    Returns (IR ok, IC ok, smallest slack, a (j, k) position pair attaining
+    it with k == j meaning IR); the slack is inf and the pair None when J = 0.
+    """
     n = len(sizes)
+    ir_ok = ic_ok = True
+    worst, pair = math.inf, None
     for j in range(n):
-        own = rewards[j] - costs[j] * sizes[j] - deploy_cost
-        if own < -tol:
-            return False
+        own = rewards[j] - (costs[j] * sizes[j] + deploy_cost)
+        ir_ok = ir_ok and own >= -tol
+        if own < worst:
+            worst, pair = own, (j, j)
         for k in range(n):
             if k == j:
                 continue
-            other = rewards[k] - costs[j] * sizes[k] - deploy_cost
-            if own < other - tol:
-                return False
-    return True
+            slack = own - (rewards[k] - (costs[j] * sizes[k] + deploy_cost))
+            ic_ok = ic_ok and slack >= -tol
+            if slack < worst:
+                worst, pair = slack, (j, k)
+    return bool(ir_ok), bool(ic_ok), worst, pair
 
 
-def enumerate_incentives(sizes, rewards, costs, deploy_cost, tol=1e-9, chunk=256):
-    """Every IR and ordered-pair IC slack of a J x J array (IR on the
-    diagonal), in row blocks of ``chunk``, with the same float expressions
-    as the audits in ``model``.
-
-    Returns (IR ok, IC ok, smallest slack, its (j, k) positions); the pair is
-    the first minimum in row-major order and is None when J = 0.
-    """
-    sizes, rewards, costs = (np.asarray(v, dtype=float) for v in (sizes, rewards, costs))
-    own = rewards - (costs * sizes + deploy_cost)
-    ic_ok, worst, pair = True, math.inf, None
-    for lo in range(0, len(sizes), chunk):
-        rows = np.arange(lo, min(lo + chunk, len(sizes)))
-        slack = own[rows, None] - (rewards - (costs[rows, None] * sizes + deploy_cost))
-        diagonal = (rows - lo, rows)
-        slack[diagonal] = math.inf
-        ic_ok = ic_ok and bool(np.all(slack >= -tol))
-        slack[diagonal] = own[rows]
-        j, k = np.unravel_index(int(np.argmin(slack)), slack.shape)
-        if slack[j, k] < worst:
-            worst, pair = float(slack[j, k]), (int(lo + j), int(k))
-    return bool(np.all(own >= -tol)), ic_ok, worst, pair
-
-
-def enumerate_reward_fairness(sizes, rewards, tol=1e-9, chunk=256) -> bool:
-    """No pair with S_a < S_b - tol and R_a > R_b + tol, checked pair by pair
-    in row blocks of ``chunk``."""
-    sizes, rewards = np.asarray(sizes, dtype=float), np.asarray(rewards, dtype=float)
-    for lo in range(0, len(sizes), chunk):
-        smaller = sizes[lo:lo + chunk, None] < sizes - tol
-        richer = rewards[lo:lo + chunk, None] > rewards + tol
-        if np.any(smaller & richer):
-            return False
-    return True
+def enumerate_reward_fairness(sizes, rewards, tol=FEASIBILITY_TOL) -> bool:
+    """No pair with S_a < S_b - tol and R_a > R_b + tol, checked pair by pair."""
+    return not any(
+        sa < sb - tol and ra > rb + tol
+        for sa, ra in zip(sizes, rewards)
+        for sb, rb in zip(sizes, rewards)
+    )

@@ -88,6 +88,7 @@ _SECTION_TYPES = {
     "channel": ChannelParams,
     "solver": SolverConfig,
     "learner": LearnerConfig,
+    "mobility": MobilityConfig,
 }
 
 
@@ -99,14 +100,28 @@ def _build_section(cls, data: dict, path: str):
     kwargs = dict(data)
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, value in kwargs.items():
-        if _is_number(defaults[key]) and not _is_number(value):
-            # PyYAML reads 0.25e6 (no exponent sign) as a string
-            raise ValueError(f"{path}.{key} must be a number, got {value!r}")
+        _check_number(f"{path}.{key}", defaults[key], value)
         if isinstance(value, list):
             kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         if key == "types" and value is not None:
             kwargs[key] = tuple(dict(v) for v in value)
     return cls(**kwargs)
+
+
+def _check_number(path: str, default, value) -> None:
+    """Reject a value that cannot stand where a numeric default does: an
+    integer for an integer, a number for a float, and a list of as many
+    numbers for a tuple of numbers.  PyYAML reads 0.25e6 and 1e-2 (no dot
+    or no exponent sign) as strings."""
+    if isinstance(default, tuple) and default and all(map(_is_number, default)):
+        if not (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(map(_is_number, value))):
+            raise ValueError(f"{path} must be a list of {len(default)} numbers, got {value!r}")
+    elif _is_number(default) and isinstance(default, numbers.Integral):
+        if not (_is_number(value) and isinstance(value, numbers.Integral)):
+            raise ValueError(f"{path} must be an integer, got {value!r}")
+    elif _is_number(default) and not _is_number(value):
+        raise ValueError(f"{path} must be a number, got {value!r}")
 
 
 def _is_number(value) -> bool:
@@ -135,18 +150,16 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown top-level keys: {sorted(unknown)}")
+    defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
     kwargs: dict = {}
     for key, value in data.items():
         if key in _SECTION_TYPES:
             if not isinstance(value, dict):
                 raise ValueError(f"section {key!r} must be a mapping")
             kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        elif key == "mobility":
-            kwargs[key] = _build_section(MobilityConfig, value, key)
-        elif key in ("area", "height_range"):
-            kwargs[key] = tuple(value)
         else:
-            kwargs[key] = value
+            _check_number(key, defaults[key], value)
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
     return Scenario(**kwargs)
 
 

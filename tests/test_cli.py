@@ -235,8 +235,10 @@ class TestScenarioErrors:
             ("x" * 5000, "must be a mapping"),
             ("channel: {bw_a2a: 0.25e6}", "channel.bw_a2a"),
             ("gcs: {budget: abc}", "gcs.budget"),
+            ("population: {cost_range: [1e-2, 1.0]}", "population.cost_range"),
+            ("t_max: 2.5e0", "t_max"),
         ],
-        ids=["long-text", "string-number", "string-budget"],
+        ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max"],
     )
     def test_bad_scenario_exits_2(self, capsys, text, message):
         rc = main(["solve", "--scenario", text])

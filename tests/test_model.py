@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honeygame.model import (
+    FEASIBILITY_TOL,
     ContractItem,
     ContractMenu,
     GcsParams,
@@ -354,6 +355,16 @@ class TestFairness:
         menu = menu_for(pop, [5.0, 17.0], [6.0, 3.0])
         _, reward_fair = check_fairness(menu, pop, GcsParams())
         assert not reward_fair
+
+    def test_size_gap_of_exactly_tol_is_fair(self):
+        # S_a == S_b - tol is not "smaller": the comparison is strict
+        big = 17.0
+        small = big - FEASIBILITY_TOL
+        assert small < big and not small < big - FEASIBILITY_TOL
+        pop = make_pop([0.5, 0.25])
+        menu = menu_for(pop, [small, big], [9.0, 3.0])
+        assert enumerate_reward_fairness([small, big], [9.0, 3.0])
+        assert check_fairness(menu, pop, GcsParams())[1]
 
 
 class TestEffectiveness:

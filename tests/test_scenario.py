@@ -56,12 +56,20 @@ class TestLoading:
         assert load_scenario("gcs: {budget: 20.0}" + " " * 5000).gcs.budget == 20.0
 
     @pytest.mark.parametrize(
-        "text", ["channel: {bw_a2a: 0.25e6}", "learner: {episodes: null}"], ids=["string", "null"]
+        "text, message",
+        [
+            ("channel: {bw_a2a: 0.25e6}", "channel.bw_a2a must be a number"),
+            ("learner: {episodes: null}", "learner.episodes must be an integer"),
+            ("population: {cost_range: [1e-2, 1.0]}", "population.cost_range must be a list of 2 numbers"),
+            ("t_max: 2.5e0", "t_max must be a number"),
+            ("seed: 1.5", "seed must be an integer"),
+            ("area: 200.0", "area must be a list of 2 numbers"),
+        ],
+        ids=["string", "null", "tuple-element", "top-level", "float-seed", "scalar-pair"],
     )
-    def test_non_numeric_value_rejected(self, text):
-        # YAML 1.1 reads 0.25e6 (no exponent sign) as a string
-        section, key = text.split(":")[0], text.split("{")[1].split(":")[0]
-        with pytest.raises(ValueError, match=f"{section}.{key} must be a number"):
+    def test_non_numeric_value_rejected(self, text, message):
+        # YAML 1.1 reads 0.25e6 and 1e-2 (no dot or no exponent sign) as strings
+        with pytest.raises(ValueError, match=message):
             load_scenario(text)
 
     def test_readme_example_loads(self, tmp_path):
