@@ -54,19 +54,14 @@ class Position3D:
 
 @dataclass(frozen=True)
 class MobilityConfig:
-    """Slotted-time kinematics: slot length (s), slot count, per-UAV speed cap
-    (m/s), and optional preset start/end waypoints."""
+    """Slotted-time kinematics: slot length (s) and per-UAV speed cap (m/s)."""
 
     slot_length: float = 1.0
-    slots: int = 1
     v_max: float = 20.0
-    waypoints: tuple[tuple[Position3D, Position3D], ...] = ()
 
     def __post_init__(self) -> None:
         if self.slot_length <= 0:
             raise ValueError("slot_length must be > 0")
-        if self.slots < 1:
-            raise ValueError("slots must be >= 1")
         if self.v_max <= 0:
             raise ValueError("v_max must be > 0")
 

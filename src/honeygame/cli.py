@@ -5,7 +5,7 @@ Subcommands:
 * ``solve``        one scenario -> optimal menus plus a feasibility report
 * ``oracle-check`` closed-form solvers vs. the brute-force grid oracles
 * ``learn``        two-tier PHC run, trajectory CSV
-* ``reproduce``    named experiment (fig1..fig10, sweep) -> CSV artifact
+* ``reproduce``    named experiment (fig1..fig8, sweep) -> CSV artifact
 * ``validate``     feasibility/fairness audit of a menu file
 
 Exit code 0 on success; nonzero with a diagnostic on any invariant
@@ -33,16 +33,19 @@ from .model import (
     social_surplus,
 )
 from .oracle import GridSpec, grid_search_complete, grid_search_partial
-from .scenario import Scenario, dump_scenario, generate_population, load_scenario
+from .scenario import (
+    YAML_DUMPER,
+    YAML_LOADER,
+    Scenario,
+    dump_scenario,
+    generate_population,
+    load_scenario,
+)
 from .solver import BUDGET_EXACT, PAPER_LITERAL, solve_complete, solve_partial
-
-# libyaml parses and emits menu files several times faster than pure Python
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def _load(args) -> Scenario:
-    sc = load_scenario(args.scenario) if args.scenario else Scenario()
+    sc = load_scenario(Path(args.scenario)) if args.scenario else Scenario()
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -63,7 +66,7 @@ def _menu_to_dict(menu: ContractMenu) -> dict:
 
 
 def _menu_from_file(path: str) -> ContractMenu:
-    data = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
+    data = yaml.load(Path(path).read_text(), Loader=YAML_LOADER)
     if not isinstance(data, dict):
         raise ValueError(f"menu file {path} must be a mapping")
     entries = _menu_field(data, "items", path)
@@ -104,7 +107,7 @@ def _cmd_solve(args) -> int:
         report = check_feasibility(menu, pop, sc.gcs)
         fair = check_fairness(menu, pop, sc.gcs)
         print(f"== {name} information menu (t_max = {menu.t_max:g} s) ==")
-        for t in [t for t in pop.types if t.delay <= sc.t_max]:
+        for t in participating_set(pop, sc.t_max):
             item = menu.item(t.index)
             print(
                 f"  type {t.index}: C = {t.marginal_cost:.4g}, "
@@ -127,7 +130,7 @@ def _cmd_solve(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, menu in menus.items():
             (out / f"menu_{name}.yaml").write_text(
-                yaml.dump(_menu_to_dict(menu), Dumper=_YAML_DUMPER)
+                yaml.dump(_menu_to_dict(menu), Dumper=YAML_DUMPER)
             )
         (out / "scenario.yaml").write_text(dump_scenario(sc))
         print(f"wrote menus to {out}")
@@ -145,6 +148,7 @@ def _cmd_oracle_check(args) -> int:
         print("error: oracle check needs at most 3 participating types", file=sys.stderr)
         return 2
     grid = GridSpec(s_step=args.step, s_max=sc.gcs.s_max)
+    slack = _grid_slack(part, sc, args.step)
     ok = True
     for name, solver, search in (
         ("complete", solve_complete, grid_search_complete),
@@ -153,7 +157,6 @@ def _cmd_oracle_check(args) -> int:
         menu = solver(pop, sc.gcs, sc.t_max, sc.solver)
         obj = gcs_utility(menu, pop, sc.gcs)
         _, oracle_obj = search(pop, sc.gcs, sc.t_max, grid)
-        slack = _grid_slack(pop, sc, args.step)
         status = "ok" if obj >= oracle_obj - slack else "FAIL"
         if status == "FAIL":
             ok = False
@@ -164,14 +167,13 @@ def _cmd_oracle_check(args) -> int:
     return 0 if ok else 1
 
 
-def _grid_slack(pop, sc: Scenario, step: float) -> float:
+def _grid_slack(part, sc: Scenario, step: float) -> float:
     # one grid step's worth of objective change, bounded by the steepest
     # per-type satisfaction slope at S = 0 plus the payment change
     worst = max(
-        sc.gcs.satisfaction * (t.count / t.delay) + t.count * t.marginal_cost
-        for t in participating_set(pop, sc.t_max)
+        sc.gcs.satisfaction * (t.count / t.delay) + t.count * t.marginal_cost for t in part
     )
-    return worst * step * len(participating_set(pop, sc.t_max))
+    return worst * step * len(part)
 
 
 def _cmd_learn(args) -> int:

@@ -13,7 +13,6 @@ budget feasibility.
 from __future__ import annotations
 
 import datetime
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from .model import (
     check_fairness,
     check_feasibility,
     defensive_effectiveness,
+    gcs_term,
     gcs_utility,
     participating_set,
     uav_utility,
@@ -110,52 +110,43 @@ def _audit(menus: dict[str, ContractMenu], pop: Population, params: GcsParams) -
             raise AuditError(f"{name} baseline exceeded the budget")
 
 
-def _per_type_gcs_term(t, item, params: GcsParams) -> float:
-    return params.satisfaction * (t.count / t.delay) * math.log1p(item.vdd_size) \
-        - t.count * item.reward
-
-
-def _per_type_surplus_term(t, item, params: GcsParams) -> float:
-    return params.satisfaction * (t.count / t.delay) * math.log1p(item.vdd_size) \
-        - t.count * (t.marginal_cost * item.vdd_size + params.deploy_cost)
-
-
 def _contract_tables(sc: Scenario, which: str) -> dict[str, str]:
     pop = generate_population(sc)
     params = sc.gcs
     menus = _solve_all(pop, params, sc.t_max, sc.solver)
     _audit(menus, pop, params)
     part = participating_set(pop, sc.t_max)
-    originals = [t for t in pop.types if t.delay <= sc.t_max]
 
     if which in ("fig1", "fig2"):
         rows = []
         for scheme in SCHEMES:
             menu = menus[scheme]
-            for t, orig in zip(part, originals):
-                item = menu.item(orig.index)
-                rows.append([t.index, t.marginal_cost, scheme, item.vdd_size, item.reward])
+            for rank, t in enumerate(part, start=1):
+                item = menu.item(t.index)
+                rows.append([rank, t.marginal_cost, scheme, item.vdd_size, item.reward])
         return {f"{which}.csv": _csv(["type_index", "marginal_cost", "scheme", "S_bytes", "R"], rows)}
 
     if which == "fig3":
         menu = menus["partial"]
         rows = []
-        for t, _ in zip(part, originals):
-            for k, orig_k in zip(part, originals):
-                u = uav_utility(t, menu.item(orig_k.index), sc.t_max, params)
-                rows.append([t.index, k.index, u])
+        for rank, t in enumerate(part, start=1):
+            for rank_k, k in enumerate(part, start=1):
+                rows.append([rank, rank_k, uav_utility(t, menu.item(k.index), sc.t_max, params)])
         return {"fig3.csv": _csv(["type_index", "item_index", "utility"], rows)}
 
     value_fn = {
         "fig4": lambda t, item: uav_utility(t, item, sc.t_max, params),
-        "fig5": lambda t, item: _per_type_gcs_term(t, item, params),
-        "fig6": lambda t, item: _per_type_surplus_term(t, item, params),
+        "fig5": lambda t, item: gcs_term(t, item.vdd_size, item.reward, params),
+        # social surplus of a type: the GCS term with the UAV paid its cost
+        "fig6": lambda t, item: gcs_term(
+            t, item.vdd_size, t.marginal_cost * item.vdd_size + params.deploy_cost, params
+        ),
     }[which]
     rows = []
     for scheme in SCHEMES:
         menu = menus[scheme]
-        for t, orig in zip(part, originals):
-            rows.append([t.marginal_cost, scheme, value_fn(t, menu.item(orig.index))])
+        for t in part:
+            rows.append([t.marginal_cost, scheme, value_fn(t, menu.item(t.index))])
     return {f"{which}.csv": _csv(["marginal_cost", "scheme", "value"], rows)}
 
 
@@ -190,7 +181,7 @@ def _sweep_tables(sc: Scenario, metric: str) -> dict[str, str]:
     return {f"{name}.csv": _csv(["uav_count", "budget_tag", "scheme", column], rows)}
 
 
-def _learning_tables(sc: Scenario, which: str) -> dict[str, str]:
+def _learning_tables(sc: Scenario) -> dict[str, str]:
     pop = generate_population(sc)
     cfg = sc.learner
     tables = hotboot(pop, sc.gcs, sc.t_max, cfg, sc.seed) if cfg.hotboot_runs else None
@@ -210,13 +201,13 @@ def _learning_tables(sc: Scenario, which: str) -> dict[str, str]:
                 float(log.gcs_utility[ep]),
             ])
     return {
-        f"{which}.csv": _csv(
+        "fig8.csv": _csv(
             ["episode", "type_index", "S_bytes", "R", "uav_utility", "gcs_utility"], rows
         )
     }
 
 
-EXPERIMENTS = tuple(f"fig{i}" for i in range(1, 11)) + ("sweep",)
+EXPERIMENTS = tuple(f"fig{i}" for i in range(1, 9)) + ("sweep",)
 
 
 def run_experiment(name: str, sc: Scenario) -> RunArtifact:
@@ -230,7 +221,7 @@ def run_experiment(name: str, sc: Scenario) -> RunArtifact:
     elif name == "sweep":
         tables = _sweep_tables(sc, "gcs_utility")
     else:
-        tables = _learning_tables(sc, name)
+        tables = _learning_tables(sc)
     return RunArtifact(
         name=name,
         scenario_hash=sc.digest(),

@@ -17,12 +17,12 @@ seeds give bitwise-identical logs.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GcsParams, Population, UavType, participating_set
+from .model import GcsParams, Population, UavType, gcs_term, participating_set, uav_payoff
 
 __all__ = [
     "ActionGrid",
@@ -159,14 +159,6 @@ def _rng_for(seed: int, type_index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, type_index, stream]))
 
 
-def _gcs_reward(t: UavType, params: GcsParams, s_value: float, r_value: float) -> float:
-    return params.satisfaction * (t.count / t.delay) * math.log1p(s_value) - t.count * r_value
-
-
-def _uav_reward(t: UavType, params: GcsParams, s_value: float, r_value: float) -> float:
-    return r_value - t.marginal_cost * s_value - params.deploy_cost
-
-
 def _new_pair(t: UavType, params: GcsParams, cfg: LearnerConfig) -> tuple[LearnerState, LearnerState]:
     reward_grid = ActionGrid(cfg.gcs_levels, params.r_max)
     size_grid = ActionGrid(cfg.uav_levels, params.s_max)
@@ -190,9 +182,11 @@ def _play(
     gcs_rng: np.random.Generator,
     uav_rng: np.random.Generator,
     record: bool,
+    rank: int = 1,
 ) -> EpisodeLog | None:
     """Run the leader/follower reward-size game for one type, updating both
-    learners in place.
+    learners in place; ``rank`` (the type's position 1..J' among the on-time
+    types) labels the recorded log.
 
     Each episode the GCS observes the previous VDD size and announces a
     reward; the UAV observes that reward and responds with a size.  The
@@ -203,7 +197,7 @@ def _play(
     log = None
     if record:
         log = EpisodeLog(
-            type_index=t.index,
+            type_index=rank,
             episode=np.arange(episodes),
             gcs_state=np.zeros(episodes, dtype=int),
             uav_state=np.zeros(episodes, dtype=int),
@@ -225,8 +219,8 @@ def _play(
         a_s = sample_action(uav, uav_state, uav_rng)
         r_value = float(gcs.grid.values[a_r])
         s_value = float(uav.grid.values[a_s])
-        u_g = _gcs_reward(t, params, s_value, r_value)
-        u_j = _uav_reward(t, params, s_value, r_value)
+        u_g = gcs_term(t, s_value, r_value, params)
+        u_j = uav_payoff(t, s_value, r_value, params.deploy_cost)
 
         q_update(gcs, gcs_state, a_r, u_g, a_s)
         policy_update(gcs, gcs_state)
@@ -257,28 +251,24 @@ def hotboot(
 ) -> dict[int, tuple[LearnerState, LearnerState]]:
     """Offline warm start: play ``hotboot_runs`` short games per type on
     scenarios whose marginal costs are jittered by +-hotboot_jitter,
-    accumulating Q and policy tables.  With zero runs this returns cold
-    tables (all-zero Q, uniform policies)."""
+    accumulating Q and policy tables keyed by rank, as ``run_dynamic_game``
+    keys its logs.  With zero runs this returns cold tables (all-zero Q,
+    uniform policies)."""
     tables: dict[int, tuple[LearnerState, LearnerState]] = {}
-    for t in participating_set(pop, t_max):
+    for rank, t in enumerate(participating_set(pop, t_max), start=1):
         gcs, uav = _new_pair(t, params, cfg)
-        jitter_rng = _rng_for(seed, t.index, _HOTBOOT_STREAM)
+        jitter_rng = _rng_for(seed, rank, _HOTBOOT_STREAM)
         for run in range(cfg.hotboot_runs):
             factor = 1.0 + cfg.hotboot_jitter * (2.0 * jitter_rng.random() - 1.0)
-            jittered = UavType(
-                index=t.index,
-                marginal_cost=t.marginal_cost * factor,
-                delay=t.delay,
-                count=t.count,
-            )
+            jittered = dataclasses.replace(t, marginal_cost=t.marginal_cost * factor)
             g_rng = np.random.default_rng(
-                np.random.SeedSequence([seed, t.index, _HOTBOOT_STREAM, run, _GCS_STREAM])
+                np.random.SeedSequence([seed, rank, _HOTBOOT_STREAM, run, _GCS_STREAM])
             )
             u_rng = np.random.default_rng(
-                np.random.SeedSequence([seed, t.index, _HOTBOOT_STREAM, run, _UAV_STREAM])
+                np.random.SeedSequence([seed, rank, _HOTBOOT_STREAM, run, _UAV_STREAM])
             )
             _play(jittered, params, gcs, uav, cfg.hotboot_length, g_rng, u_rng, record=False)
-        tables[t.index] = (gcs, uav)
+        tables[rank] = (gcs, uav)
     return tables
 
 
@@ -292,16 +282,17 @@ def run_dynamic_game(
     warm_tables: dict[int, tuple[LearnerState, LearnerState]] | None = None,
 ) -> dict[int, EpisodeLog]:
     """Play the full two-tier game for every participating type and return
-    per-type episode logs.  Total work is linear in types times episodes."""
+    per-type episode logs keyed by the type's rank 1..J' among the on-time
+    types.  Total work is linear in types times episodes."""
     logs: dict[int, EpisodeLog] = {}
-    for t in participating_set(pop, t_max):
-        if warm_tables is not None and t.index in warm_tables:
-            gcs, uav = warm_tables[t.index]
+    for rank, t in enumerate(participating_set(pop, t_max), start=1):
+        if warm_tables is not None and rank in warm_tables:
+            gcs, uav = warm_tables[rank]
         else:
             gcs, uav = _new_pair(t, params, cfg)
-        g_rng = _rng_for(seed, t.index, _GCS_STREAM)
-        u_rng = _rng_for(seed, t.index, _UAV_STREAM)
-        log = _play(t, params, gcs, uav, episodes, g_rng, u_rng, record=True)
+        g_rng = _rng_for(seed, rank, _GCS_STREAM)
+        u_rng = _rng_for(seed, rank, _UAV_STREAM)
+        log = _play(t, params, gcs, uav, episodes, g_rng, u_rng, record=True, rank=rank)
         assert log is not None
-        logs[t.index] = log
+        logs[rank] = log
     return logs

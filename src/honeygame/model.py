@@ -25,6 +25,8 @@ __all__ = [
     "FeasibilityReport",
     "canonicalize",
     "participating_set",
+    "uav_payoff",
+    "gcs_term",
     "uav_utility",
     "gcs_utility",
     "social_surplus",
@@ -188,42 +190,45 @@ class FeasibilityReport:
 
 
 def participating_set(pop: Population, t_max: float) -> list[UavType]:
-    """Types able to deliver within the deadline, reindexed 1..J' in
-    descending marginal cost (population order is already canonical)."""
-    chosen = [t for t in pop.types if t.delay <= t_max]
-    return [
-        UavType(index=i + 1, marginal_cost=t.marginal_cost, delay=t.delay, count=t.count)
-        for i, t in enumerate(chosen)
-    ]
+    """The population's own types that can deliver within the deadline, in
+    canonical order and keeping their population indices.  Where a rank
+    1..J' is needed, it is the position in this list (counting from 1)."""
+    return [t for t in pop.types if t.delay <= t_max]
+
+
+def uav_payoff(t: UavType, size: float, reward: float, deploy_cost: float) -> float:
+    """What a type-t UAV earns from delivering ``size`` bytes for ``reward``."""
+    return reward - (t.marginal_cost * size + deploy_cost)
+
+
+def gcs_term(t: UavType, size: float, reward: float, params: GcsParams) -> float:
+    """The GCS's log-satisfaction from type t delivering ``size`` bytes each,
+    minus the ``reward`` it pays each of the type's UAVs."""
+    return params.satisfaction * (t.count / t.delay) * math.log1p(size) - t.count * reward
 
 
 def uav_utility(t: UavType, item: ContractItem, t_max: float, params: GcsParams) -> float:
     """Reward minus cost; a UAV that misses the deadline forfeits the reward
     but still bears its VDD and deployment costs."""
-    cost = t.marginal_cost * item.vdd_size + params.deploy_cost
-    if t.delay <= t_max:
-        return item.reward - cost
-    return -cost
+    reward = item.reward if t.delay <= t_max else 0.0
+    return uav_payoff(t, item.vdd_size, reward, params.deploy_cost)
 
 
 def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """Log-satisfaction over delivered VDD minus total payments (natural log).
     Non-delivering types contribute no satisfaction and receive no payment."""
     total = 0.0
-    for t in pop.types:
+    for t in participating_set(pop, menu.t_max):
         item = menu.item(t.index)
-        on_time = 1.0 if t.delay <= menu.t_max else 0.0
-        total += params.satisfaction * (t.count / t.delay) * math.log(1.0 + on_time * item.vdd_size)
-        total -= on_time * t.count * item.reward
+        total += gcs_term(t, item.vdd_size, item.reward, params)
     return total
 
 
 def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """GCS utility plus the utilities of all on-time UAVs (rewards cancel)."""
     total = gcs_utility(menu, pop, params)
-    for t in pop.types:
-        if t.delay <= menu.t_max:
-            total += t.count * uav_utility(t, menu.item(t.index), menu.t_max, params)
+    for t in participating_set(pop, menu.t_max):
+        total += t.count * uav_utility(t, menu.item(t.index), menu.t_max, params)
     return total
 
 
@@ -239,7 +244,7 @@ def check_feasibility(
     Violations are data, not errors: slacks within ``tol`` of zero count as
     satisfied and ``worst_violation`` carries the raw minimum slack.
     """
-    on_time = [t for t in pop.types if t.delay <= menu.t_max]
+    on_time = participating_set(pop, menu.t_max)
     items = [menu.item(t.index) for t in on_time]
     ir_ok, ic_ok, worst, worst_pair = _incentive_scan(on_time, items, params.deploy_cost, tol)
 
@@ -282,17 +287,15 @@ def _incentive_scan(
     ir_ok = ic_ok = True
     worst, worst_pair = math.inf, None
     for pos, (t, it) in enumerate(zip(on_time, items)):
-        c = t.marginal_cost
-        own = it.reward - (c * it.vdd_size + deploy_cost)
+        own = uav_payoff(t, it.vdd_size, it.reward, deploy_cost)
         ir_ok = ir_ok and own >= -tol
         if own < worst:
             worst, worst_pair = own, (t.index, t.index)
-        h = bisect.bisect_left(breaks, c)
+        h = bisect.bisect_left(breaks, t.marginal_cost)
         for _, _, k in hull[max(h - 1, 0):h + 2]:
             if k == pos:
                 continue
-            other = items[k]
-            slack = own - (other.reward - (c * other.vdd_size + deploy_cost))
+            slack = own - uav_payoff(t, items[k].vdd_size, items[k].reward, deploy_cost)
             ic_ok = ic_ok and slack >= -tol
             if slack < worst:
                 worst, worst_pair = slack, (t.index, on_time[k].index)
@@ -373,7 +376,7 @@ def check_fairness(
     larger VDD contributions never earn smaller rewards, and types that
     cannot deliver on time are paid nothing.
     """
-    on_time = [t for t in pop.types if t.delay <= menu.t_max]
+    on_time = participating_set(pop, menu.t_max)
     items = [menu.item(t.index) for t in on_time]
     ir_ok, ic_ok, _, _ = _incentive_scan(on_time, items, params.deploy_cost, tol)
     late_paid = any(
@@ -398,7 +401,5 @@ def _reward_ordered(items: list[ContractItem], tol: float) -> bool:
 
 def defensive_effectiveness(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """Total on-time VDD per type divided by the GCS requirement."""
-    contributed = sum(
-        menu.item(t.index).vdd_size for t in pop.types if t.delay <= menu.t_max
-    )
+    contributed = sum(menu.item(t.index).vdd_size for t in participating_set(pop, menu.t_max))
     return contributed / params.vdd_requirement

@@ -56,9 +56,9 @@ class GridSpec:
         return np.arange(round(self.s_max / self.s_step) + 1) * self.s_step
 
 
-def _menu(pop: Population, t_max: float, originals, sizes, rewards) -> ContractMenu:
+def _menu(pop: Population, t_max: float, part, sizes, rewards) -> ContractMenu:
     items = {t.index: ZERO_ITEM for t in pop.types}
-    for t, s, r in zip(originals, sizes, rewards):
+    for t, s, r in zip(part, sizes, rewards):
         items[t.index] = ContractItem(float(s), float(r))
     return ContractMenu(t_max=t_max, items=items)
 
@@ -74,7 +74,6 @@ def grid_search_complete(
     part = participating_set(pop, t_max)
     if len(part) > MAX_ORACLE_TYPES:
         raise ValueError(f"oracle limited to {MAX_ORACLE_TYPES} types, got {len(part)}")
-    originals = [t for t in pop.types if t.delay <= t_max]
     pts = grid.points
     best_obj = -math.inf
     best: tuple | None = None
@@ -102,7 +101,7 @@ def grid_search_complete(
     idx = int(np.argmax(objective))
     best_obj = float(objective[idx])
     best = (sizes[idx], rewards[idx])
-    menu = _menu(pop, t_max, originals, best[0], best[1])
+    menu = _menu(pop, t_max, part, best[0], best[1])
     return menu, best_obj
 
 
@@ -117,7 +116,6 @@ def grid_search_partial(
     part = participating_set(pop, t_max)
     if len(part) > MAX_ORACLE_TYPES:
         raise ValueError(f"oracle limited to {MAX_ORACLE_TYPES} types, got {len(part)}")
-    originals = [t for t in pop.types if t.delay <= t_max]
     if not part:
         menu = ContractMenu.zero(pop, t_max)
         return menu, gcs_utility(menu, pop, params)
@@ -152,7 +150,7 @@ def grid_search_partial(
     if best is None:
         menu = ContractMenu.zero(pop, t_max)
         return menu, gcs_utility(menu, pop, params)
-    menu = _menu(pop, t_max, originals, best[0], best[1])
+    menu = _menu(pop, t_max, part, best[0], best[1])
     return menu, best_obj
 
 

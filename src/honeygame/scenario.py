@@ -1,5 +1,5 @@
 """Scenario files: one YAML document describing population, economics,
-channel, mobility, solver, and learner settings plus the master seed.
+channel, solver, and learner settings plus the master seed.
 
 Unknown keys are rejected so typos fail loudly; a scenario round-trips
 losslessly through ``load``/``dump``.  Delays can be fixed per type or
@@ -22,7 +22,6 @@ import yaml
 from .channel import (
     ChannelParams,
     LinkEnvironment,
-    MobilityConfig,
     Position3D,
     a2g_rate,
     transmission_delay,
@@ -40,6 +39,11 @@ __all__ = [
 ]
 
 DISTRIBUTIONS = ("even", "uniform", "explicit")
+
+# libyaml parses and emits several times faster than pure Python; the
+# CSafe classes keep PyYAML's safe tag resolution
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,6 @@ class Scenario:
     population: PopulationSpec = field(default_factory=PopulationSpec)
     gcs: GcsParams = field(default_factory=GcsParams)
     channel: ChannelParams = field(default_factory=ChannelParams)
-    mobility: MobilityConfig = field(default_factory=MobilityConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     area: tuple[float, float] = (200.0, 200.0)
@@ -88,7 +91,6 @@ _SECTION_TYPES = {
     "channel": ChannelParams,
     "solver": SolverConfig,
     "learner": LearnerConfig,
-    "mobility": MobilityConfig,
 }
 
 
@@ -128,22 +130,24 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _source_text(source: str | Path) -> str:
+def _source_text(source: str) -> str:
     """The text of a scenario file, or ``source`` itself when it cannot name
     one (too long for a file name, or not a file)."""
     try:
         is_file = Path(source).is_file()
     except (OSError, ValueError):
         is_file = False
-    return Path(source).read_text() if is_file else str(source)
+    return Path(source).read_text() if is_file else source
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
-    """Parse a scenario from a YAML path, YAML text, or a pre-parsed dict."""
+    """Parse a scenario from a YAML file (a ``Path`` is always read as one),
+    a string naming a file or holding YAML text, or a pre-parsed dict."""
     if isinstance(source, dict):
         data = dict(source)
     else:
-        data = yaml.safe_load(_source_text(source)) or {}
+        text = source.read_text() if isinstance(source, Path) else _source_text(source)
+        data = yaml.load(text, Loader=YAML_LOADER) or {}
         if not isinstance(data, dict):
             raise ValueError("scenario document must be a mapping")
     allowed = {f.name for f in dataclasses.fields(Scenario)}
@@ -181,7 +185,7 @@ def dump_scenario(sc: Scenario) -> str:
     """Canonical YAML text for a scenario (stable key order)."""
     data = _plain(sc)
     buf = io.StringIO()
-    yaml.safe_dump(data, buf, sort_keys=True, default_flow_style=False)
+    yaml.dump(data, buf, Dumper=YAML_DUMPER, sort_keys=True, default_flow_style=False)
     return buf.getvalue()
 
 

@@ -65,9 +65,10 @@ class SolverConfig:
 class RelaxedSolution:
     """Relaxed (monotonicity-free) size solution for the asymmetric case.
 
-    ``sizes`` align with the reindexed participating types.  ``scalar`` is
-    the budget water-level; ``lambda_`` = satisfaction / scalar is the budget
-    multiplier that prices a byte of type-j VDD at lambda_ * virtual_cost.
+    ``participants`` are the population's own on-time types (population
+    indices kept) and ``sizes`` align with them.  ``scalar`` is the budget
+    water-level; ``lambda_`` = satisfaction / scalar is the budget multiplier
+    that prices a byte of type-j VDD at lambda_ * virtual_cost.
     """
 
     participants: tuple[UavType, ...]
@@ -193,10 +194,9 @@ def _menu_from(
     part: list[UavType],
     items: list[ContractItem],
 ) -> ContractMenu:
-    originals = [t for t in pop.types if t.delay <= t_max]
     out = {t.index: ZERO_ITEM for t in pop.types}
-    for orig, item in zip(originals, items):
-        out[orig.index] = item
+    for t, item in zip(part, items):
+        out[t.index] = item
     return ContractMenu(t_max=t_max, items=out)
 
 
@@ -364,8 +364,6 @@ def uniform_contract(
     part = participating_set(pop, t_max)
     if not part:
         return ContractMenu.zero(pop, t_max)
-    optimal = solve_partial(pop, params, t_max, cfg)
-    originals = [t for t in pop.types if t.delay <= t_max]
-    first = optimal.item(originals[0].index)
+    first = solve_partial(pop, params, t_max, cfg).item(part[0].index)
     items = [first for _ in part]
     return _menu_from(pop, t_max, part, items)

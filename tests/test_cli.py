@@ -6,6 +6,9 @@ import pytest
 import yaml
 
 from honeygame.cli import main
+from honeygame.model import participating_set, uav_utility
+from honeygame.scenario import generate_population, load_scenario
+from honeygame.solver import solve_partial
 
 SMALL_SCENARIO = """
 seed: 3
@@ -27,6 +30,20 @@ population:
     - {cost: 0.9, delay: 1.0}
     - {cost: 0.5, delay: 9.0}
     - {cost: 0.2, delay: 1.0}
+"""
+
+# the costliest type and a middle one miss the 2 s deadline
+LATE_TYPES_SCENARIO = """
+seed: 3
+gcs: {budget: 60.0, s_max: 60.0}
+population:
+  distribution: explicit
+  types:
+    - {cost: 0.95, delay: 2.6}
+    - {cost: 0.8, delay: 1.2}
+    - {cost: 0.5, delay: 3.0}
+    - {cost: 0.3, delay: 1.7, count: 2}
+    - {cost: 0.1, delay: 0.4}
 """
 
 LEARN_SCENARIO = """
@@ -116,9 +133,39 @@ class TestReproduce:
         text = (out / "fig1.csv").read_text()
         assert text.splitlines()[0] == "type_index,marginal_cost,scheme,S_bytes,R"
 
+    def test_late_types_ranked_in_fig1_and_fig3(self, tmp_path, capsys):
+        path = tmp_path / "late.yaml"
+        path.write_text(LATE_TYPES_SCENARIO)
+        out = tmp_path / "art"
+        for fig in ("fig1", "fig3"):
+            assert main(["reproduce", fig, "--scenario", str(path), "--out", str(out)]) == 0
+        sc = load_scenario(path)
+        pop = generate_population(sc)
+        part = participating_set(pop, sc.t_max)
+        assert [t.index for t in part] == [2, 4, 5]
+        menu = solve_partial(pop, sc.gcs, sc.t_max, sc.solver)
+        ranked = list(enumerate(part, start=1))
+
+        fig1 = [line.split(",") for line in (out / "fig1.csv").read_text().splitlines()[1:]]
+        partial = [row for row in fig1 if row[2] == "partial"]
+        assert partial == [
+            [str(rank), f"{t.marginal_cost:.9g}", "partial",
+             f"{menu.item(t.index).vdd_size:.9g}", f"{menu.item(t.index).reward:.9g}"]
+            for rank, t in ranked
+        ]
+        assert len({row[3] for row in partial}) == len(part)  # items tell types apart
+
+        fig3 = [line.split(",") for line in (out / "fig3.csv").read_text().splitlines()[1:]]
+        assert fig3 == [
+            [str(j), str(k), f"{uav_utility(t, menu.item(o.index), sc.t_max, sc.gcs):.9g}"]
+            for j, t in ranked
+            for k, o in ranked
+        ]
+
     def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["reproduce", "fig99"])
+        for name in ("fig99", "fig9"):
+            with pytest.raises(SystemExit):
+                main(["reproduce", name])
 
     def test_budget_mode_flag(self, small_scenario, tmp_path):
         out = tmp_path / "art"
@@ -237,12 +284,25 @@ class TestScenarioErrors:
             ("gcs: {budget: abc}", "gcs.budget"),
             ("population: {cost_range: [1e-2, 1.0]}", "population.cost_range"),
             ("t_max: 2.5e0", "t_max"),
+            ("mobility: {slot_length: 1.0, v_max: 20.0}", "unknown top-level keys: ['mobility']"),
         ],
-        ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max"],
+        ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max",
+             "mobility"],
     )
-    def test_bad_scenario_exits_2(self, capsys, text, message):
-        rc = main(["solve", "--scenario", text])
+    def test_bad_scenario_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        rc = main(["solve", "--scenario", str(path)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "reproduce fig1", "learn"])
+    def test_missing_scenario_file_named(self, tmp_path, capsys, command):
+        missing = tmp_path / "nonexistent.yaml"
+        rc = main([*command.split(), "--scenario", str(missing)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and str(missing) in err
+        assert "must be a mapping" not in err and "Traceback" not in err

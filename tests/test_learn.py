@@ -14,7 +14,7 @@ from honeygame.learn import (
     run_dynamic_game,
     sample_action,
 )
-from honeygame.model import GcsParams, UavType, canonicalize
+from honeygame.model import GcsParams, UavType, canonicalize, participating_set
 from honeygame.solver import solve_complete
 
 T_MAX = 2.0
@@ -171,6 +171,32 @@ class TestDynamicGame:
         u_max_uav = PARAMS.r_max
         assert np.abs(gcs.q).max() <= u_max_gcs / (1 - gcs.discount) + 1e-6
         assert np.abs(uav.q).max() <= u_max_uav / (1 - uav.discount) + 1e-6
+
+    def test_logs_keyed_by_rank_with_late_types(self):
+        # population indices 1 and 3 miss the deadline; 2 and 4 rank 1 and 2
+        with_late = canonicalize([
+            UavType(index=1, marginal_cost=0.9, delay=3.0),
+            UavType(index=2, marginal_cost=0.6, delay=1.0),
+            UavType(index=3, marginal_cost=0.4, delay=2.5),
+            UavType(index=4, marginal_cost=0.2, delay=0.5, count=2),
+        ])
+        on_time = canonicalize(participating_set(with_late, T_MAX))
+        cfg = LearnerConfig(hotboot_runs=2, hotboot_length=50)
+        runs = []
+        for pop in (with_late, on_time):
+            tables = hotboot(pop, PARAMS, T_MAX, cfg, seed=4)
+            logs = run_dynamic_game(pop, PARAMS, T_MAX, cfg, 200, seed=4, warm_tables=tables)
+            runs.append((tables, logs))
+        (tables, logs), (_, reference) = runs
+        assert sorted(tables) == sorted(logs) == [1, 2]
+        for rank, t in enumerate(participating_set(with_late, T_MAX), start=1):
+            log = logs[rank]
+            assert log.type_index == rank
+            # late types shift no stream: rank r plays as rank r without them
+            for field in ("reward", "vdd_size", "gcs_utility", "uav_utility"):
+                assert np.array_equal(getattr(log, field), getattr(reference[rank], field))
+            paid = log.reward - (t.marginal_cost * log.vdd_size + PARAMS.deploy_cost)
+            assert np.array_equal(log.uav_utility, paid)
 
     def test_multiple_types_independent_streams(self):
         # adding a second type must not perturb the first type's trajectory

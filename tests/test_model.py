@@ -19,9 +19,11 @@ from honeygame.model import (
     check_fairness,
     check_feasibility,
     defensive_effectiveness,
+    gcs_term,
     gcs_utility,
     participating_set,
     social_surplus,
+    uav_payoff,
     uav_utility,
 )
 from honeygame.oracle import enumerate_incentives, enumerate_reward_fairness
@@ -393,8 +395,29 @@ class TestEffectiveness:
 
 
 class TestParticipatingSet:
-    def test_filters_and_reindexes(self):
-        pop = make_pop([0.9, 0.5, 0.2], delays=[1.0, 9.0, 1.5])
+    def test_filters_and_keeps_population_types(self):
+        pop = make_pop([0.9, 0.5, 0.2, 0.1], delays=[1.0, 9.0, 1.5, 2.5])
         part = participating_set(pop, T_MAX)
-        assert [t.marginal_cost for t in part] == [0.9, 0.2]
-        assert [t.index for t in part] == [1, 2]
+        assert part[0] is pop.types[0] and part[1] is pop.types[2]
+        assert len(part) == 2
+        assert [t.index for t in part] == [1, 3]
+
+    def test_utilities_are_sums_of_per_type_payoffs(self):
+        pop = make_pop([0.9, 0.5, 0.2], delays=[1.0, 9.0, 1.5], counts=[2, 1, 3])
+        menu = menu_for(pop, [10.0, 20.0, 30.0], [12.0, 0.0, 15.0])
+        params = GcsParams()
+        part = participating_set(pop, T_MAX)
+        terms = [
+            gcs_term(t, menu.item(t.index).vdd_size, menu.item(t.index).reward, params)
+            for t in part
+        ]
+        assert gcs_utility(menu, pop, params) == sum(terms)
+        for t in part:
+            item = menu.item(t.index)
+            assert uav_utility(t, item, T_MAX, params) == uav_payoff(
+                t, item.vdd_size, item.reward, params.deploy_cost
+            )
+        late = pop.types[1]
+        assert uav_utility(late, menu.item(late.index), T_MAX, params) == uav_payoff(
+            late, 20.0, 0.0, params.deploy_cost
+        )
