@@ -170,9 +170,8 @@ def _cmd_oracle_check(args) -> int:
 def _grid_slack(part, sc: Scenario, step: float) -> float:
     # one grid step's worth of objective change, bounded by the steepest
     # per-type satisfaction slope at S = 0 plus the payment change
-    worst = max(
-        sc.gcs.satisfaction * (t.count / t.delay) + t.count * t.marginal_cost for t in part
-    )
+    worst = max((sc.gcs.satisfaction * (t.count / t.delay) + t.count * t.marginal_cost
+                 for t in part), default=0.0)
     return worst * step * len(part)
 
 

@@ -12,6 +12,7 @@ budget feasibility.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 from dataclasses import dataclass, field
 
@@ -160,14 +161,7 @@ def _sweep_tables(sc: Scenario, metric: str) -> dict[str, str]:
             # so high-vs-low comparisons are apples to apples
             rng = np.random.default_rng(np.random.SeedSequence([sc.seed, count]))
             pop = generate_population(sc, rng=rng, count=count)
-            params = GcsParams(
-                satisfaction=sc.gcs.satisfaction,
-                deploy_cost=sc.gcs.deploy_cost,
-                budget=budget,
-                s_max=sc.gcs.s_max,
-                r_max=sc.gcs.r_max,
-                vdd_requirement=sc.gcs.vdd_requirement,
-            )
+            params = dataclasses.replace(sc.gcs, budget=budget)
             menus = _solve_all(pop, params, sc.t_max, sc.solver)
             _audit(menus, pop, params)
             for scheme in SCHEMES:

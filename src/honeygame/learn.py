@@ -126,12 +126,6 @@ class LearnerConfig:
 
     gcs_levels: int = 21
     uav_levels: int = 21
-    learn_rate_gcs: float = 0.7
-    learn_rate_uav: float = 0.7
-    discount_gcs: float = 0.8
-    discount_uav: float = 0.8
-    step_gcs: float = 0.01
-    step_uav: float = 0.01
     episodes: int = 2000
     hotboot_runs: int = 10
     hotboot_length: int = 500
@@ -155,22 +149,16 @@ class EpisodeLog:
         return len(self.episode)
 
 
-def _rng_for(seed: int, type_index: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, type_index, stream]))
+def _rng_for(seed: int, *keys: int) -> np.random.Generator:
+    """The random stream named by ``keys`` under the master ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *keys]))
 
 
 def _new_pair(t: UavType, params: GcsParams, cfg: LearnerConfig) -> tuple[LearnerState, LearnerState]:
     reward_grid = ActionGrid(cfg.gcs_levels, params.r_max)
     size_grid = ActionGrid(cfg.uav_levels, params.s_max)
-    gcs = LearnerState(
-        grid=reward_grid, n_states=size_grid.levels,
-        learn_rate=cfg.learn_rate_gcs, discount=cfg.discount_gcs, step=cfg.step_gcs,
-    )
-    uav = LearnerState(
-        grid=size_grid, n_states=reward_grid.levels,
-        learn_rate=cfg.learn_rate_uav, discount=cfg.discount_uav, step=cfg.step_uav,
-    )
-    return gcs, uav
+    return (LearnerState(grid=reward_grid, n_states=size_grid.levels),
+            LearnerState(grid=size_grid, n_states=reward_grid.levels))
 
 
 def _play(
@@ -261,12 +249,8 @@ def hotboot(
         for run in range(cfg.hotboot_runs):
             factor = 1.0 + cfg.hotboot_jitter * (2.0 * jitter_rng.random() - 1.0)
             jittered = dataclasses.replace(t, marginal_cost=t.marginal_cost * factor)
-            g_rng = np.random.default_rng(
-                np.random.SeedSequence([seed, rank, _HOTBOOT_STREAM, run, _GCS_STREAM])
-            )
-            u_rng = np.random.default_rng(
-                np.random.SeedSequence([seed, rank, _HOTBOOT_STREAM, run, _UAV_STREAM])
-            )
+            g_rng = _rng_for(seed, rank, _HOTBOOT_STREAM, run, _GCS_STREAM)
+            u_rng = _rng_for(seed, rank, _HOTBOOT_STREAM, run, _UAV_STREAM)
             _play(jittered, params, gcs, uav, cfg.hotboot_length, g_rng, u_rng, record=False)
         tables[rank] = (gcs, uav)
     return tables

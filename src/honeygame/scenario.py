@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import (
-    ChannelParams,
-    LinkEnvironment,
-    Position3D,
-    a2g_rate,
-    transmission_delay,
-)
+from .channel import ChannelParams, Position3D, a2g_rate, transmission_delay
 from .learn import LearnerConfig
 from .model import GcsParams, Population, UavType, canonicalize
 from .solver import SolverConfig
@@ -102,7 +96,10 @@ def _build_section(cls, data: dict, path: str):
     kwargs = dict(data)
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, value in kwargs.items():
-        _check_number(f"{path}.{key}", defaults[key], value)
+        field_path = f"{path}.{key}"
+        _check_number(field_path, defaults[key], value)
+        if field_path in _SHAPE_CHECKS:
+            _SHAPE_CHECKS[field_path](value)
         if isinstance(value, list):
             kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         if key == "types" and value is not None:
@@ -116,11 +113,10 @@ def _check_number(path: str, default, value) -> None:
     numbers for a tuple of numbers.  PyYAML reads 0.25e6 and 1e-2 (no dot
     or no exponent sign) as strings."""
     if isinstance(default, tuple) and default and all(map(_is_number, default)):
-        if not (isinstance(value, (list, tuple)) and len(value) == len(default)
-                and all(map(_is_number, value))):
+        if not (_list_of(_is_number, value) and len(value) == len(default)):
             raise ValueError(f"{path} must be a list of {len(default)} numbers, got {value!r}")
-    elif _is_number(default) and isinstance(default, numbers.Integral):
-        if not (_is_number(value) and isinstance(value, numbers.Integral)):
+    elif _is_integer(default):
+        if not _is_integer(value):
             raise ValueError(f"{path} must be an integer, got {value!r}")
     elif _is_number(default) and not _is_number(value):
         raise ValueError(f"{path} must be a number, got {value!r}")
@@ -128,6 +124,54 @@ def _check_number(path: str, default, value) -> None:
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and isinstance(value, numbers.Integral)
+
+
+def _list_of(predicate, value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(predicate, value))
+
+
+# explicit type key -> a default of the type it must have; count is optional
+_TYPE_KEYS = {"cost": 0.0, "delay": 0.0, "count": 1}
+
+
+def _check_types(value) -> None:
+    if not (value is None or isinstance(value, (list, tuple))):
+        raise ValueError(f"population.types must be a list of mappings, got {value!r}")
+    for i, t in enumerate(value or ()):
+        path = f"population.types[{i}]"
+        if not isinstance(t, dict):
+            raise ValueError(f"{path} must be a mapping with cost and delay, got {t!r}")
+        unknown = sorted(map(str, t.keys() - _TYPE_KEYS.keys()))
+        if unknown:
+            raise ValueError(f"unknown key {path}.{unknown[0]} (a type has cost, delay and count)")
+        missing = sorted({"cost", "delay"} - t.keys())
+        if missing:
+            raise ValueError(f"{path}.{missing[0]} is missing")
+        for key, v in t.items():
+            _check_number(f"{path}.{key}", _TYPE_KEYS[key], v)
+
+
+def _check_delay(value) -> None:
+    if not (value == "channel" or _is_number(value) or _list_of(_is_number, value)):
+        raise ValueError("population.delay must be 'channel', a number or a list of numbers, "
+                         f"got {value!r}")
+
+
+def _check_counts(value) -> None:
+    if not (value is None or _list_of(_is_integer, value)):
+        raise ValueError(f"population.counts must be a list of integers, got {value!r}")
+
+
+# checks for the fields whose defaults are not numbers
+_SHAPE_CHECKS = {
+    "population.types": _check_types,
+    "population.delay": _check_delay,
+    "population.counts": _check_counts,
+}
 
 
 def _source_text(source: str) -> str:
@@ -192,10 +236,7 @@ def dump_scenario(sc: Scenario) -> str:
 def _channel_delays(sc: Scenario, n: int, rng: np.random.Generator) -> list[float]:
     """Draw initial positions and price each type's delay as the time to ship
     a full s_max payload over its A2G link.  Held fixed afterwards."""
-    env = LinkEnvironment(
-        gcs_position=Position3D(sc.area[0] / 2.0, sc.area[1] / 2.0, sc.channel.gcs_height),
-        params=sc.channel,
-    )
+    gcs = Position3D(sc.area[0] / 2.0, sc.area[1] / 2.0, sc.channel.gcs_height)
     delays = []
     zlo, zhi = sc.height_range
     for _ in range(n):
@@ -204,7 +245,7 @@ def _channel_delays(sc: Scenario, n: int, rng: np.random.Generator) -> list[floa
             rng.uniform(0.0, sc.area[1]),
             rng.uniform(zlo, zhi),
         )
-        d = max(pos.horizontal_distance_to(env.gcs_position), 1.0)
+        d = max(pos.horizontal_distance_to(gcs), 1.0)
         rate = a2g_rate(pos, sc.channel, d)
         delays.append(transmission_delay(sc.gcs.s_max, rate))
     return delays

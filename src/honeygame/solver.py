@@ -21,7 +21,6 @@ breakpoints of the piecewise-linear payment, no iteration error);
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .model import (
@@ -67,13 +66,11 @@ class RelaxedSolution:
 
     ``participants`` are the population's own on-time types (population
     indices kept) and ``sizes`` align with them.  ``scalar`` is the budget
-    water-level; ``lambda_`` = satisfaction / scalar is the budget multiplier
-    that prices a byte of type-j VDD at lambda_ * virtual_cost.
+    water-level.
     """
 
     participants: tuple[UavType, ...]
     sizes: tuple[float, ...]
-    lambda_: float
     scalar: float
     virtual_costs: tuple[float, ...]
     cost_gaps: tuple[float, ...]
@@ -260,7 +257,7 @@ def solve_partial_relaxed(
     cfg = cfg or SolverConfig()
     part = participating_set(pop, t_max)
     if not part:
-        return RelaxedSolution((), (), math.inf, 0.0, (), ())
+        return RelaxedSolution((), (), 0.0, (), ())
     virtual, gaps = _virtual_costs(part)
     weights = [t.count / t.delay for t in part]
     fixed = params.deploy_cost * sum(t.count for t in part)
@@ -271,11 +268,9 @@ def solve_partial_relaxed(
         scalar, sizes = _WATER_LEVEL[cfg.budget_mode](
             virtual, weights, fixed, params.budget, params.s_max
         )
-    lam = params.satisfaction / scalar if scalar > 0 else math.inf
     return RelaxedSolution(
         participants=tuple(part),
         sizes=tuple(sizes),
-        lambda_=lam,
         scalar=scalar,
         virtual_costs=tuple(virtual),
         cost_gaps=tuple(gaps),

@@ -11,16 +11,13 @@ import pytest
 
 from honeygame.channel import (
     ChannelParams,
-    LinkEnvironment,
     MobilityConfig,
     Position3D,
-    a2a_rate,
     a2g_pathloss,
     a2g_rate,
     advance,
     dbm_to_watt,
     los_probability,
-    select_mode,
     transmission_delay,
 )
 
@@ -69,36 +66,6 @@ class TestMobility:
             q = advance(p, v, tuple(vec), cfg)
             assert p.distance_to(q) <= cfg.slot_length * cfg.v_max + 1e-9
             p = q
-
-
-class TestA2ARate:
-    def test_snr_one_gives_bandwidth(self):
-        # engineer distance so signal equals noise: d = (P/N)^(1/iota)
-        d = math.sqrt(PARAMS.tx_power_w / PARAMS.noise_w)
-        rate = a2a_rate(Position3D(0, 0, 50), Position3D(d, 0, 50), (), PARAMS)
-        assert rate == pytest.approx(PARAMS.bw_a2a, rel=1e-9)
-
-    def test_rate_decreases_with_distance(self):
-        a = Position3D(0, 0, 50)
-        r1 = a2a_rate(a, Position3D(100, 0, 50), (), PARAMS)
-        r2 = a2a_rate(a, Position3D(200, 0, 50), (), PARAMS)
-        assert r1 > r2 > 0
-
-    def test_interference_lowers_rate(self):
-        a = Position3D(0, 0, 50)
-        b = Position3D(100, 0, 50)
-        clean = a2a_rate(a, b, (), PARAMS)
-        jammed = a2a_rate(a, b, [(Position3D(150, 0, 50), 23.0)], PARAMS)
-        assert jammed < clean
-
-    def test_zero_distance_rejected(self):
-        p = Position3D(0, 0, 50)
-        with pytest.raises(ValueError):
-            a2a_rate(p, p, (), PARAMS)
-
-    def test_golden_value_100m(self):
-        rate = a2a_rate(Position3D(0, 0, 50), Position3D(100, 0, 50), (), PARAMS)
-        assert rate == pytest.approx(6560807.9919431542, rel=1e-12)
 
 
 class TestLosProbability:
@@ -157,50 +124,11 @@ class TestDelay:
     def test_direct_300_bytes_at_1mbps(self):
         assert transmission_delay(300.0, 1e6) == pytest.approx(2.4e-3)
 
-    def test_relay_sums_hops(self):
-        one = transmission_delay(300.0, 1e6)
-        two = transmission_delay(300.0, 1e6, 2e6)
-        assert two == pytest.approx(one + transmission_delay(300.0, 2e6))
-        assert two >= one
-
     def test_linear_in_payload(self):
-        assert transmission_delay(600.0, 1e6, 5e5) == pytest.approx(
-            2 * transmission_delay(300.0, 1e6, 5e5), rel=1e-12
+        assert transmission_delay(600.0, 5e5) == pytest.approx(
+            2 * transmission_delay(300.0, 5e5), rel=1e-12
         )
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             transmission_delay(300.0, 0.0)
-
-
-class TestModeSelection:
-    def setup_method(self):
-        self.env = LinkEnvironment(gcs_position=Position3D(0.0, 0.0, 1.5))
-
-    def test_no_neighbors_direct(self):
-        assert select_mode(Position3D(100, 0, 50), [], self.env) == ("direct", None)
-
-    def test_nearby_uav_direct_wins(self):
-        uav = Position3D(50, 0, 50)
-        far = Position3D(400, 0, 50)
-        assert select_mode(uav, [far], self.env)[0] == "direct"
-
-    def test_distant_uav_relays(self):
-        uav = Position3D(2000, 0, 50)
-        relay = Position3D(100, 0, 50)
-        mode, idx = select_mode(uav, [relay], self.env)
-        assert mode == "relay" and idx == 0
-
-    def test_selection_minimizes_delay(self):
-        uav = Position3D(1500, 0, 50)
-        neighbors = [Position3D(100, 0, 50), Position3D(700, 0, 50)]
-        mode, idx = select_mode(uav, neighbors, self.env)
-        per_byte = [1.0 / self.env.rate_to_gcs(uav)] + [
-            1.0 / self.env.rate_between(uav, n) + 1.0 / self.env.rate_to_gcs(n)
-            for n in neighbors
-        ]
-        best = int(np.argmin(per_byte))
-        if best == 0:
-            assert mode == "direct"
-        else:
-            assert (mode, idx) == ("relay", best - 1)

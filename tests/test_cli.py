@@ -124,6 +124,14 @@ class TestOracleCheck:
         rc = main(["oracle-check"])  # default scenario has 10 types
         assert rc == 2
 
+    def test_no_on_time_type_compares_zero_menus(self, tmp_path, capsys):
+        path = tmp_path / "late.yaml"
+        path.write_text("population: {distribution: explicit, types: [{cost: 0.5, delay: 5.0}]}\n")
+        rc = main(["oracle-check", "--scenario", str(path), "--step", "1.0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("-> ok") == 2
+
 
 class TestReproduce:
     def test_fig1_artifact(self, small_scenario, tmp_path, capsys):
@@ -280,14 +288,28 @@ class TestScenarioErrors:
         "text, message",
         [
             ("x" * 5000, "must be a mapping"),
-            ("channel: {bw_a2a: 0.25e6}", "channel.bw_a2a"),
+            ("channel: {bw_a2g: 1.0e6}", "channel.bw_a2g"),
             ("gcs: {budget: abc}", "gcs.budget"),
             ("population: {cost_range: [1e-2, 1.0]}", "population.cost_range"),
             ("t_max: 2.5e0", "t_max"),
             ("mobility: {slot_length: 1.0, v_max: 20.0}", "unknown top-level keys: ['mobility']"),
+            ("channel: {light_speed: 0}", "unknown keys in channel: ['light_speed']"),
+            ("learner: {learn_rate_gcs: 0.5}", "unknown keys in learner: ['learn_rate_gcs']"),
+            ("population: {distribution: explicit, types: [{cost: 0.5}]}",
+             "population.types[0].delay is missing"),
+            ("population: {distribution: explicit, types: [1, 2]}",
+             "population.types[0] must be a mapping"),
+            ("population: {distribution: explicit, types: [{cost: 0.5, delay: 1.0, colour: red}]}",
+             "population.types[0].colour"),
+            ("population: {distribution: explicit, types: [{cost: 0.5, delay: 1.0, count: 1.5}]}",
+             "population.types[0].count must be an integer"),
+            ("population: {delay: fast}", "population.delay must be 'channel', a number"),
+            ("population: {delay: [0.5, fast]}", "population.delay must be 'channel', a number"),
         ],
         ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max",
-             "mobility"],
+             "mobility", "light-speed", "per-side-learn-rate", "type-without-delay",
+             "type-not-mapping", "unknown-type-key", "float-type-count", "string-delay",
+             "string-in-delay-list"],
     )
     def test_bad_scenario_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "scenario.yaml"

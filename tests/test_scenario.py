@@ -58,14 +58,16 @@ class TestLoading:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("channel: {bw_a2a: 0.25e6}", "channel.bw_a2a must be a number"),
+            ("channel: {bw_a2g: 1.0e6}", "channel.bw_a2g must be a number"),
             ("learner: {episodes: null}", "learner.episodes must be an integer"),
             ("population: {cost_range: [1e-2, 1.0]}", "population.cost_range must be a list of 2 numbers"),
             ("t_max: 2.5e0", "t_max must be a number"),
             ("seed: 1.5", "seed must be an integer"),
             ("area: 200.0", "area must be a list of 2 numbers"),
+            ("population: {counts: [1, a]}", "population.counts must be a list of integers"),
         ],
-        ids=["string", "null", "tuple-element", "top-level", "float-seed", "scalar-pair"],
+        ids=["string", "null", "tuple-element", "top-level", "float-seed", "scalar-pair",
+             "string-in-counts"],
     )
     def test_non_numeric_value_rejected(self, text, message):
         # YAML 1.1 reads 0.25e6 and 1e-2 (no dot or no exponent sign) as strings
