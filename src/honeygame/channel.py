@@ -85,6 +85,16 @@ class ChannelParams:
             raise ValueError("bw_a2g must be > 0")
         if self.logit_b <= 0:
             raise ValueError("logit_b must be > 0")
+        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
+            raise ValueError(f"carrier_hz must be finite and > 0, got {self.carrier_hz}")
+        for key in ("tx_power_dbm", "noise_dbm"):
+            dbm = getattr(self, key)
+            try:
+                watts = dbm_to_watt(dbm)
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:
+                raise ValueError(f"{key} must give a finite power > 0 W, got {dbm} dBm")
 
     @property
     def tx_power_w(self) -> float:

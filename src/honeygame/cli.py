@@ -5,7 +5,7 @@ Subcommands:
 * ``solve``        one scenario -> optimal menus plus a feasibility report
 * ``oracle-check`` closed-form solvers vs. the brute-force grid oracles
 * ``learn``        two-tier PHC run, trajectory CSV
-* ``reproduce``    named experiment (fig1..fig8, sweep) -> CSV artifact
+* ``reproduce``    named experiment (fig1, fig3..fig8, sweep) -> CSV table
 * ``validate``     feasibility/fairness audit of a menu file
 
 Exit code 0 on success; nonzero with a diagnostic on any invariant
@@ -175,26 +175,32 @@ def _grid_slack(part, sc: Scenario, step: float) -> float:
     return worst * step * len(part)
 
 
+def _write_tables(tables: dict[str, str], out_dir: str | None) -> None:
+    """Write each CSV table into ``out_dir`` (default: the working directory)
+    and print the paths."""
+    out = Path(out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    for fname, text in tables.items():
+        (out / fname).write_text(text)
+        print(out / fname)
+
+
 def _cmd_learn(args) -> int:
     sc = _load(args)
-    if args.episodes:
+    if args.episodes is not None:
         sc = dataclasses.replace(sc, learner=dataclasses.replace(sc.learner, episodes=args.episodes))
-    artifact = run_experiment("fig8", sc)
-    out = args.out or "."
-    written = artifact.write(out)
-    print("\n".join(written))
+    _write_tables(run_experiment("fig8", sc), args.out)
     return 0
 
 
 def _cmd_reproduce(args) -> int:
     sc = _load(args)
     try:
-        artifact = run_experiment(args.experiment, sc)
+        tables = run_experiment(args.experiment, sc)
     except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    written = artifact.write(args.out or ".")
-    print("\n".join(written))
+    _write_tables(tables, args.out)
     return 0
 
 

@@ -1,6 +1,7 @@
-"""Experiment runners: each named experiment sweeps one comparison and emits
-a plottable CSV table.  Output is deterministic byte-for-byte for a fixed
-scenario and seed; numbers are printed with 9 significant digits.
+"""Experiment runners: each named experiment sweeps one comparison and
+returns its plottable CSV table as text, keyed by file name.  Output is
+deterministic byte-for-byte for a fixed scenario and seed; numbers are
+printed with 9 significant digits.
 
 Menus emitted by the contract sweeps are audited first: the asymmetric-
 information menu must pass the full feasibility and fairness predicates, the
@@ -13,12 +14,9 @@ budget feasibility.
 from __future__ import annotations
 
 import dataclasses
-import datetime
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .learn import hotboot, run_dynamic_game
 from .model import (
     ContractMenu,
@@ -35,7 +33,7 @@ from .model import (
 from .scenario import Scenario, generate_population
 from .solver import linear_contract, solve_complete, solve_partial, uniform_contract
 
-__all__ = ["RunArtifact", "EXPERIMENTS", "run_experiment"]
+__all__ = ["EXPERIMENTS", "run_experiment"]
 
 SCHEMES = ("complete", "partial", "linear", "uniform")
 
@@ -49,30 +47,6 @@ SWEEP_BUDGETS = {
 
 class AuditError(RuntimeError):
     """An emitted menu violated a feasibility or fairness invariant."""
-
-
-@dataclass
-class RunArtifact:
-    """Result of one experiment: named CSV tables plus reproducibility
-    metadata.  Identical scenario + seed give identical CSV bytes."""
-
-    name: str
-    scenario_hash: str
-    seed: int
-    tables: dict[str, str]
-    metadata: dict = field(default_factory=dict)
-
-    def write(self, out_dir) -> list[str]:
-        from pathlib import Path
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
-        for fname, text in self.tables.items():
-            path = out / fname
-            path.write_text(text)
-            written.append(str(path))
-        return written
 
 
 def _fmt(x: float) -> str:
@@ -118,14 +92,14 @@ def _contract_tables(sc: Scenario, which: str) -> dict[str, str]:
     _audit(menus, pop, params)
     part = participating_set(pop, sc.t_max)
 
-    if which in ("fig1", "fig2"):
+    if which == "fig1":
         rows = []
         for scheme in SCHEMES:
             menu = menus[scheme]
             for rank, t in enumerate(part, start=1):
                 item = menu.item(t.index)
                 rows.append([rank, t.marginal_cost, scheme, item.vdd_size, item.reward])
-        return {f"{which}.csv": _csv(["type_index", "marginal_cost", "scheme", "S_bytes", "R"], rows)}
+        return {"fig1.csv": _csv(["type_index", "marginal_cost", "scheme", "S_bytes", "R"], rows)}
 
     if which == "fig3":
         menu = menus["partial"]
@@ -201,29 +175,17 @@ def _learning_tables(sc: Scenario) -> dict[str, str]:
     }
 
 
-EXPERIMENTS = tuple(f"fig{i}" for i in range(1, 9)) + ("sweep",)
+EXPERIMENTS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "sweep")
 
 
-def run_experiment(name: str, sc: Scenario) -> RunArtifact:
-    """Run one named experiment and return its CSV tables."""
+def run_experiment(name: str, sc: Scenario) -> dict[str, str]:
+    """Run one named experiment and return its CSV tables keyed by file name."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    if name in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
-        tables = _contract_tables(sc, name)
-    elif name == "fig7":
-        tables = _sweep_tables(sc, "zeta")
-    elif name == "sweep":
-        tables = _sweep_tables(sc, "gcs_utility")
-    else:
-        tables = _learning_tables(sc)
-    return RunArtifact(
-        name=name,
-        scenario_hash=sc.digest(),
-        seed=sc.seed,
-        tables=tables,
-        metadata={
-            "version": __version__,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "seed": sc.seed,
-        },
-    )
+    if name == "fig7":
+        return _sweep_tables(sc, "zeta")
+    if name == "sweep":
+        return _sweep_tables(sc, "gcs_utility")
+    if name == "fig8":
+        return _learning_tables(sc)
+    return _contract_tables(sc, name)

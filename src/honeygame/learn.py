@@ -40,6 +40,10 @@ _GCS_STREAM = 0
 _UAV_STREAM = 1
 _HOTBOOT_STREAM = 2
 
+LEARN_RATE = 0.7  # Q-learning rate k
+DISCOUNT = 0.8  # future-value discount phi
+STEP = 0.01  # probability mass moved toward the greedy action per update
+
 
 @dataclass(frozen=True)
 class ActionGrid:
@@ -56,9 +60,6 @@ class ActionGrid:
             raise ValueError("max_value must be > 0")
         object.__setattr__(self, "values", np.linspace(0.0, self.max_value, self.levels))
 
-    def nearest(self, value: float) -> int:
-        return int(np.argmin(np.abs(self.values - value)))
-
 
 @dataclass
 class LearnerState:
@@ -70,19 +71,10 @@ class LearnerState:
 
     grid: ActionGrid
     n_states: int
-    learn_rate: float = 0.7
-    discount: float = 0.8
-    step: float = 0.01
     q: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     policy: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.learn_rate <= 1.0:
-            raise ValueError("learn_rate must be in (0, 1]")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
         if self.q is None:
             self.q = np.zeros((self.n_states, self.grid.levels))
         if self.policy is None:
@@ -94,9 +86,7 @@ class LearnerState:
 def q_update(ls: LearnerState, s: int, a: int, reward: float, s_next: int) -> LearnerState:
     """Bellman step: Q(s,a) <- (1-k) Q(s,a) + k [r + phi * max_a' Q(s',a')]."""
     best_next = float(np.max(ls.q[s_next]))
-    ls.q[s, a] = (1.0 - ls.learn_rate) * ls.q[s, a] + ls.learn_rate * (
-        reward + ls.discount * best_next
-    )
+    ls.q[s, a] = (1.0 - LEARN_RATE) * ls.q[s, a] + LEARN_RATE * (reward + DISCOUNT * best_next)
     return ls
 
 
@@ -106,8 +96,8 @@ def policy_update(ls: LearnerState, s: int) -> LearnerState:
     distribution."""
     greedy = int(np.argmax(ls.q[s]))
     row = ls.policy[s]
-    row -= ls.step / ls.grid.levels
-    row[greedy] += ls.step + ls.step / ls.grid.levels
+    row -= STEP / ls.grid.levels
+    row[greedy] += STEP + STEP / ls.grid.levels
     np.clip(row, 0.0, 1.0, out=row)
     row /= row.sum()
     return ls
@@ -131,6 +121,16 @@ class LearnerConfig:
     hotboot_length: int = 500
     hotboot_jitter: float = 0.1
 
+    def __post_init__(self) -> None:
+        for key in ("gcs_levels", "uav_levels"):
+            if getattr(self, key) < 2:
+                raise ValueError(f"{key} must be >= 2, got {getattr(self, key)}")
+        for key in ("episodes", "hotboot_runs", "hotboot_length"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if not 0.0 <= self.hotboot_jitter < 1.0:
+            raise ValueError(f"hotboot_jitter must be in [0, 1), got {self.hotboot_jitter}")
+
 
 @dataclass
 class EpisodeLog:
@@ -139,7 +139,6 @@ class EpisodeLog:
     type_index: int
     episode: np.ndarray
     gcs_state: np.ndarray
-    uav_state: np.ndarray
     reward: np.ndarray
     vdd_size: np.ndarray
     gcs_utility: np.ndarray
@@ -188,7 +187,6 @@ def _play(
             type_index=rank,
             episode=np.arange(episodes),
             gcs_state=np.zeros(episodes, dtype=int),
-            uav_state=np.zeros(episodes, dtype=int),
             reward=np.zeros(episodes),
             vdd_size=np.zeros(episodes),
             gcs_utility=np.zeros(episodes),
@@ -216,7 +214,6 @@ def _play(
 
         if log is not None:
             log.gcs_state[ep] = gcs_state
-            log.uav_state[ep] = uav_state
             log.reward[ep] = r_value
             log.vdd_size[ep] = s_value
             log.gcs_utility[ep] = u_g

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -70,16 +70,8 @@ class Population:
     """
 
     types: tuple[UavType, ...]
-    total_count: int = field(default=0)
 
     def __post_init__(self) -> None:
-        total = sum(t.count for t in self.types)
-        if self.total_count == 0:
-            object.__setattr__(self, "total_count", total)
-        elif self.total_count != total:
-            raise ValueError(
-                f"total_count {self.total_count} does not match sum of type counts {total}"
-            )
         for a, b in zip(self.types, self.types[1:]):
             if (a.marginal_cost, -a.delay) < (b.marginal_cost, -b.delay):
                 raise ValueError("types must be ordered by descending cost, then ascending delay")

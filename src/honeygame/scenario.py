@@ -10,8 +10,8 @@ derived once from the channel model at randomly drawn initial positions
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,8 +75,9 @@ class Scenario:
     area: tuple[float, float] = (200.0, 200.0)
     height_range: tuple[float, float] = (30.0, 80.0)
 
-    def digest(self) -> str:
-        return hashlib.sha256(dump_scenario(self).encode()).hexdigest()[:16]
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
 
 
 _SECTION_TYPES = {
@@ -213,11 +214,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
 
 def _plain(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _plain(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.name != "values"  # derived array on ActionGrid-style types
-        }
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if isinstance(value, np.generic):

@@ -72,24 +72,19 @@ class RelaxedSolution:
     participants: tuple[UavType, ...]
     sizes: tuple[float, ...]
     scalar: float
-    virtual_costs: tuple[float, ...]
-    cost_gaps: tuple[float, ...]
 
 
-def _virtual_costs(part: list[UavType]) -> tuple[list[float], list[float]]:
+def _virtual_costs(part: list[UavType]) -> list[float]:
     """Per-type virtual cost A_j = N_j C_j + (C_j - C_{j+1}) * sum_{k>j} N_k
-    (last type: its own cost only) and the adjacent cost gaps."""
+    (last type: its own cost only)."""
     n = len(part)
-    gaps = [
-        part[j].marginal_cost - part[j + 1].marginal_cost if j < n - 1 else 0.0
-        for j in range(n)
-    ]
     tail = 0
     virtual = [0.0] * n
     for j in range(n - 1, -1, -1):
-        virtual[j] = part[j].count * part[j].marginal_cost + gaps[j] * tail
+        gap = part[j].marginal_cost - part[j + 1].marginal_cost if j < n - 1 else 0.0
+        virtual[j] = part[j].count * part[j].marginal_cost + gap * tail
         tail += part[j].count
-    return virtual, gaps
+    return virtual
 
 
 def _clamp_size(x: float, weight: float, unit_cost: float, s_max: float) -> float:
@@ -257,8 +252,8 @@ def solve_partial_relaxed(
     cfg = cfg or SolverConfig()
     part = participating_set(pop, t_max)
     if not part:
-        return RelaxedSolution((), (), 0.0, (), ())
-    virtual, gaps = _virtual_costs(part)
+        return RelaxedSolution((), (), 0.0)
+    virtual = _virtual_costs(part)
     weights = [t.count / t.delay for t in part]
     fixed = params.deploy_cost * sum(t.count for t in part)
     if params.budget < fixed:
@@ -268,13 +263,7 @@ def solve_partial_relaxed(
         scalar, sizes = _WATER_LEVEL[cfg.budget_mode](
             virtual, weights, fixed, params.budget, params.s_max
         )
-    return RelaxedSolution(
-        participants=tuple(part),
-        sizes=tuple(sizes),
-        scalar=scalar,
-        virtual_costs=tuple(virtual),
-        cost_gaps=tuple(gaps),
-    )
+    return RelaxedSolution(participants=tuple(part), sizes=tuple(sizes), scalar=scalar)
 
 
 def iron(weights: list[float], virtual: list[float]) -> list[tuple[float, float, int]]:
@@ -314,7 +303,7 @@ def solve_partial(
     if params.budget < fixed:
         return ContractMenu.zero(pop, t_max)
 
-    virtual, _ = _virtual_costs(part)
+    virtual = _virtual_costs(part)
     blocks = iron([t.count / t.delay for t in part], virtual)
     _, block_sizes = _WATER_LEVEL[cfg.budget_mode](
         [a for _, a, _ in blocks], [w for w, _, _ in blocks], fixed, params.budget, params.s_max

@@ -171,7 +171,7 @@ class TestReproduce:
         ]
 
     def test_unknown_experiment_rejected(self):
-        for name in ("fig99", "fig9"):
+        for name in ("fig99", "fig9", "fig2"):
             with pytest.raises(SystemExit):
                 main(["reproduce", name])
 
@@ -202,6 +202,15 @@ class TestLearn:
         lines = (out / "fig8.csv").read_text().splitlines()
         assert lines[0] == "episode,type_index,S_bytes,R,uav_utility,gcs_utility"
         assert len(lines) == 1 + 200
+
+    def test_zero_episodes_writes_header_only(self, tmp_path, capsys):
+        path = tmp_path / "s.yaml"
+        path.write_text(LEARN_SCENARIO.replace("hotboot_runs: 2", "hotboot_runs: 0"))
+        out = tmp_path / "art"
+        rc = main(["learn", "--scenario", str(path), "--out", str(out), "--episodes", "0"])
+        assert rc == 0
+        lines = (out / "fig8.csv").read_text().splitlines()
+        assert lines == ["episode,type_index,S_bytes,R,uav_utility,gcs_utility"]
 
 
 class TestValidate:
@@ -305,20 +314,31 @@ class TestScenarioErrors:
              "population.types[0].count must be an integer"),
             ("population: {delay: fast}", "population.delay must be 'channel', a number"),
             ("population: {delay: [0.5, fast]}", "population.delay must be 'channel', a number"),
+            ("t_max: -1", "t_max must be finite and > 0"),
+            ("learner: {gcs_levels: 1}", "gcs_levels must be >= 2"),
+            ("learner: {episodes: -1}", "episodes must be >= 0"),
+            ("learner: {hotboot_jitter: 2.0}", "hotboot_jitter must be in [0, 1)"),
+            ("channel: {carrier_hz: 0}", "carrier_hz must be finite and > 0"),
+            ("channel: {tx_power_dbm: 1.0e+6}", "tx_power_dbm must give a finite power > 0 W"),
+            ("channel: {noise_dbm: -1.0e+6}", "noise_dbm must give a finite power > 0 W"),
         ],
         ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max",
              "mobility", "light-speed", "per-side-learn-rate", "type-without-delay",
              "type-not-mapping", "unknown-type-key", "float-type-count", "string-delay",
-             "string-in-delay-list"],
+             "string-in-delay-list", "negative-t-max", "one-gcs-level", "negative-episodes",
+             "jitter-above-one", "zero-carrier", "huge-tx-power", "tiny-noise-power"],
     )
     def test_bad_scenario_exits_2(self, tmp_path, capsys, text, message):
+        # rejected at load, so learn fails before it plays an episode
         path = tmp_path / "scenario.yaml"
         path.write_text(text)
-        rc = main(["solve", "--scenario", str(path)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error:") and message in err
-        assert "Traceback" not in err
+        for command in ("solve", "learn"):
+            rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert rc == 2, command
+            assert err.startswith("error:") and message in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["solve", "reproduce fig1", "learn"])
     def test_missing_scenario_file_named(self, tmp_path, capsys, command):

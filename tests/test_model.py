@@ -62,7 +62,7 @@ class TestDomainTypes:
         )
         assert len(pop.types) == 2
         assert pop.types[0].count == 5
-        assert pop.total_count == 6
+        assert sum(t.count for t in pop.types) == 6
 
     def test_equal_cost_distinct_delay_kept_separate(self):
         pop = make_pop([0.5, 0.5], delays=[2.0, 1.0])

@@ -88,12 +88,7 @@ class TestLoading:
         path.write_text(dump_scenario(sc))
         again = load_scenario(path)
         assert again == sc
-        assert again.digest() == sc.digest()
-
-    def test_digest_sensitive_to_content(self):
-        a = load_scenario("{seed: 1}")
-        b = load_scenario("{seed: 2}")
-        assert a.digest() != b.digest()
+        assert dump_scenario(again) == dump_scenario(sc)
 
 
 class TestPopulationSpec:

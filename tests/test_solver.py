@@ -53,7 +53,7 @@ def binding_budget_cap(pop, satisfaction, s_max):
     """Total spend at the unconstrained optimum of the rent-adjusted
     objective; budgets below this are fully exhausted at the optimum."""
     part = list(pop.types)
-    virtual, _ = _virtual_costs(part)
+    virtual = _virtual_costs(part)
     unit = [t.count * t.marginal_cost for t in part]
     weights = [t.count / t.delay for t in part]
     fixed = float(sum(t.count for t in part))
@@ -187,10 +187,9 @@ class TestRewardRecursion:
 class TestPartialRelaxed:
     def test_worked_virtual_costs_and_sizes(self):
         sol = solve_partial_relaxed(WORKED_POP, WORKED_PARAMS, T_MAX)
-        assert sol.virtual_costs == pytest.approx((0.75, 0.25))
+        assert _virtual_costs(list(sol.participants)) == pytest.approx([0.75, 0.25])
         assert sol.scalar == pytest.approx(4.5, rel=1e-12)
         assert sol.sizes == pytest.approx((5.0, 17.0))
-        assert sol.cost_gaps == pytest.approx((0.25, 0.0))
 
     def test_single_type_matches_complete(self):
         pop = make_pop([0.5])
@@ -208,7 +207,7 @@ class TestPartialRelaxed:
 
 def ratio_inputs(pop):
     """Weights w_j and virtual costs A_j of an all-on-time population."""
-    virtual, _ = _virtual_costs(list(pop.types))
+    virtual = _virtual_costs(list(pop.types))
     return [t.count / t.delay for t in pop.types], virtual
 
 
@@ -263,7 +262,7 @@ class TestIroning:
         menu = solve_partial(pop, params, sc.t_max, SolverConfig(budget_mode=PAPER_LITERAL))
         part = participating_set(pop, sc.t_max)
         on_time = [t for t in pop.types if t.delay <= sc.t_max]
-        virtual, _ = _virtual_costs(part)
+        virtual = _virtual_costs(part)
         weights = [t.count / t.delay for t in part]
         fixed = params.deploy_cost * sum(t.count for t in part)
         x = (params.budget + sum(virtual) - fixed) / sum(weights)
