@@ -1,12 +1,16 @@
 """Every CLI output stays byte-identical.
 
 ``fixtures/output_hashes.json`` holds the SHA-256 of each file that
-``reproduce`` (fig8 on a short learner included) and ``solve --out`` write
-for the cases below.  The hashes were frozen from the code before unread outputs and
-fields were deleted from the package, on this platform: Linux x86-64,
-Python 3.11.7, numpy 2.4.6, PyYAML 6.0.3 with libyaml.  A refactor that must
-keep every output byte regenerates each case here and compares; another
-platform's float formatting or libm may legitimately differ.
+``reproduce`` and ``solve --out`` write for the cases below.  fig8 runs on a
+short learner, on the default learner (2 000 episodes after 10 hotboot runs
+of 500) and on an explicit four-type scenario whose two late types sit
+between on-time types of unequal counts.  The hashes were frozen from the
+code before unread outputs and fields were deleted from the package (the
+fig8 cases from the per-type learner, before its pairs were batched), on
+this platform: Linux x86-64, Python 3.11.7, numpy 2.4.6, PyYAML 6.0.3 with
+libyaml.  A refactor that must keep every output byte regenerates each case
+here and compares; another platform's float formatting or libm may
+legitimately differ.
 """
 
 import hashlib
@@ -21,6 +25,18 @@ FIXTURE = Path(__file__).parent / "fixtures" / "output_hashes.json"
 
 SHORT_LEARNER = "learner: {episodes: 200, hotboot_runs: 2, hotboot_length: 100}\n"
 
+# ranks 1 and 2 are population indices 2 and 4; indices 1 and 3 miss t_max = 2
+LATE_TYPES = """\
+population:
+  distribution: explicit
+  types:
+    - {cost: 0.9, delay: 3.0}
+    - {cost: 0.6, delay: 1.0, count: 3}
+    - {cost: 0.4, delay: 2.5, count: 2}
+    - {cost: 0.2, delay: 0.5, count: 2}
+learner: {hotboot_runs: 0}
+"""
+
 
 def _cases() -> dict[str, tuple[list[str], str | None]]:
     """Case name -> (command line without --out, scenario text or None for
@@ -33,6 +49,11 @@ def _cases() -> dict[str, tuple[list[str], str | None]]:
                     ["reproduce", fig, "--seed", str(seed), "--budget-mode", mode], None
                 )
     cases["reproduce-fig8-seed0"] = (["reproduce", "fig8", "--seed", "0"], SHORT_LEARNER)
+    for seed in (0, 1, 2):
+        cases[f"reproduce-fig8-default-seed{seed}"] = (
+            ["reproduce", "fig8", "--seed", str(seed)], None
+        )
+    cases["reproduce-fig8-late-types-seed0"] = (["reproduce", "fig8", "--seed", "0"], LATE_TYPES)
     for mode in ("exact", "paper"):
         cases[f"solve-{mode}-seed0"] = (["solve", "--seed", "0", "--budget-mode", mode], None)
     return cases
