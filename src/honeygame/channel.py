@@ -81,12 +81,14 @@ class ChannelParams:
     noise_dbm: float = -96.0
 
     def __post_init__(self) -> None:
-        if self.bw_a2g <= 0:
-            raise ValueError("bw_a2g must be > 0")
-        if self.logit_b <= 0:
-            raise ValueError("logit_b must be > 0")
-        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
-            raise ValueError(f"carrier_hz must be finite and > 0, got {self.carrier_hz}")
+        for key in ("atten_los", "atten_nlos", "logit_a", "gcs_height"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"channel.{key} must be finite and >= 0, got {value}")
+        for key in ("logit_b", "carrier_hz", "bw_a2g"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"channel.{key} must be finite and > 0, got {value}")
         for key in ("tx_power_dbm", "noise_dbm"):
             dbm = getattr(self, key)
             try:
@@ -94,7 +96,7 @@ class ChannelParams:
             except OverflowError:
                 watts = math.inf
             if not 0.0 < watts < math.inf:
-                raise ValueError(f"{key} must give a finite power > 0 W, got {dbm} dBm")
+                raise ValueError(f"channel.{key} must give a finite power > 0 W, got {dbm} dBm")
 
     @property
     def tx_power_w(self) -> float:

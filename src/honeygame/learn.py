@@ -10,9 +10,17 @@ mixed-strategy table nudged toward the greedy action.  Hotbooting
 warm-starts the tables from offline episodes on cost-jittered copies of
 the scenario.
 
+The pairs are independent, so one episode loop advances all of them at
+once: each side's Q and policy tables are stacked as (pairs x states,
+actions) arrays, every step gathers one row per pair, and payoffs are read
+from per-pair (reward level, size level) tables filled by ``gcs_term`` and
+``uav_payoff``.  Hotboot runs share tables, so they play in sequence, each
+advancing every pair.
+
 Each learner draws from its own named random stream derived from the master
-seed, so adding learners never perturbs the others' draws and identical
-seeds give bitwise-identical logs.
+seed and its type's rank, drawn up front one uniform per episode, so adding
+learners never perturbs the others' draws and identical seeds give
+bitwise-identical logs.
 """
 
 from __future__ import annotations
@@ -61,52 +69,73 @@ class ActionGrid:
         object.__setattr__(self, "values", np.linspace(0.0, self.max_value, self.levels))
 
 
+# numpy combines an array with a 0-d array faster than with a Python number
+_KEEP = np.array(1.0 - LEARN_RATE)
+_RATE = np.array(LEARN_RATE)
+_DISCOUNT = np.array(DISCOUNT)
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+
+
 @dataclass
 class LearnerState:
-    """Q-table and mixed-strategy table of one PHC learner.
+    """Q-table and mixed-strategy table of one side's PHC learners.
 
     States index the opponent's previous quantized action; rows of ``policy``
-    are probability vectors.
+    are probability vectors.  The learners of B independent pairs are
+    stacked as one state with ``n_states`` = B times a pair's state count,
+    pair b owning the block of rows starting at b times that count.
     """
 
     grid: ActionGrid
     n_states: int
     q: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     policy: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    # a policy step takes ``drop`` from every action, then adds row g of
+    # ``bump`` for greedy action g
+    drop: np.ndarray = field(init=False, repr=False)
+    bump: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        levels = self.grid.levels
         if self.q is None:
-            self.q = np.zeros((self.n_states, self.grid.levels))
+            self.q = np.zeros((self.n_states, levels))
         if self.policy is None:
-            self.policy = np.full(
-                (self.n_states, self.grid.levels), 1.0 / self.grid.levels
-            )
+            self.policy = np.full((self.n_states, levels), 1.0 / levels)
+        self.drop = np.array(STEP / levels)
+        self.bump = np.eye(levels) * (STEP + STEP / levels)
 
 
-def q_update(ls: LearnerState, s: int, a: int, reward: float, s_next: int) -> LearnerState:
-    """Bellman step: Q(s,a) <- (1-k) Q(s,a) + k [r + phi * max_a' Q(s',a')]."""
-    best_next = float(np.max(ls.q[s_next]))
-    ls.q[s, a] = (1.0 - LEARN_RATE) * ls.q[s, a] + LEARN_RATE * (reward + DISCOUNT * best_next)
-    return ls
+def q_update(ls: LearnerState, s: np.ndarray, a: np.ndarray, reward: np.ndarray,
+             s_next: np.ndarray) -> None:
+    """Bellman step on cell (s[i], a[i]) for each i, bootstrapping from row
+    s_next[i]: Q(s,a) <- (1-k) Q(s,a) + k [r + phi * max_a' Q(s',a')].
+    The rows ``s`` must be distinct."""
+    q = ls.q
+    best_next = np.maximum.reduce(q.take(s_next, 0), 1)
+    q[s, a] = _KEEP * q[s, a] + _RATE * (reward + _DISCOUNT * best_next)
 
 
-def policy_update(ls: LearnerState, s: int) -> LearnerState:
-    """Shift probability mass toward the greedy action (ties to the lowest
-    index), then clip to [0, 1] and renormalize so the row stays a
-    distribution."""
-    greedy = int(np.argmax(ls.q[s]))
-    row = ls.policy[s]
-    row -= STEP / ls.grid.levels
-    row[greedy] += STEP + STEP / ls.grid.levels
-    np.clip(row, 0.0, 1.0, out=row)
-    row /= row.sum()
-    return ls
+def policy_update(ls: LearnerState, s: np.ndarray) -> None:
+    """In each of the distinct rows ``s``, shift probability mass toward the
+    greedy action (ties to the lowest index), then clip to [0, 1] and
+    renormalize so the row stays a distribution."""
+    rows = ls.policy.take(s, 0)
+    rows -= ls.drop
+    rows += ls.bump.take(ls.q.take(s, 0).argmax(1), 0)
+    np.maximum(rows, _ZERO, out=rows)
+    np.minimum(rows, _ONE, out=rows)
+    rows /= np.add.reduce(rows, 1, keepdims=True)
+    ls.policy[s] = rows
 
 
-def sample_action(ls: LearnerState, s: int, rng: np.random.Generator) -> int:
-    """Draw an action index from the mixed strategy at state ``s``."""
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(ls.policy[s]), u, side="right").clip(0, ls.grid.levels - 1))
+def sample_action(ls: LearnerState, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draw one action index per row ``s`` from the mixed strategy: the
+    number of cumulative probabilities at or below the row's uniform in
+    ``u`` (a column), capped at the last action."""
+    above = ls.policy.take(s, 0).cumsum(1) > u
+    above[:, -1] = True
+    return above.argmax(1)
 
 
 @dataclass(frozen=True)
@@ -153,27 +182,61 @@ def _rng_for(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *keys]))
 
 
-def _new_pair(t: UavType, params: GcsParams, cfg: LearnerConfig) -> tuple[LearnerState, LearnerState]:
+def _new_pairs(n_pairs: int, params: GcsParams, cfg: LearnerConfig) -> tuple[LearnerState, LearnerState]:
+    """Cold GCS and UAV learners for ``n_pairs`` stacked pairs."""
     reward_grid = ActionGrid(cfg.gcs_levels, params.r_max)
     size_grid = ActionGrid(cfg.uav_levels, params.s_max)
-    return (LearnerState(grid=reward_grid, n_states=size_grid.levels),
-            LearnerState(grid=size_grid, n_states=reward_grid.levels))
+    return (LearnerState(grid=reward_grid, n_states=n_pairs * size_grid.levels),
+            LearnerState(grid=size_grid, n_states=n_pairs * reward_grid.levels))
+
+
+def _pair(gcs: LearnerState, uav: LearnerState, b: int) -> tuple[LearnerState, LearnerState]:
+    """Pair b's GCS and UAV learners as views into the stacked tables."""
+    def view(ls: LearnerState, n: int) -> LearnerState:
+        rows = slice(b * n, (b + 1) * n)
+        return LearnerState(grid=ls.grid, n_states=n, q=ls.q[rows], policy=ls.policy[rows])
+
+    return view(gcs, uav.grid.levels), view(uav, gcs.grid.levels)
+
+
+def _copy_pair(src: tuple[LearnerState, ...], dst: tuple[LearnerState, ...]) -> None:
+    for s, d in zip(src, dst):
+        d.q[...] = s.q
+        d.policy[...] = s.policy
+
+
+def _uniforms(seed: int, ranks: range, keys: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-episode uniforms of the GCS and UAV streams of each rank, shaped
+    (episode, rank, 1).  ``random(n)`` yields the doubles that ``n`` calls
+    to ``random()`` would."""
+    draws = np.empty((2, n, len(ranks), 1))
+    for side in (_GCS_STREAM, _UAV_STREAM):
+        for b, rank in enumerate(ranks):
+            draws[side, :, b, 0] = _rng_for(seed, rank, *keys, side).random(n)
+    return draws[_GCS_STREAM], draws[_UAV_STREAM]
+
+
+def _payoffs(types: list[UavType], params: GcsParams, gcs: LearnerState,
+             uav: LearnerState) -> tuple[np.ndarray, np.ndarray]:
+    """Flat GCS and UAV payoff tables: entry (b * rewards + r) * sizes + s is
+    pair b's payoff at reward level r and size level s."""
+    rewards, sizes = gcs.grid.values.tolist(), uav.grid.values.tolist()
+    n = len(types) * len(rewards) * len(sizes)
+    g = (gcs_term(t, s, r, params) for t in types for r in rewards for s in sizes)
+    u = (uav_payoff(t, s, r, params.deploy_cost) for t in types for r in rewards for s in sizes)
+    return np.fromiter(g, float, n), np.fromiter(u, float, n)
 
 
 def _play(
-    t: UavType,
-    params: GcsParams,
     gcs: LearnerState,
     uav: LearnerState,
-    episodes: int,
-    gcs_rng: np.random.Generator,
-    uav_rng: np.random.Generator,
-    record: bool,
-    rank: int = 1,
-) -> EpisodeLog | None:
-    """Run the leader/follower reward-size game for one type, updating both
-    learners in place; ``rank`` (the type's position 1..J' among the on-time
-    types) labels the recorded log.
+    payoffs: tuple[np.ndarray, np.ndarray],
+    gcs_draws: np.ndarray,
+    uav_draws: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the leader/follower reward-size game for every stacked pair at
+    once, updating both learners in place, and return the reward and size
+    level indices played, shaped (episode, pair).
 
     Each episode the GCS observes the previous VDD size and announces a
     reward; the UAV observes that reward and responds with a size.  The
@@ -181,50 +244,36 @@ def _play(
     the UAV's next state is the following episode's reward, so its update
     is deferred one episode.
     """
-    log = None
-    if record:
-        log = EpisodeLog(
-            type_index=rank,
-            episode=np.arange(episodes),
-            gcs_state=np.zeros(episodes, dtype=int),
-            reward=np.zeros(episodes),
-            vdd_size=np.zeros(episodes),
-            gcs_utility=np.zeros(episodes),
-            uav_utility=np.zeros(episodes),
-        )
-    prev_size_idx = 0
-    pending: tuple[int, int, float] | None = None  # UAV (state, action, utility)
-    for ep in range(episodes):
-        gcs_state = prev_size_idx
-        a_r = sample_action(gcs, gcs_state, gcs_rng)
-        uav_state = a_r
+    episodes, n_pairs, _ = gcs_draws.shape
+    gcs_pay, uav_pay = payoffs
+    n_sizes = np.array(uav.grid.levels)
+    gcs_base = np.arange(n_pairs) * n_sizes
+    uav_base = np.arange(n_pairs) * gcs.grid.levels
+    gcs_rows = gcs_base  # no size delivered yet: state 0
+    pending = None  # the UAV's last (rows, action, payoff), awaiting its next state
+    played_r, played_s = np.zeros((2, episodes, n_pairs), dtype=int)
+    for ep, (gcs_u, uav_u) in enumerate(zip(gcs_draws, uav_draws)):
+        a_r = sample_action(gcs, gcs_rows, gcs_u)
+        uav_rows = uav_base + a_r
         if pending is not None:
-            p_state, p_action, p_utility = pending
-            q_update(uav, p_state, p_action, p_utility, a_r)
-            policy_update(uav, p_state)
-        a_s = sample_action(uav, uav_state, uav_rng)
-        r_value = float(gcs.grid.values[a_r])
-        s_value = float(uav.grid.values[a_s])
-        u_g = gcs_term(t, s_value, r_value, params)
-        u_j = uav_payoff(t, s_value, r_value, params.deploy_cost)
-
-        q_update(gcs, gcs_state, a_r, u_g, a_s)
-        policy_update(gcs, gcs_state)
-        pending = (uav_state, a_s, u_j)
-
-        if log is not None:
-            log.gcs_state[ep] = gcs_state
-            log.reward[ep] = r_value
-            log.vdd_size[ep] = s_value
-            log.gcs_utility[ep] = u_g
-            log.uav_utility[ep] = u_j
-        prev_size_idx = a_s
+            p_rows, p_action, p_payoff = pending
+            q_update(uav, p_rows, p_action, p_payoff, uav_rows)
+            policy_update(uav, p_rows)
+        a_s = sample_action(uav, uav_rows, uav_u)
+        cells = uav_rows * n_sizes + a_s
+        next_rows = gcs_base + a_s
+        q_update(gcs, gcs_rows, a_r, gcs_pay.take(cells), next_rows)
+        policy_update(gcs, gcs_rows)
+        pending = (uav_rows, a_s, uav_pay.take(cells))
+        gcs_rows = next_rows
+        played_r[ep] = a_r
+        played_s[ep] = a_s
     if pending is not None:
         # close out the last episode assuming the reward state persists
-        p_state, p_action, p_utility = pending
-        q_update(uav, p_state, p_action, p_utility, p_state)
-        policy_update(uav, p_state)
-    return log
+        p_rows, p_action, p_payoff = pending
+        q_update(uav, p_rows, p_action, p_payoff, p_rows)
+        policy_update(uav, p_rows)
+    return played_r, played_s
 
 
 def hotboot(
@@ -237,20 +286,26 @@ def hotboot(
     """Offline warm start: play ``hotboot_runs`` short games per type on
     scenarios whose marginal costs are jittered by +-hotboot_jitter,
     accumulating Q and policy tables keyed by rank, as ``run_dynamic_game``
-    keys its logs.  With zero runs this returns cold tables (all-zero Q,
-    uniform policies)."""
-    tables: dict[int, tuple[LearnerState, LearnerState]] = {}
-    for rank, t in enumerate(participating_set(pop, t_max), start=1):
-        gcs, uav = _new_pair(t, params, cfg)
-        jitter_rng = _rng_for(seed, rank, _HOTBOOT_STREAM)
-        for run in range(cfg.hotboot_runs):
-            factor = 1.0 + cfg.hotboot_jitter * (2.0 * jitter_rng.random() - 1.0)
-            jittered = dataclasses.replace(t, marginal_cost=t.marginal_cost * factor)
-            g_rng = _rng_for(seed, rank, _HOTBOOT_STREAM, run, _GCS_STREAM)
-            u_rng = _rng_for(seed, rank, _HOTBOOT_STREAM, run, _UAV_STREAM)
-            _play(jittered, params, gcs, uav, cfg.hotboot_length, g_rng, u_rng, record=False)
-        tables[rank] = (gcs, uav)
-    return tables
+    keys its logs.  The runs share tables, so they play in sequence, each
+    advancing every type at once.  With zero runs this returns cold tables
+    (all-zero Q, uniform policies)."""
+    part = participating_set(pop, t_max)
+    if not part:
+        return {}
+    ranks = range(1, len(part) + 1)
+    gcs, uav = _new_pairs(len(part), params, cfg)
+    jitter = [_rng_for(seed, rank, _HOTBOOT_STREAM).random(cfg.hotboot_runs).tolist()
+              for rank in ranks]
+    for run in range(cfg.hotboot_runs):
+        jittered = [
+            dataclasses.replace(
+                t, marginal_cost=t.marginal_cost * (1.0 + cfg.hotboot_jitter * (2.0 * u[run] - 1.0))
+            )
+            for t, u in zip(part, jitter)
+        ]
+        draws = _uniforms(seed, ranks, (_HOTBOOT_STREAM, run), cfg.hotboot_length)
+        _play(gcs, uav, _payoffs(jittered, params, gcs, uav), *draws)
+    return {rank: _pair(gcs, uav, rank - 1) for rank in ranks}
 
 
 def run_dynamic_game(
@@ -264,16 +319,36 @@ def run_dynamic_game(
 ) -> dict[int, EpisodeLog]:
     """Play the full two-tier game for every participating type and return
     per-type episode logs keyed by the type's rank 1..J' among the on-time
-    types.  Total work is linear in types times episodes."""
-    logs: dict[int, EpisodeLog] = {}
-    for rank, t in enumerate(participating_set(pop, t_max), start=1):
-        if warm_tables is not None and rank in warm_tables:
-            gcs, uav = warm_tables[rank]
-        else:
-            gcs, uav = _new_pair(t, params, cfg)
-        g_rng = _rng_for(seed, rank, _GCS_STREAM)
-        u_rng = _rng_for(seed, rank, _UAV_STREAM)
-        log = _play(t, params, gcs, uav, episodes, g_rng, u_rng, record=True, rank=rank)
-        assert log is not None
-        logs[rank] = log
+    types.  Warm tables start the ranks they name and are updated in place;
+    the other ranks start cold.  Total work is linear in types times
+    episodes."""
+    part = participating_set(pop, t_max)
+    if not part:
+        return {}
+    ranks = range(1, len(part) + 1)
+    gcs, uav = _new_pairs(len(part), params, cfg)
+    # (the caller's tables, the rank's view of the stacked ones)
+    warm = [(warm_tables[rank], _pair(gcs, uav, rank - 1))
+            for rank in ranks if warm_tables and rank in warm_tables]
+    for given, stacked in warm:
+        _copy_pair(given, stacked)
+    gcs_pay, uav_pay = _payoffs(part, params, gcs, uav)
+    played_r, played_s = _play(gcs, uav, (gcs_pay, uav_pay), *_uniforms(seed, ranks, (), episodes))
+    for given, stacked in warm:
+        _copy_pair(stacked, given)
+    logs = {}
+    for b, rank in enumerate(ranks):
+        r, s = played_r[:, b], played_s[:, b]
+        cells = (b * gcs.grid.levels + r) * uav.grid.levels + s
+        gcs_state = np.zeros(episodes, dtype=int)
+        gcs_state[1:] = s[:-1]
+        logs[rank] = EpisodeLog(
+            type_index=rank,
+            episode=np.arange(episodes),
+            gcs_state=gcs_state,
+            reward=gcs.grid.values[r],
+            vdd_size=uav.grid.values[s],
+            gcs_utility=gcs_pay[cells],
+            uav_utility=uav_pay[cells],
+        )
     return logs

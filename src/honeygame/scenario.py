@@ -61,6 +61,9 @@ class PopulationSpec:
             raise ValueError(f"invalid cost_range {self.cost_range}")
         if self.distribution == "explicit" and not self.types:
             raise ValueError("explicit distribution requires a types list")
+        if self.distribution != "explicit" and self.types is not None:
+            raise ValueError("population.types is read only with distribution: explicit, "
+                             f"not {self.distribution!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,11 @@ class Scenario:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
+        if not all(math.isfinite(v) and v >= 0 for v in self.area):
+            raise ValueError(f"area must be finite and >= 0, got {list(self.area)}")
+        lo, hi = self.height_range
+        if not (math.isfinite(hi) and 0 <= lo <= hi):
+            raise ValueError(f"height_range must be finite with 0 <= lo <= hi, got {[lo, hi]}")
 
 
 _SECTION_TYPES = {

@@ -203,6 +203,15 @@ class TestLearn:
         assert lines[0] == "episode,type_index,S_bytes,R,uav_utility,gcs_utility"
         assert len(lines) == 1 + 200
 
+    def test_no_on_time_type_writes_header_only(self, tmp_path, capsys):
+        path = tmp_path / "s.yaml"
+        path.write_text(LEARN_SCENARIO.replace("delay: 0.001", "delay: 3.0"))
+        out = tmp_path / "art"
+        rc = main(["learn", "--scenario", str(path), "--out", str(out)])
+        assert rc == 0
+        lines = (out / "fig8.csv").read_text().splitlines()
+        assert lines == ["episode,type_index,S_bytes,R,uav_utility,gcs_utility"]
+
     def test_zero_episodes_writes_header_only(self, tmp_path, capsys):
         path = tmp_path / "s.yaml"
         path.write_text(LEARN_SCENARIO.replace("hotboot_runs: 2", "hotboot_runs: 0"))
@@ -321,12 +330,26 @@ class TestScenarioErrors:
             ("channel: {carrier_hz: 0}", "carrier_hz must be finite and > 0"),
             ("channel: {tx_power_dbm: 1.0e+6}", "tx_power_dbm must give a finite power > 0 W"),
             ("channel: {noise_dbm: -1.0e+6}", "noise_dbm must give a finite power > 0 W"),
+            ("population: {types: [{cost: 0.5, delay: 1.0}]}", "population.types"),
+            ("population: {distribution: uniform, types: []}", "population.types"),
+            ("channel: {atten_los: .inf}", "channel.atten_los must be finite and >= 0"),
+            ("channel: {atten_nlos: -1.0}", "channel.atten_nlos must be finite and >= 0"),
+            ("channel: {logit_a: .nan}", "channel.logit_a must be finite and >= 0"),
+            ("channel: {logit_b: .inf}", "channel.logit_b must be finite and > 0"),
+            ("channel: {gcs_height: .nan}", "channel.gcs_height must be finite and >= 0"),
+            ("channel: {bw_a2g: .inf}", "channel.bw_a2g must be finite and > 0"),
+            ("area: [.inf, 200.0]", "area must be finite and >= 0"),
+            ("height_range: [-5.0, 1.0]", "height_range must be finite with 0 <= lo <= hi"),
+            ("height_range: [80.0, 30.0]", "height_range must be finite with 0 <= lo <= hi"),
         ],
         ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max",
              "mobility", "light-speed", "per-side-learn-rate", "type-without-delay",
              "type-not-mapping", "unknown-type-key", "float-type-count", "string-delay",
              "string-in-delay-list", "negative-t-max", "one-gcs-level", "negative-episodes",
-             "jitter-above-one", "zero-carrier", "huge-tx-power", "tiny-noise-power"],
+             "jitter-above-one", "zero-carrier", "huge-tx-power", "tiny-noise-power",
+             "types-without-explicit", "empty-types-without-explicit", "infinite-atten-los",
+             "negative-atten-nlos", "nan-logit-a", "infinite-logit-b", "nan-gcs-height",
+             "infinite-bandwidth", "infinite-area", "negative-height", "inverted-height-range"],
     )
     def test_bad_scenario_exits_2(self, tmp_path, capsys, text, message):
         # rejected at load, so learn fails before it plays an episode

@@ -47,13 +47,13 @@ class TestQUpdate:
         ls = make_learner()
         ls.q[0, 1] = 1.0
         ls.q[2, :] = 1.0
-        q_update(ls, 0, 1, 2.0, 2)
+        q_update(ls, [0], [1], 2.0, [2])
         assert ls.q[0, 1] == pytest.approx(0.3 * 1.0 + 0.7 * (2.0 + 0.8 * 1.0))
 
     def test_other_entries_untouched(self):
         ls = make_learner()
         before = ls.q.copy()
-        q_update(ls, 0, 1, 5.0, 2)
+        q_update(ls, [0], [1], 5.0, [2])
         before[0, 1] = ls.q[0, 1]
         assert np.array_equal(ls.q, before)
 
@@ -62,7 +62,7 @@ class TestPolicyUpdate:
     def test_two_action_projection(self):
         ls = LearnerState(grid=ActionGrid(2, 1.0), n_states=1)
         ls.q[0] = [1.0, 0.0]  # greedy = 0
-        policy_update(ls, 0)
+        policy_update(ls, [0])
         # raw (0.51, 0.495) renormalized
         assert ls.policy[0, 0] == pytest.approx(0.51 / 1.005)
         assert ls.policy[0, 1] == pytest.approx(0.495 / 1.005)
@@ -73,7 +73,7 @@ class TestPolicyUpdate:
         ls.q[0, 2] = 1.0
         ls.policy[0] = 0.0
         ls.policy[0, 2] = 1.0
-        policy_update(ls, 0)
+        policy_update(ls, [0])
         assert ls.policy[0, 2] == pytest.approx(1.0)
         assert ls.policy[0].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -81,7 +81,7 @@ class TestPolicyUpdate:
         ls = make_learner()
         ls.q[0, 3] = 1.0
         for _ in range(2000):
-            policy_update(ls, 0)
+            policy_update(ls, [0])
         assert ls.policy[0, 3] == pytest.approx(1.0, abs=1e-9)
 
     def test_rows_stay_distributions(self):
@@ -90,7 +90,7 @@ class TestPolicyUpdate:
         for _ in range(500):
             s = int(rng.integers(4))
             ls.q[s] = rng.normal(size=7)
-            policy_update(ls, s)
+            policy_update(ls, [s])
             assert ls.policy[s].sum() == pytest.approx(1.0, abs=1e-12)
             assert (ls.policy[s] >= 0).all() and (ls.policy[s] <= 1).all()
 
@@ -101,12 +101,12 @@ class TestSampling:
         ls.policy[0] = 0.0
         ls.policy[0, 4] = 1.0
         rng = np.random.default_rng(0)
-        assert all(sample_action(ls, 0, rng) == 4 for _ in range(50))
+        assert all(sample_action(ls, [0], rng.random((1, 1)))[0] == 4 for _ in range(50))
 
     def test_uniform_frequencies(self):
         ls = make_learner(levels=4)
         rng = np.random.default_rng(1)
-        draws = np.array([sample_action(ls, 0, rng) for _ in range(100_000)])
+        draws = sample_action(ls, np.zeros(100_000, dtype=int), rng.random((100_000, 1)))
         counts = np.bincount(draws, minlength=4)
         expected = len(draws) / 4
         chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -114,8 +114,8 @@ class TestSampling:
 
     def test_seeded_reproducibility(self):
         ls = make_learner()
-        seq1 = [sample_action(ls, 0, np.random.default_rng(9)) for _ in range(1)]
-        seq2 = [sample_action(ls, 0, np.random.default_rng(9)) for _ in range(1)]
+        seq1 = [sample_action(ls, [0], np.random.default_rng(9).random((1, 1)))[0] for _ in range(1)]
+        seq2 = [sample_action(ls, [0], np.random.default_rng(9).random((1, 1)))[0] for _ in range(1)]
         assert seq1 == seq2
 
 
@@ -153,10 +153,10 @@ class TestDynamicGame:
         pop = SINGLE
         t = pop.types[0]
         tables = {}
-        from honeygame.learn import _new_pair, _play, _rng_for
+        from honeygame.learn import _new_pairs, _payoffs, _play, _uniforms
 
-        gcs, uav = _new_pair(t, PARAMS, cfg)
-        _play(t, PARAMS, gcs, uav, 2000, _rng_for(0, 1, 0), _rng_for(0, 1, 1), record=False)
+        gcs, uav = _new_pairs(1, PARAMS, cfg)
+        _play(gcs, uav, _payoffs([t], PARAMS, gcs, uav), *_uniforms(0, range(1, 2), (), 2000))
         u_max_gcs = PARAMS.satisfaction * (t.count / t.delay) * np.log1p(PARAMS.s_max)
         u_max_uav = PARAMS.r_max
         assert np.abs(gcs.q).max() <= u_max_gcs / (1 - DISCOUNT) + 1e-6
@@ -202,6 +202,49 @@ class TestDynamicGame:
         assert np.array_equal(solo.reward, both.reward)
         assert np.array_equal(solo.vdd_size, both.vdd_size)
 
+        # three stacked pairs through jittered hotboot and the game: each rank
+        # ends with the tables and log it gets when the other on-time types
+        # are swapped for different ones and the late ones dropped (rank 1
+        # also when it plays alone)
+        cfg = LearnerConfig(hotboot_runs=3, hotboot_length=100, hotboot_jitter=0.1)
+        on_time = [
+            UavType(index=1, marginal_cost=0.8, delay=1.0),
+            UavType(index=2, marginal_cost=0.5, delay=0.4, count=3),
+            UavType(index=3, marginal_cost=0.2, delay=1.5, count=2),
+        ]
+        swaps = [
+            UavType(index=1, marginal_cost=0.7, delay=0.3, count=2),
+            UavType(index=2, marginal_cost=0.45, delay=1.9),
+            UavType(index=3, marginal_cost=0.1, delay=0.8, count=4),
+        ]
+        late = [
+            UavType(index=4, marginal_cost=0.9, delay=3.0),
+            UavType(index=5, marginal_cost=0.4, delay=2.5),
+        ]
+
+        def play(types):
+            pop = canonicalize(types)
+            tables = hotboot(pop, PARAMS, T_MAX, cfg, seed=7)
+            warm = {rank: [a.copy() for ls in pair for a in (ls.q, ls.policy)]
+                    for rank, pair in tables.items()}
+            logs = run_dynamic_game(pop, PARAMS, T_MAX, cfg, 150, seed=7, warm_tables=tables)
+            final = {rank: [a for ls in pair for a in (ls.q, ls.policy)]
+                     for rank, pair in tables.items()}
+            return warm, final, logs
+
+        stacked = play(on_time + late)
+        references = {
+            rank: play([t if i == rank - 1 else s for i, (t, s) in enumerate(zip(on_time, swaps))])
+            for rank in (1, 2, 3)
+        }
+        alone = play(on_time[:1])
+        for rank, reference in [*references.items(), (1, alone)]:
+            for got, want in zip(stacked[:2], reference[:2]):
+                assert all(np.array_equal(a, b) for a, b in zip(got[rank], want[rank]))
+            for field in ("gcs_state", "reward", "vdd_size", "gcs_utility", "uav_utility"):
+                assert np.array_equal(getattr(stacked[2][rank], field),
+                                      getattr(reference[2][rank], field))
+
 
 class TestHotboot:
     def test_zero_runs_cold_tables(self):
@@ -219,6 +262,13 @@ class TestHotboot:
                 sums = ls.policy.sum(axis=1)
                 assert np.allclose(sums, 1.0, atol=1e-12)
                 assert (ls.policy >= 0).all()
+
+    def test_no_on_time_type_no_tables(self):
+        late = canonicalize([UavType(index=1, marginal_cost=0.5, delay=3.0)])
+        cfg = LearnerConfig(hotboot_runs=2, hotboot_length=50)
+        tables = hotboot(late, PARAMS, T_MAX, cfg, seed=0)
+        assert tables == {}
+        assert run_dynamic_game(late, PARAMS, T_MAX, cfg, 50, seed=0, warm_tables=tables) == {}
 
     def test_hotboot_deterministic(self):
         cfg = LearnerConfig(hotboot_runs=2, hotboot_length=100)
