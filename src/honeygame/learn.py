@@ -200,6 +200,7 @@ def _pair(gcs: LearnerState, uav: LearnerState, b: int) -> tuple[LearnerState, L
 
 
 def _copy_pair(src: tuple[LearnerState, ...], dst: tuple[LearnerState, ...]) -> None:
+    """Copy the Q and policy tables of each learner in ``src`` into ``dst``."""
     for s, d in zip(src, dst):
         d.q[...] = s.q
         d.policy[...] = s.policy
