@@ -4,9 +4,12 @@
 ``reproduce`` and ``solve --out`` write for the cases below.  fig8 runs on a
 short learner, on the default learner (2 000 episodes after 10 hotboot runs
 of 500) and on an explicit four-type scenario whose two late types sit
-between on-time types of unequal counts.  The hashes were frozen from the
-code before unread outputs and fields were deleted from the package (the
-fig8 cases from the per-type learner, before its pairs were batched), on
+between on-time types of unequal counts.  ``solve`` runs on the 10 default
+types and on 1 000 uniform types with channel delays and a binding budget,
+which covers the menu writer and the channel-delay draw at scale.  The
+hashes were frozen from the code before unread outputs and fields were
+deleted from the package (the fig8 cases from the per-type learner, before
+its pairs were batched; the 1 000-type cases from the PyYAML menu writer), on
 this platform: Linux x86-64, Python 3.11.7, numpy 2.4.6, PyYAML 6.0.3 with
 libyaml.  A refactor that must keep every output byte regenerates each case
 here and compares; another platform's float formatting or libm may
@@ -37,6 +40,11 @@ population:
 learner: {hotboot_runs: 0}
 """
 
+MANY_TYPES = """\
+population: {count: 1000, distribution: uniform, delay: channel}
+gcs: {budget: 46000.0}
+"""
+
 
 def _cases() -> dict[str, tuple[list[str], str | None]]:
     """Case name -> (command line without --out, scenario text or None for
@@ -56,6 +64,9 @@ def _cases() -> dict[str, tuple[list[str], str | None]]:
     cases["reproduce-fig8-late-types-seed0"] = (["reproduce", "fig8", "--seed", "0"], LATE_TYPES)
     for mode in ("exact", "paper"):
         cases[f"solve-{mode}-seed0"] = (["solve", "--seed", "0", "--budget-mode", mode], None)
+        cases[f"solve-j1000-{mode}-seed0"] = (
+            ["solve", "--seed", "0", "--budget-mode", mode], MANY_TYPES
+        )
     return cases
 
 
