@@ -1,22 +1,19 @@
-"""UAV mobility and the direct air-to-ground (A2G) link model: the LoS-
-dependent pathloss, the Shannon-bound uplink rate to the ground station and
-the VDD transmission delay over that one link (no air-to-air link or relay
-selection).  All functions are pure; dBm quantities are converted to watts
-once, and all SNR algebra runs in the linear domain.
+"""The direct air-to-ground (A2G) link model: the LoS-dependent pathloss,
+the Shannon-bound uplink rate to the ground station and the VDD transmission
+delay over that one link (no air-to-air link or relay selection).  A UAV
+enters only through its altitude and its horizontal distance to the ground
+station, both plain floats.  All functions are pure; dBm quantities are
+converted to watts once, and all SNR algebra runs in the linear domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = [
-    "Position3D",
-    "MobilityConfig",
     "ChannelParams",
     "dbm_to_watt",
-    "advance",
     "los_probability",
     "a2g_pathloss",
     "a2g_rate",
@@ -24,42 +21,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-_UNIT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Position3D:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        for v in (self.x, self.y, self.z):
-            if not math.isfinite(v):
-                raise ValueError("coordinates must be finite")
-        if self.z < 0:
-            raise ValueError(f"altitude must be >= 0, got {self.z}")
-
-    def distance_to(self, other: "Position3D") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
-    def horizontal_distance_to(self, other: "Position3D") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-
-@dataclass(frozen=True)
-class MobilityConfig:
-    """Slotted-time kinematics: slot length (s) and per-UAV speed cap (m/s)."""
-
-    slot_length: float = 1.0
-    v_max: float = 20.0
-
-    def __post_init__(self) -> None:
-        if self.slot_length <= 0:
-            raise ValueError("slot_length must be > 0")
-        if self.v_max <= 0:
-            raise ValueError("v_max must be > 0")
 
 
 @dataclass(frozen=True)
@@ -111,25 +72,6 @@ def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def advance(p: Position3D, v: float, direction: Sequence[float], cfg: MobilityConfig) -> Position3D:
-    """One slot of motion: displacement v * slot_length along a unit vector.
-
-    Rejects speeds above the cap and non-unit directions, so the per-slot
-    displacement bound ||l(t+1) - l(t)|| <= slot_length * v_max always holds.
-    """
-    if v < 0 or v > cfg.v_max + _UNIT_TOL:
-        raise ValueError(f"speed {v} outside [0, {cfg.v_max}]")
-    norm = math.sqrt(sum(c * c for c in direction))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"direction must be a unit vector, |dir| = {norm}")
-    step = v * cfg.slot_length
-    return Position3D(
-        p.x + step * direction[0],
-        p.y + step * direction[1],
-        p.z + step * direction[2],
-    )
-
-
 def los_probability(elevation_rad: float, params: ChannelParams | None = None) -> float:
     """Probability of a line-of-sight ground link, a logistic curve in the
     elevation angle (radians in, converted to degrees internally)."""
@@ -138,21 +80,22 @@ def los_probability(elevation_rad: float, params: ChannelParams | None = None) -
     return 1.0 / (1.0 + p.logit_a * math.exp(-p.logit_b * (theta_deg - p.logit_a)))
 
 
-def a2g_pathloss(uav: Position3D, params: ChannelParams, horiz_dist: float) -> float:
-    """Average UAV-to-ground pathloss in dB: free-space term over the
-    horizontal distance plus LoS/NLoS-weighted extra attenuation."""
+def a2g_pathloss(altitude: float, params: ChannelParams, horiz_dist: float) -> float:
+    """Average pathloss in dB from a UAV at ``altitude`` metres to the ground
+    station ``horiz_dist`` metres away: free-space term over the horizontal
+    distance plus LoS/NLoS-weighted extra attenuation."""
     if horiz_dist <= 0:
         raise ValueError(f"horizontal distance must be > 0, got {horiz_dist}")
-    elevation = math.atan2(uav.z - params.gcs_height, horiz_dist)
+    elevation = math.atan2(altitude - params.gcs_height, horiz_dist)
     p_los = los_probability(elevation, params)
     fspl = 20.0 * math.log10(4.0 * math.pi * horiz_dist * params.carrier_hz / SPEED_OF_LIGHT)
     return fspl + p_los * params.atten_los + (1.0 - p_los) * params.atten_nlos
 
 
-def a2g_rate(uav: Position3D, params: ChannelParams, horiz_dist: float) -> float:
+def a2g_rate(altitude: float, params: ChannelParams, horiz_dist: float) -> float:
     """Shannon rate of the uplink to the ground station, bits/s.  Each UAV
     has an orthogonal sub-channel, so there is no inter-UAV interference."""
-    pl_db = a2g_pathloss(uav, params, horiz_dist)
+    pl_db = a2g_pathloss(altitude, params, horiz_dist)
     snr = params.tx_power_w * 10.0 ** (-pl_db / 10.0) / params.noise_w
     return params.bw_a2g * math.log2(1.0 + snr)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .model import (
 )
 from .oracle import GridSpec, grid_search_complete, grid_search_partial
 from .scenario import (
-    YAML_DUMPER,
     YAML_LOADER,
     Scenario,
     dump_scenario,
@@ -55,18 +55,90 @@ def _load(args) -> Scenario:
     return dataclasses.replace(sc, **updates) if updates else sc
 
 
-def _menu_to_dict(menu: ContractMenu) -> dict:
-    return {
-        "t_max": menu.t_max,
-        "items": [
-            {"type": idx, "vdd_size": item.vdd_size, "reward": item.reward}
-            for idx, item in sorted(menu.items.items())
-        ],
+def _yaml_number(x: float) -> str:
+    """``x`` as PyYAML's safe representer writes it: an int with ``str``; a
+    float as ``.nan``, ``.inf`` or ``-.inf``, else as its lower-case
+    ``repr`` with ``.0`` put before an exponent that has no dot
+    (``1e-05`` -> ``1.0e-05``)."""
+    if isinstance(x, int):
+        return str(x)
+    if math.isnan(x):
+        return ".nan"
+    if math.isinf(x):
+        return ".inf" if x > 0 else "-.inf"
+    text = repr(x).lower()
+    if "." not in text and "e" in text:
+        text = text.replace("e", ".0e", 1)
+    return text
+
+
+def _menu_text(menu: ContractMenu) -> str:
+    """The menu file: the bytes ``yaml.dump`` writes for ``{items: [{reward,
+    type, vdd_size}, ...], t_max}`` with the items in type order."""
+    lines = ["items:" if menu.items else "items: []"]
+    for index, item in sorted(menu.items.items()):
+        lines += (
+            f"- reward: {_yaml_number(item.reward)}",
+            f"  type: {_yaml_number(index)}",
+            f"  vdd_size: {_yaml_number(item.vdd_size)}",
+        )
+    lines.append(f"t_max: {_yaml_number(menu.t_max)}")
+    return "\n".join(lines) + "\n"
+
+
+# the line prefixes of one item in a menu file, and the field each introduces
+_ITEM_LINES = ("- reward: ", "  type: ", "  vdd_size: ")
+
+
+def _number(token: str, integer: bool = False) -> float | None:
+    """The number ``token`` stands for, if ``_yaml_number`` writes that
+    number back as ``token`` (and it is an int, if ``integer``); else None."""
+    try:
+        if not integer:
+            value = float(token)
+            if _yaml_number(value) == token:
+                return value
+        value = int(token)
+    except ValueError:
+        return None
+    return value if str(value) == token else None
+
+
+def _canonical_menu(text: str) -> ContractMenu | None:
+    """Read a menu file written exactly as ``_menu_text`` writes one, without
+    a YAML parser.  Any other text (comments, flow style, other key orders
+    or spellings such as ``010`` or ``1e5``) gives None."""
+    lines = text.split("\n")
+    body = lines[1:-2]
+    if (len(lines) < 3 or lines[-1] or len(body) % 3
+            or lines[0] != ("items:" if body else "items: []")
+            or not lines[-2].startswith("t_max: ")):
+        return None
+    values = []
+    for n, line in enumerate(body):
+        prefix = _ITEM_LINES[n % 3]
+        value = _number(line[len(prefix):], n % 3 == 1) if line.startswith(prefix) else None
+        if value is None:
+            return None
+        values.append(value)
+    t_max = _number(lines[-2][len("t_max: "):])
+    if t_max is None:
+        return None
+    items = {
+        index: ContractItem(float(size), float(reward))
+        for reward, index, size in zip(values[0::3], values[1::3], values[2::3])
     }
+    return ContractMenu(t_max=float(t_max), items=items)
 
 
 def _menu_from_file(path: str) -> ContractMenu:
-    data = yaml.load(Path(path).read_text(), Loader=YAML_LOADER)
+    text = Path(path).read_text()
+    menu = _canonical_menu(text)
+    return menu if menu is not None else _menu_from_yaml(text, path)
+
+
+def _menu_from_yaml(text: str, path: str) -> ContractMenu:
+    data = yaml.load(text, Loader=YAML_LOADER)
     if not isinstance(data, dict):
         raise ValueError(f"menu file {path} must be a mapping")
     entries = _menu_field(data, "items", path)
@@ -129,9 +201,7 @@ def _cmd_solve(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, menu in menus.items():
-            (out / f"menu_{name}.yaml").write_text(
-                yaml.dump(_menu_to_dict(menu), Dumper=YAML_DUMPER)
-            )
+            (out / f"menu_{name}.yaml").write_text(_menu_text(menu))
         (out / "scenario.yaml").write_text(dump_scenario(sc))
         print(f"wrote menus to {out}")
     if failures:

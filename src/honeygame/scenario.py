@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import ChannelParams, Position3D, a2g_rate, transmission_delay
+from .channel import ChannelParams, a2g_rate, transmission_delay
 from .learn import LearnerConfig
 from .model import GcsParams, Population, UavType, canonicalize
 from .solver import SolverConfig
@@ -240,18 +240,18 @@ def dump_scenario(sc: Scenario) -> str:
 
 def _channel_delays(sc: Scenario, n: int, rng: np.random.Generator) -> list[float]:
     """Draw initial positions and price each type's delay as the time to ship
-    a full s_max payload over its A2G link.  Held fixed afterwards."""
-    gcs = Position3D(sc.area[0] / 2.0, sc.area[1] / 2.0, sc.channel.gcs_height)
+    a full s_max payload over its A2G link.  Held fixed afterwards.
+
+    Each UAV takes three uniforms (x, y, altitude) in turn, scaled as
+    ``rng.uniform`` scales them, so the positions and the generator's final
+    state equal those of three scalar ``uniform`` calls per UAV."""
+    ax, ay = map(float, sc.area)
+    zlo, zhi = map(float, sc.height_range)
+    gx, gy = ax / 2.0, ay / 2.0
     delays = []
-    zlo, zhi = sc.height_range
-    for _ in range(n):
-        pos = Position3D(
-            rng.uniform(0.0, sc.area[0]),
-            rng.uniform(0.0, sc.area[1]),
-            rng.uniform(zlo, zhi),
-        )
-        d = max(pos.horizontal_distance_to(gcs), 1.0)
-        rate = a2g_rate(pos, sc.channel, d)
+    for ux, uy, uz in rng.random((n, 3)).tolist():
+        d = max(math.hypot(ax * ux - gx, ay * uy - gy), 1.0)
+        rate = a2g_rate(zlo + (zhi - zlo) * uz, sc.channel, d)
         delays.append(transmission_delay(sc.gcs.s_max, rate))
     return delays
 

@@ -21,9 +21,12 @@ breakpoints of the piecewise-linear payment, no iteration error);
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .model import (
+    FEASIBILITY_TOL,
     ContractItem,
     ContractMenu,
     GcsParams,
@@ -180,6 +183,39 @@ def _literal_water_level(
 _WATER_LEVEL = {BUDGET_EXACT: _solve_water_level, PAPER_LITERAL: _literal_water_level}
 
 
+def _fit_budget(
+    items_at: Callable[[float], list[ContractItem]],
+    part: list[UavType],
+    budget: float,
+    mode: str,
+) -> list[ContractItem]:
+    """The items ``items_at`` emits for the budget.
+
+    In budget-exact mode the water level meets the budget equation in its
+    own summation order, and over thousands of types (and the partial reward
+    recursion) rounding can leave the emitted payments a few ulps of the
+    budget over it.  Totalled as the audit totals them (``math.fsum`` of
+    count x reward), a total over the budget by more than FEASIBILITY_TOL is
+    re-solved against budget - g, with g doubling from the overshoot until
+    the total fits.
+    """
+    items = items_at(budget)
+    if mode != BUDGET_EXACT:
+        return items
+    g = _paid(part, items) - budget
+    if g <= FEASIBILITY_TOL:
+        return items
+    while True:
+        items = items_at(budget - g)
+        if _paid(part, items) <= budget or g > budget:
+            return items
+        g *= 2.0
+
+
+def _paid(part: list[UavType], items: list[ContractItem]) -> float:
+    return math.fsum(t.count * item.reward for t, item in zip(part, items))
+
+
 def _menu_from(
     pop: Population,
     t_max: float,
@@ -210,11 +246,15 @@ def solve_complete(
 
     unit = [t.count * t.marginal_cost for t in part]
     weights = [t.count / t.delay for t in part]
-    _, sizes = _WATER_LEVEL[cfg.budget_mode](unit, weights, fixed, params.budget, params.s_max)
-    items = [
-        ContractItem(s, t.marginal_cost * s + params.deploy_cost)
-        for t, s in zip(part, sizes)
-    ]
+
+    def items_at(budget: float) -> list[ContractItem]:
+        _, sizes = _WATER_LEVEL[cfg.budget_mode](unit, weights, fixed, budget, params.s_max)
+        return [
+            ContractItem(s, t.marginal_cost * s + params.deploy_cost)
+            for t, s in zip(part, sizes)
+        ]
+
+    items = _fit_budget(items_at, part, params.budget, cfg.budget_mode)
     return _menu_from(pop, t_max, part, items)
 
 
@@ -305,12 +345,18 @@ def solve_partial(
 
     virtual = _virtual_costs(part)
     blocks = iron([t.count / t.delay for t in part], virtual)
-    _, block_sizes = _WATER_LEVEL[cfg.budget_mode](
-        [a for _, a, _ in blocks], [w for w, _, _ in blocks], fixed, params.budget, params.s_max
-    )
-    sizes = [s for (_, _, n), s in zip(blocks, block_sizes) for _ in range(n)]
-    rewards = optimal_rewards(sizes, part, params)
-    items = [ContractItem(s, r) for s, r in zip(sizes, rewards)]
+    block_costs = [a for _, a, _ in blocks]
+    block_weights = [w for w, _, _ in blocks]
+
+    def items_at(budget: float) -> list[ContractItem]:
+        _, block_sizes = _WATER_LEVEL[cfg.budget_mode](
+            block_costs, block_weights, fixed, budget, params.s_max
+        )
+        sizes = [s for (_, _, n), s in zip(blocks, block_sizes) for _ in range(n)]
+        rewards = optimal_rewards(sizes, part, params)
+        return [ContractItem(s, r) for s, r in zip(sizes, rewards)]
+
+    items = _fit_budget(items_at, part, params.budget, cfg.budget_mode)
     return _menu_from(pop, t_max, part, items)
 
 

@@ -20,7 +20,7 @@ from honeygame.model import (
     social_surplus,
     uav_utility,
 )
-from honeygame.channel import ChannelParams, MobilityConfig, Position3D, advance, los_probability
+from honeygame.channel import ChannelParams, los_probability
 from honeygame.oracle import GridSpec, grid_search_complete, grid_search_partial
 from honeygame.scenario import Scenario, generate_population
 from honeygame.solver import _virtual_costs, solve_complete, solve_partial, uniform_contract
@@ -275,7 +275,7 @@ def test_08_learning_convergence():
 
 
 def test_09_channel_sanity():
-    """LoS probability calibration, complementarity, displacement bound."""
+    """LoS probability calibration and complementarity."""
     params = ChannelParams()
     assert los_probability(math.radians(12.0), params) == pytest.approx(
         1.0 / 13.0, abs=1e-12
@@ -284,17 +284,7 @@ def test_09_channel_sanity():
     for theta in rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 1000):
         p = los_probability(theta, params)
         assert p + (1.0 - p) == 1.0
-    cfg = MobilityConfig(slot_length=1.0, v_max=20.0)
-    pos = Position3D(0.0, 0.0, 50.0)
-    for _ in range(1000):
-        v = rng.uniform(0.0, cfg.v_max)
-        direction = rng.normal(size=3)
-        direction[2] = abs(direction[2])
-        direction /= np.linalg.norm(direction)
-        nxt = advance(pos, v, tuple(direction), cfg)
-        assert pos.distance_to(nxt) <= cfg.slot_length * cfg.v_max + 1e-9
-        pos = nxt
-    print("\nACCEPTANCE 9: PASS — channel and mobility sanity")
+    print("\nACCEPTANCE 9: PASS — channel sanity")
 
 
 def test_10_determinism():

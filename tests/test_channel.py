@@ -1,4 +1,4 @@
-"""Channel and mobility model tests.
+"""Channel model tests.
 
 Golden values were frozen from an independent 50-digit evaluation of the
 link-budget formulas (mpmath) at the default parameter set.
@@ -11,11 +11,8 @@ import pytest
 
 from honeygame.channel import (
     ChannelParams,
-    MobilityConfig,
-    Position3D,
     a2g_pathloss,
     a2g_rate,
-    advance,
     dbm_to_watt,
     los_probability,
     transmission_delay,
@@ -29,43 +26,6 @@ class TestConversions:
         assert dbm_to_watt(30.0) == pytest.approx(1.0)
         assert dbm_to_watt(0.0) == pytest.approx(1e-3)
         assert dbm_to_watt(23.0) == pytest.approx(10 ** (23 / 10) * 1e-3, rel=1e-12)
-
-
-class TestMobility:
-    def test_zero_speed_no_motion(self):
-        p = Position3D(1.0, 2.0, 3.0)
-        cfg = MobilityConfig()
-        assert advance(p, 0.0, (1.0, 0.0, 0.0), cfg) == p
-
-    def test_unit_step(self):
-        p = Position3D(0.0, 0.0, 10.0)
-        cfg = MobilityConfig(slot_length=1.0)
-        q = advance(p, 10.0, (1.0, 0.0, 0.0), cfg)
-        assert q.x == pytest.approx(10.0)
-        assert (q.y, q.z) == (0.0, 10.0)
-
-    def test_speed_cap_enforced(self):
-        cfg = MobilityConfig(v_max=20.0)
-        with pytest.raises(ValueError):
-            advance(Position3D(0, 0, 10), 25.0, (1.0, 0.0, 0.0), cfg)
-
-    def test_non_unit_direction_rejected(self):
-        cfg = MobilityConfig()
-        with pytest.raises(ValueError):
-            advance(Position3D(0, 0, 10), 5.0, (1.0, 1.0, 0.0), cfg)
-
-    def test_displacement_bound_random_steps(self):
-        rng = np.random.default_rng(3)
-        cfg = MobilityConfig(slot_length=1.0, v_max=20.0)
-        p = Position3D(0.0, 0.0, 50.0)
-        for _ in range(1000):
-            v = rng.uniform(0.0, cfg.v_max)
-            vec = rng.normal(size=3)
-            vec[2] = abs(vec[2])  # keep altitude non-negative
-            vec /= np.linalg.norm(vec)
-            q = advance(p, v, tuple(vec), cfg)
-            assert p.distance_to(q) <= cfg.slot_length * cfg.v_max + 1e-9
-            p = q
 
 
 class TestLosProbability:
@@ -94,27 +54,27 @@ class TestLosProbability:
 
 class TestA2GLink:
     def test_pathloss_golden(self):
-        pl = a2g_pathloss(Position3D(0, 0, 50.0), PARAMS, 100.0)
+        pl = a2g_pathloss(50.0, PARAMS, 100.0)
         assert pl == pytest.approx(93.371547501440399, rel=1e-12)
 
     def test_rate_golden(self):
-        rate = a2g_rate(Position3D(0, 0, 50.0), PARAMS, 100.0)
+        rate = a2g_rate(50.0, PARAMS, 100.0)
         assert rate == pytest.approx(8517529.8124211289, rel=1e-12)
 
     def test_equal_attenuation_elevation_free(self):
         params = ChannelParams(atten_los=5.0, atten_nlos=5.0)
-        lo = a2g_pathloss(Position3D(0, 0, 10.0), params, 100.0)
-        hi = a2g_pathloss(Position3D(0, 0, 80.0), params, 100.0)
+        lo = a2g_pathloss(10.0, params, 100.0)
+        hi = a2g_pathloss(80.0, params, 100.0)
         assert lo == pytest.approx(hi, rel=1e-12)
 
     def test_higher_uav_lower_pathloss(self):
-        lo = a2g_pathloss(Position3D(0, 0, 10.0), PARAMS, 100.0)
-        hi = a2g_pathloss(Position3D(0, 0, 80.0), PARAMS, 100.0)
+        lo = a2g_pathloss(10.0, PARAMS, 100.0)
+        hi = a2g_pathloss(80.0, PARAMS, 100.0)
         assert hi < lo
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
-            a2g_pathloss(Position3D(0, 0, 50.0), PARAMS, 0.0)
+            a2g_pathloss(50.0, PARAMS, 0.0)
 
 
 class TestDelay:

@@ -1,13 +1,17 @@
 """End-to-end CLI tests driven through the argparse entry point."""
 
+import math
 import re
+from types import SimpleNamespace
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from honeygame.cli import main
-from honeygame.model import participating_set, uav_utility
-from honeygame.scenario import generate_population, load_scenario
+from honeygame.cli import _canonical_menu, _menu_from_file, _menu_from_yaml, _menu_text, main
+from honeygame.model import ContractItem, ContractMenu, participating_set, uav_utility
+from honeygame.scenario import YAML_DUMPER, generate_population, load_scenario
 from honeygame.solver import solve_partial
 
 SMALL_SCENARIO = """
@@ -111,6 +115,24 @@ class TestSolve:
         )
         assert main(["solve", "--scenario", str(path)]) == 0
         assert "budget ok       : False" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", [10_000, 100_000])
+    def test_binding_budget_with_channel_delays_solves_and_validates(
+        self, tmp_path, capsys, count
+    ):
+        # the water level meets the budget in its own summation order; the
+        # emitted payments, totalled with math.fsum, once overshot 46 * J by
+        # up to 1.6e-8 here
+        path = tmp_path / "large.yaml"
+        path.write_text(
+            f"seed: 0\ngcs: {{budget: {46.0 * count!r}}}\n"
+            f"population: {{count: {count}, distribution: uniform, delay: channel}}\n"
+        )
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+        assert "budget ok       : False" not in capsys.readouterr().out
+        menu = str(out / "menu_partial.yaml")
+        assert main(["validate", "--scenario", str(path), "--menu", menu]) == 0
 
 
 class TestOracleCheck:
@@ -371,3 +393,133 @@ class TestScenarioErrors:
         assert rc == 2
         assert err.startswith("error:") and str(missing) in err
         assert "must be a mapping" not in err and "Traceback" not in err
+
+
+def _menu_dict(menu) -> dict:
+    """The mapping a menu file holds, for ``yaml.dump``."""
+    return {
+        "t_max": menu.t_max,
+        "items": [
+            {"type": index, "vdd_size": item.vdd_size, "reward": item.reward}
+            for index, item in sorted(menu.items.items())
+        ],
+    }
+
+
+def _outcome(read, text: str) -> str:
+    """repr of the menu ``read`` makes of ``text`` (which tells -0.0 from 0.0),
+    or of the ValueError it raises."""
+    try:
+        return repr(read(text))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+AWKWARD_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(max_value=1e-300, min_value=-1e-300),
+    st.floats(min_value=1e16),
+    st.integers(-10**20, 10**20).map(float),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, -0.0, 0.0, 1e16,
+                     1e22, 9007199254740993.0, 1.7976931348623157e308, math.nan, math.inf,
+                     -math.inf]),
+    st.integers(0, 10**30),
+)
+INDICES = st.one_of(st.integers(0, 1000), st.integers(-10**30, 10**30))
+
+
+@st.composite
+def raw_menus(draw, values=AWKWARD_FLOATS):
+    """Menus as plain attribute holders, so that values ContractItem would
+    refuse (negative, nan, inf) can still be written."""
+    items = draw(st.dictionaries(INDICES, st.tuples(values, values), max_size=6))
+    return SimpleNamespace(
+        t_max=draw(values),
+        items={k: SimpleNamespace(vdd_size=s, reward=r) for k, (s, r) in items.items()},
+    )
+
+
+VALID_VALUES = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from([5e-324, 1e-310, -0.0, 1e16, 1e22, 300.0]),
+    st.integers(0, 10**30),
+)
+
+
+class TestMenuCodec:
+    @given(menu=raw_menus())
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches_yaml_dump(self, menu):
+        assert _menu_text(menu) == yaml.dump(_menu_dict(menu), Dumper=YAML_DUMPER)
+
+    @given(menu=raw_menus())
+    @settings(max_examples=200, deadline=None)
+    def test_fast_reader_agrees_with_yaml(self, menu):
+        # the fast reader may pass a text on (None) but never reads it otherwise
+        text = _menu_text(menu)
+        fast = _outcome(_canonical_menu, text)
+        if fast != "None":
+            assert fast == _outcome(lambda t: _menu_from_yaml(t, "menu.yaml"), text)
+
+    @given(menu=raw_menus(VALID_VALUES), t_max=st.floats(min_value=1e-300, max_value=1e300))
+    @settings(max_examples=200, deadline=None)
+    def test_fast_reader_reads_every_written_menu(self, menu, t_max):
+        menu = ContractMenu(
+            t_max=t_max,
+            items={k: ContractItem(it.vdd_size, it.reward) for k, it in menu.items.items()},
+        )
+        text = _menu_text(menu)
+        fast = _canonical_menu(text)
+        assert fast is not None
+        assert repr(fast) == repr(_menu_from_yaml(text, "menu.yaml"))
+        assert fast == ContractMenu(t_max=t_max, items={
+            k: ContractItem(float(it.vdd_size), float(it.reward)) for k, it in menu.items.items()
+        })
+
+    def test_empty_menu(self):
+        menu = ContractMenu(t_max=2.0, items={})
+        text = _menu_text(menu)
+        assert text == "items: []\nt_max: 2.0\n"
+        assert _canonical_menu(text) == menu == _menu_from_yaml(text, "menu.yaml")
+
+    CANONICAL = "items:\n- reward: 2.5\n  type: 1\n  vdd_size: 1.5\nt_max: 2.0\n"
+
+    @pytest.mark.parametrize(
+        "text, item",
+        [
+            (yaml.dump(yaml.safe_load(CANONICAL), default_flow_style=True), (1, 1.5, 2.5)),
+            ("t_max: 2.0\nitems:\n- type: 1\n  vdd_size: 1.5\n  reward: 2.5\n", (1, 1.5, 2.5)),
+            ("# written by hand\n" + CANONICAL, (1, 1.5, 2.5)),
+            (CANONICAL.replace("reward: 2.5", "reward: 2.5  # paid"), (1, 1.5, 2.5)),
+            (CANONICAL.replace("type: 1", "type: 010"), (8, 1.5, 2.5)),
+            (CANONICAL.replace("reward: 2.5", "reward: 1e5"), (1, 1.5, 100000.0)),
+            (CANONICAL.replace("vdd_size: 1.5", "vdd_size: 1.5 "), (1, 1.5, 2.5)),
+            (CANONICAL + "note: hand-edited\n", (1, 1.5, 2.5)),
+            (CANONICAL.replace("\n", "\r\n"), (1, 1.5, 2.5)),
+        ],
+        ids=["flow-style", "reordered-keys", "comment-line", "trailing-comment", "octal-type",
+             "no-dot-exponent", "trailing-space", "extra-key", "crlf"],
+    )
+    def test_other_spellings_load_as_yaml_reads_them(self, tmp_path, text, item):
+        path = tmp_path / "menu.yaml"
+        path.write_bytes(text.encode())
+        read_back = path.read_text()  # universal newlines turn CRLF into the canonical text
+        assert (_canonical_menu(read_back) is None) == (read_back != self.CANONICAL)
+        index, size, reward = item
+        expected = ContractMenu(t_max=2.0, items={index: ContractItem(size, reward)})
+        assert _menu_from_file(str(path)) == _menu_from_yaml(read_back, str(path)) == expected
+
+    @pytest.mark.parametrize("style", ["flow", "reordered"])
+    def test_validate_reads_other_yaml_layouts(self, small_scenario, tmp_path, capsys, style):
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", str(small_scenario), "--out", str(out)]) == 0
+        data = yaml.safe_load((out / "menu_partial.yaml").read_text())
+        if style == "flow":
+            text = yaml.dump(data, Dumper=YAML_DUMPER, default_flow_style=True)
+        else:
+            items = [{k: e[k] for k in ("vdd_size", "type", "reward")} for e in data["items"]]
+            text = yaml.dump({"t_max": data["t_max"], "items": items}, sort_keys=False)
+        assert _canonical_menu(text) is None
+        menu = tmp_path / "menu.yaml"
+        menu.write_text(text)
+        assert main(["validate", "--scenario", str(small_scenario), "--menu", str(menu)]) == 0

@@ -1,13 +1,16 @@
 """Scenario file parsing, round-tripping, and population generation."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from honeygame.channel import ChannelParams, a2g_rate, transmission_delay
 from honeygame.scenario import (
     PopulationSpec,
     Scenario,
+    _channel_delays,
     dump_scenario,
     generate_population,
     load_scenario,
@@ -143,3 +146,36 @@ class TestGeneration:
         sc = Scenario(population=PopulationSpec(count=3, delay=[1.0, 2.0]))
         with pytest.raises(ValueError, match="delay list"):
             generate_population(sc)
+
+
+def reference_delays(sc: Scenario, n: int, rng: np.random.Generator) -> list[float]:
+    """One UAV at a time: x, y and altitude from scalar uniform draws, the
+    delay of a full s_max payload over the A2G link to the area's centre."""
+    gx, gy = sc.area[0] / 2.0, sc.area[1] / 2.0
+    delays = []
+    for _ in range(n):
+        x = rng.uniform(0.0, sc.area[0])
+        y = rng.uniform(0.0, sc.area[1])
+        z = rng.uniform(sc.height_range[0], sc.height_range[1])
+        d = max(math.hypot(x - gx, y - gy), 1.0)
+        delays.append(transmission_delay(sc.gcs.s_max, a2g_rate(z, sc.channel, d)))
+    return delays
+
+
+class TestChannelDelays:
+    SCENARIOS = {
+        "defaults": Scenario(),
+        "custom-geometry": Scenario(area=(350.0, 120.0), height_range=(10.0, 95.5),
+                                    channel=ChannelParams(gcs_height=12.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("n", [0, 1, 10, 1000])
+    def test_bitwise_equal_to_scalar_draws(self, name, seed, n):
+        sc = self.SCENARIOS[name]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _channel_delays(sc, n, rng)
+        want = reference_delays(sc, n, ref_rng)
+        assert [d.hex() for d in got] == [d.hex() for d in want]
+        assert rng.random() == ref_rng.random()
