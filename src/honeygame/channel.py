@@ -3,7 +3,7 @@ the Shannon-bound uplink rate to the ground station and the VDD transmission
 delay over that one link (no air-to-air link or relay selection).  A UAV
 enters only through its altitude and its horizontal distance to the ground
 station, both plain floats.  All functions are pure; dBm quantities are
-converted to watts once, and all SNR algebra runs in the linear domain.
+converted to watts, and all SNR algebra runs in the linear domain.
 """
 
 from __future__ import annotations

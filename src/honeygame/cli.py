@@ -8,6 +8,11 @@ Subcommands:
 * ``reproduce``    named experiment (fig1, fig3..fig8, sweep) -> CSV table
 * ``validate``     feasibility/fairness audit of a menu file
 
+Menu files (``solve --out``) are written directly as the text ``yaml.dump``
+gives for ``{items: [{reward, type, vdd_size}, ...], t_max}``.  ``validate``
+reads a file in exactly that form line by line and parses any other file
+as YAML, with the same field checks.
+
 Exit code 0 on success; nonzero with a diagnostic on any invariant
 violation.
 """
@@ -90,7 +95,7 @@ def _menu_text(menu: ContractMenu) -> str:
 _ITEM_LINES = ("- reward: ", "  type: ", "  vdd_size: ")
 
 
-def _number(token: str, integer: bool = False) -> float | None:
+def _number(token: str, integer: bool = False) -> int | float | None:
     """The number ``token`` stands for, if ``_yaml_number`` writes that
     number back as ``token`` (and it is an int, if ``integer``); else None."""
     try:

@@ -15,7 +15,9 @@ Three regimes:
 Budget handling, shared by both information regimes: in ``budget-exact``
 mode the scalar is solved so that total payments hit the budget exactly
 even when some sizes clamp at the bounds (one sweep over the sorted
-breakpoints of the piecewise-linear payment, no iteration error);
+breakpoints of the piecewise-linear payment, no iteration error), and a
+menu whose payments, summed as the audit sums them, overshoot the budget by
+more than the audit tolerance is re-solved just below it;
 ``paper-literal`` applies the full-set closed form once and then clamps.
 """
 
@@ -197,7 +199,7 @@ def _fit_budget(
     budget over it.  Totalled as the audit totals them (``math.fsum`` of
     count x reward), a total over the budget by more than FEASIBILITY_TOL is
     re-solved against budget - g, with g doubling from the overshoot until
-    the total fits.
+    the total fits, or g exceeds the budget itself.
     """
     items = items_at(budget)
     if mode != BUDGET_EXACT:
