@@ -10,8 +10,8 @@ Subcommands:
 
 Menu files (``solve --out``) are written directly as the text ``yaml.dump``
 gives for ``{items: [{reward, type, vdd_size}, ...], t_max}``.  ``validate``
-reads a file in exactly that form line by line and parses any other file
-as YAML, with the same field checks.
+reads a file in exactly that form column by column and parses any other
+file as YAML, with the same field checks.
 
 Exit code 0 on success; nonzero with a diagnostic on any invariant
 violation.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -31,8 +32,8 @@ from .experiments import EXPERIMENTS, AuditError, run_experiment
 from .model import (
     ContractItem,
     ContractMenu,
-    check_fairness,
     check_feasibility,
+    check_reward_fairness,
     defensive_effectiveness,
     gcs_utility,
     participating_set,
@@ -95,18 +96,51 @@ def _menu_text(menu: ContractMenu) -> str:
 _ITEM_LINES = ("- reward: ", "  type: ", "  vdd_size: ")
 
 
-def _number(token: str, integer: bool = False) -> int | float | None:
-    """The number ``token`` stands for, if ``_yaml_number`` writes that
-    number back as ``token`` (and it is an int, if ``integer``); else None."""
+def _number(token: str) -> float | None:
+    """The float ``token`` stands for, if ``_yaml_number`` writes that float,
+    or an int a float can hold, back as ``token``; else None."""
     try:
-        if not integer:
-            value = float(token)
-            if _yaml_number(value) == token:
-                return value
+        value = float(token)
+        if _yaml_number(value) == token:
+            return value
         value = int(token)
+        return float(value) if str(value) == token else None
+    except (ValueError, OverflowError):
+        return None
+
+
+def _float_column(tokens: list[str]) -> list[float] | None:
+    """The floats of one menu field's tokens, or None unless ``_number``
+    reads every one.  A token that is its float's ``repr`` and holds a dot
+    is what ``_yaml_number`` writes for that float; only the other tokens
+    take ``_number``'s round trip."""
+    try:
+        values = list(map(float, tokens))
     except ValueError:
         return None
-    return value if str(value) == token else None
+    odd = [n for n, (text, token) in enumerate(zip(map(repr, values), tokens))
+           if text != token or "." not in token]
+    for n in odd:
+        values[n] = _number(tokens[n])
+        if values[n] is None:
+            return None
+    return values
+
+
+def _column(lines: list[str], prefix: str, integer: bool) -> list | None:
+    """One menu field's numbers, from its lines, or None unless every line
+    is ``prefix`` and a token that reads back: an int ``str`` writes as the
+    token (if ``integer``), else a float ``_float_column`` accepts."""
+    if not all(map(str.startswith, lines, itertools.repeat(prefix))):
+        return None
+    tokens = [line[len(prefix):] for line in lines]
+    if not integer:
+        return _float_column(tokens)
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        return None
+    return values if list(map(str, values)) == tokens else None
 
 
 def _canonical_menu(text: str) -> ContractMenu | None:
@@ -119,21 +153,13 @@ def _canonical_menu(text: str) -> ContractMenu | None:
             or lines[0] != ("items:" if body else "items: []")
             or not lines[-2].startswith("t_max: ")):
         return None
-    values = []
-    for n, line in enumerate(body):
-        prefix = _ITEM_LINES[n % 3]
-        value = _number(line[len(prefix):], n % 3 == 1) if line.startswith(prefix) else None
-        if value is None:
-            return None
-        values.append(value)
+    rewards, indices, sizes = columns = [
+        _column(body[n::3], prefix, n == 1) for n, prefix in enumerate(_ITEM_LINES)
+    ]
     t_max = _number(lines[-2][len("t_max: "):])
-    if t_max is None:
+    if None in columns or t_max is None:
         return None
-    items = {
-        index: ContractItem(float(size), float(reward))
-        for reward, index, size in zip(values[0::3], values[1::3], values[2::3])
-    }
-    return ContractMenu(t_max=float(t_max), items=items)
+    return ContractMenu(t_max=t_max, items=dict(zip(indices, map(ContractItem, sizes, rewards))))
 
 
 def _menu_from_file(path: str) -> ContractMenu:
@@ -168,7 +194,7 @@ def _menu_field(data: dict, key: str, where: str, kind=None):
         return data[key]
     try:
         return kind(data[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: field {key!r} must be a number, got {data[key]!r}") from None
 
 
@@ -182,7 +208,6 @@ def _cmd_solve(args) -> int:
     failures = 0
     for name, menu in menus.items():
         report = check_feasibility(menu, pop, sc.gcs)
-        fair = check_fairness(menu, pop, sc.gcs)
         print(f"== {name} information menu (t_max = {menu.t_max:g} s) ==")
         for t in participating_set(pop, sc.t_max):
             item = menu.item(t.index)
@@ -197,7 +222,8 @@ def _cmd_solve(args) -> int:
         print(f"  IR ok           : {report.ir_ok}")
         if name == "partial":
             print(f"  IC ok           : {report.ic_ok}")
-            print(f"  fairness        : participation={fair[0]}, reward={fair[1]}")
+            print(f"  fairness        : participation={report.participation_fair}, "
+                  f"reward={check_reward_fairness(menu, pop)}")
             if not report.all_ok:
                 failures += 1
         elif not (report.ir_ok and report.budget_ok):
@@ -284,15 +310,15 @@ def _cmd_validate(args) -> int:
     pop = generate_population(sc)
     menu = _menu_from_file(args.menu)
     report = check_feasibility(menu, pop, sc.gcs)
-    fair = check_fairness(menu, pop, sc.gcs)
+    reward_fair = check_reward_fairness(menu, pop)
     print(f"IR ok        : {report.ir_ok}")
     print(f"IC ok        : {report.ic_ok}")
     print(f"budget ok    : {report.budget_ok}")
     print(f"monotone ok  : {report.monotone_ok}")
     print(f"worst slack  : {report.worst_violation:.6e}")
     print(f"worst pair   : {report.worst_pair}")
-    print(f"fairness     : participation={fair[0]}, reward={fair[1]}")
-    return 0 if report.all_ok and all(fair) else 1
+    print(f"fairness     : participation={report.participation_fair}, reward={reward_fair}")
+    return 0 if report.all_ok and reward_fair else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,8 +22,8 @@ from .model import (
     ContractMenu,
     GcsParams,
     Population,
-    check_fairness,
     check_feasibility,
+    check_reward_fairness,
     defensive_effectiveness,
     gcs_term,
     gcs_utility,
@@ -71,7 +71,7 @@ def _solve_all(pop: Population, params: GcsParams, t_max: float, cfg) -> dict[st
 
 def _audit(menus: dict[str, ContractMenu], pop: Population, params: GcsParams) -> None:
     partial_report = check_feasibility(menus["partial"], pop, params)
-    fair = check_fairness(menus["partial"], pop, params)
+    fair = (partial_report.participation_fair, check_reward_fairness(menus["partial"], pop))
     if not partial_report.all_ok or not all(fair):
         raise AuditError(
             f"asymmetric-information menu failed audit: worst slack "
@@ -156,23 +156,14 @@ def _learning_tables(sc: Scenario) -> dict[str, str]:
     logs = run_dynamic_game(
         pop, sc.gcs, sc.t_max, cfg, cfg.episodes, sc.seed, warm_tables=tables
     )
-    rows = []
+    header = "episode,type_index,S_bytes,R,uav_utility,gcs_utility"
+    rows = [header]
     for idx in sorted(logs):
         log = logs[idx]
-        for ep in range(len(log)):
-            rows.append([
-                ep,
-                log.type_index,
-                float(log.vdd_size[ep]),
-                float(log.reward[ep]),
-                float(log.uav_utility[ep]),
-                float(log.gcs_utility[ep]),
-            ])
-    return {
-        "fig8.csv": _csv(
-            ["episode", "type_index", "S_bytes", "R", "uav_utility", "gcs_utility"], rows
-        )
-    }
+        row = f"%d,{log.type_index},%.9g,%.9g,%.9g,%.9g".__mod__
+        columns = (log.vdd_size, log.reward, log.uav_utility, log.gcs_utility)
+        rows += map(row, zip(range(len(log)), *(c.tolist() for c in columns)))
+    return {"fig8.csv": "\n".join(rows) + "\n"}
 
 
 EXPERIMENTS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "sweep")

@@ -24,6 +24,7 @@ __all__ = [
     "GcsParams",
     "FeasibilityReport",
     "canonicalize",
+    "canonical_population",
     "participating_set",
     "uav_payoff",
     "gcs_term",
@@ -32,6 +33,7 @@ __all__ = [
     "social_surplus",
     "check_feasibility",
     "check_fairness",
+    "check_reward_fairness",
     "defensive_effectiveness",
 ]
 
@@ -80,10 +82,16 @@ class Population:
 def canonicalize(types: Iterable[UavType]) -> Population:
     """Merge types with identical (cost, delay), sort by descending marginal
     cost with ties broken by smaller delay, and reindex from 1."""
+    return canonical_population((t.marginal_cost, t.delay, t.count) for t in types)
+
+
+def canonical_population(rows: Iterable[tuple[float, float, int]]) -> Population:
+    """:func:`canonicalize` for plain (cost, delay, count) rows: one
+    ``UavType`` is built per merged type, none per row."""
     merged: dict[tuple[float, float], int] = {}
-    for t in types:
-        key = (t.marginal_cost, t.delay)
-        merged[key] = merged.get(key, 0) + t.count
+    for cost, delay, count in rows:
+        key = (cost, delay)
+        merged[key] = merged.get(key, 0) + count
     ordered = sorted(merged.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
     out = tuple(
         UavType(index=i + 1, marginal_cost=c, delay=d, count=n)
@@ -167,6 +175,7 @@ class FeasibilityReport:
     most negative slack seen (0 if none).  ``worst_pair`` holds the
     population indices (j, k) of the smallest IR/IC slack, with k == j
     meaning IR; it is ``None`` when no type meets the deadline.
+    ``participation_fair`` is participation fairness, IR and IC together.
     """
 
     ir_ok: bool
@@ -179,6 +188,10 @@ class FeasibilityReport:
     @property
     def all_ok(self) -> bool:
         return self.ir_ok and self.ic_ok and self.budget_ok and self.monotone_ok
+
+    @property
+    def participation_fair(self) -> bool:
+        return self.ir_ok and self.ic_ok
 
 
 def participating_set(pop: Population, t_max: float) -> list[UavType]:
@@ -364,18 +377,21 @@ def check_fairness(
     """(participation fairness, reward fairness).
 
     Participation fairness: every participating type weakly prefers its own
-    item to any other and earns non-negative utility there.  Reward fairness:
-    larger VDD contributions never earn smaller rewards, and types that
-    cannot deliver on time are paid nothing.
+    item to any other and earns non-negative utility there, i.e. the
+    report's ``participation_fair``.  Reward fairness: see
+    :func:`check_reward_fairness`.
     """
-    on_time = participating_set(pop, menu.t_max)
-    items = [menu.item(t.index) for t in on_time]
-    ir_ok, ic_ok, _, _ = _incentive_scan(on_time, items, params.deploy_cost, tol)
-    late_paid = any(
-        t.delay > menu.t_max and menu.item(t.index).reward > tol for t in pop.types
-    )
-    reward = not late_paid and _reward_ordered([menu.item(t.index) for t in pop.types], tol)
-    return ir_ok and ic_ok, reward
+    report = check_feasibility(menu, pop, params, tol)
+    return report.participation_fair, check_reward_fairness(menu, pop, tol)
+
+
+def check_reward_fairness(menu: ContractMenu, pop: Population, tol: float = FEASIBILITY_TOL) -> bool:
+    """Larger VDD contributions never earn smaller rewards, and types that
+    cannot deliver on time are paid nothing."""
+    items = [menu.item(t.index) for t in pop.types]
+    if any(t.delay > menu.t_max and it.reward > tol for t, it in zip(pop.types, items)):
+        return False
+    return _reward_ordered(items, tol)
 
 
 def _reward_ordered(items: list[ContractItem], tol: float) -> bool:

@@ -21,7 +21,7 @@ import yaml
 
 from .channel import ChannelParams, a2g_rate, transmission_delay
 from .learn import LearnerConfig
-from .model import GcsParams, Population, UavType, canonicalize
+from .model import GcsParams, Population, canonical_population
 from .solver import SolverConfig
 
 __all__ = [
@@ -162,6 +162,8 @@ def _check_types(value) -> None:
             raise ValueError(f"{path}.{missing[0]} is missing")
         for key, v in t.items():
             _check_number(f"{path}.{key}", _TYPE_KEYS[key], v)
+        if t.get("count", 1) < 1:
+            raise ValueError(f"{path}.count must be >= 1, got {t['count']!r}")
 
 
 def _check_delay(value) -> None:
@@ -173,6 +175,9 @@ def _check_delay(value) -> None:
 def _check_counts(value) -> None:
     if not (value is None or _list_of(_is_integer, value)):
         raise ValueError(f"population.counts must be a list of integers, got {value!r}")
+    for i, count in enumerate(value or ()):
+        if count < 1:
+            raise ValueError(f"population.counts[{i}] must be >= 1, got {count!r}")
 
 
 # checks for the fields whose defaults are not numbers
@@ -264,16 +269,9 @@ def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
     rng = rng if rng is not None else np.random.default_rng(sc.seed)
     if spec.distribution == "explicit":
         assert spec.types is not None
-        raw = [
-            UavType(
-                index=i + 1,
-                marginal_cost=float(t["cost"]),
-                delay=float(t["delay"]),
-                count=int(t.get("count", 1)),
-            )
-            for i, t in enumerate(spec.types)
-        ]
-        return canonicalize(raw)
+        return canonical_population(
+            (float(t["cost"]), float(t["delay"]), int(t.get("count", 1))) for t in spec.types
+        )
 
     n = count if count is not None else spec.count
     lo, hi = spec.cost_range
@@ -294,8 +292,4 @@ def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
     counts = list(spec.counts) if spec.counts else [1] * n
     if len(counts) != n:
         raise ValueError(f"counts list has {len(counts)} entries for {n} types")
-    raw = [
-        UavType(index=i + 1, marginal_cost=c, delay=d, count=k)
-        for i, (c, d, k) in enumerate(zip(costs, delays, counts))
-    ]
-    return canonicalize(raw)
+    return canonical_population(zip(costs, delays, counts))

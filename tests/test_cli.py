@@ -9,9 +9,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from honeygame import experiments, model
 from honeygame.cli import _canonical_menu, _menu_from_file, _menu_from_yaml, _menu_text, main
 from honeygame.model import ContractItem, ContractMenu, participating_set, uav_utility
-from honeygame.scenario import YAML_DUMPER, generate_population, load_scenario
+from honeygame.scenario import YAML_DUMPER, Scenario, generate_population, load_scenario
 from honeygame.solver import solve_partial
 
 SMALL_SCENARIO = """
@@ -309,9 +310,18 @@ class TestValidate:
             ("t_max: 2.0\nitems: [{type: 1, vdd_size: 1.0}]\n", "reward"),
             ("t_max: 2.0\nitems: [{type: 1, vdd_size: 1.0, reward: null}]\n", "reward"),
             ("t_max: 2.0\nitems: [{type: 1\n", "expected"),
+            (f"items:\n- reward: 1{'0' * 400}\n  type: 1\n  vdd_size: 1.0\nt_max: 2.0\n",
+             "'reward' must be a number"),
+            (f"{{items: [{{reward: 1{'0' * 400}, type: 1, vdd_size: 1.0}}], t_max: 2.0}}\n",
+             "'reward' must be a number"),
+            (f"items:\n- reward: 1.0\n  type: 1\n  vdd_size: 1.0\nt_max: 1{'0' * 400}\n",
+             "'t_max' must be a number"),
+            ("t_max: 2.0\nitems: [{type: .inf, vdd_size: 1.0, reward: 1.0}]\n",
+             "'type' must be a number"),
         ],
         ids=["not-mapping", "no-t_max", "no-items", "no-type", "no-vdd_size", "no-reward",
-             "null-reward", "bad-yaml"],
+             "null-reward", "bad-yaml", "huge-reward-block", "huge-reward-flow", "huge-t_max",
+             "infinite-type"],
     )
     def test_malformed_menu_exits_2(self, small_scenario, tmp_path, capsys, text, field):
         menu_path = tmp_path / "menu.yaml"
@@ -321,6 +331,50 @@ class TestValidate:
         assert rc == 2
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
+
+
+class TestOneScanPerMenu:
+    """Each audited menu gets one IR/IC scan: participation fairness is read
+    from the feasibility report, not from a second scan."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The (size, reward) items of every ``_incentive_scan`` call."""
+        calls = []
+        scan = model._incentive_scan
+
+        def counted(on_time, items, *args):
+            calls.append([(it.vdd_size, it.reward) for it in items])
+            return scan(on_time, items, *args)
+
+        monkeypatch.setattr(model, "_incentive_scan", counted)
+        return calls
+
+    def test_validate_scans_the_menu_once(self, small_scenario, tmp_path, capsys, scans):
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", str(small_scenario), "--out", str(out)]) == 0
+        scans.clear()
+        menu = str(out / "menu_partial.yaml")
+        assert main(["validate", "--scenario", str(small_scenario), "--menu", menu]) == 0
+        assert len(scans) == 1
+        assert "fairness     : participation=True, reward=True" in capsys.readouterr().out
+
+    def test_solve_scans_each_menu_once(self, small_scenario, capsys, scans):
+        assert main(["solve", "--scenario", str(small_scenario)]) == 0
+        assert len(scans) == 2
+        assert "participation=True, reward=True" in capsys.readouterr().out
+
+    def test_audit_scans_the_partial_menu_once(self, scans):
+        sc = Scenario()
+        pop = generate_population(sc)
+        menus = experiments._solve_all(pop, sc.gcs, sc.t_max, sc.solver)
+        scans.clear()
+        experiments._audit(menus, pop, sc.gcs)
+        on_time = participating_set(pop, sc.t_max)
+        partial = [(menus["partial"].item(t.index).vdd_size, menus["partial"].item(t.index).reward)
+                   for t in on_time]
+        assert scans.count(partial) == 1
+        assert len(scans) == len(menus)  # one feasibility report per menu
 
 
 class TestScenarioErrors:
@@ -363,6 +417,13 @@ class TestScenarioErrors:
             ("area: [.inf, 200.0]", "area must be finite and >= 0"),
             ("height_range: [-5.0, 1.0]", "height_range must be finite with 0 <= lo <= hi"),
             ("height_range: [80.0, 30.0]", "height_range must be finite with 0 <= lo <= hi"),
+            ("population: {count: 3, delay: 1.0, counts: [1, 0, 1]}",
+             "population.counts[1] must be >= 1, got 0"),
+            ("population: {count: 2, counts: [-2, 3]}", "population.counts[0] must be >= 1, got -2"),
+            ("population: {distribution: explicit, types: [{cost: 0.5, delay: 1.0, count: 0}, "
+             "{cost: 0.5, delay: 1.0, count: 1}]}", "population.types[0].count must be >= 1, got 0"),
+            ("population: {distribution: explicit, types: [{cost: 0.5, delay: 1.0, count: -1}]}",
+             "population.types[0].count must be >= 1, got -1"),
         ],
         ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max",
              "mobility", "light-speed", "per-side-learn-rate", "type-without-delay",
@@ -371,7 +432,9 @@ class TestScenarioErrors:
              "jitter-above-one", "zero-carrier", "huge-tx-power", "tiny-noise-power",
              "types-without-explicit", "empty-types-without-explicit", "infinite-atten-los",
              "negative-atten-nlos", "nan-logit-a", "infinite-logit-b", "nan-gcs-height",
-             "infinite-bandwidth", "infinite-area", "negative-height", "inverted-height-range"],
+             "infinite-bandwidth", "infinite-area", "negative-height", "inverted-height-range",
+             "zero-count", "negative-count", "zero-count-type-merging-into-twin",
+             "negative-type-count"],
     )
     def test_bad_scenario_exits_2(self, tmp_path, capsys, text, message):
         # rejected at load, so learn fails before it plays an episode

@@ -18,6 +18,7 @@ from honeygame.model import (
     canonicalize,
     check_fairness,
     check_feasibility,
+    check_reward_fairness,
     defensive_effectiveness,
     gcs_term,
     gcs_utility,
@@ -338,7 +339,37 @@ class TestAuditEnumeration:
         assert report.worst_pair is not None
 
 
+@st.composite
+def late_paid_cases(draw):
+    """``audit_cases``, where a late type may also be paid: just below,
+    just above or far above the tolerance."""
+    pop, menu = draw(audit_cases())
+    late = [t.index for t in pop.types if t.delay > T_MAX]
+    if late and draw(st.booleans()):
+        k = draw(st.sampled_from(late))
+        reward = draw(st.sampled_from([0.5e-9, 2e-9, 3.5]))
+        menu = ContractMenu(t_max=menu.t_max,
+                            items={**menu.items, k: ContractItem(menu.item(k).vdd_size, reward)})
+    return pop, menu
+
+
 class TestFairness:
+    @given(case=late_paid_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_built_from_report_and_reward_verdict(self, case):
+        pop, menu = case
+        params = GcsParams()
+        report = check_feasibility(menu, pop, params)
+        late_paid = any(menu.item(t.index).reward > FEASIBILITY_TOL
+                        for t in pop.types if t.delay > T_MAX)
+        reward_fair = not late_paid and enumerate_reward_fairness(
+            [menu.item(t.index).vdd_size for t in pop.types],
+            [menu.item(t.index).reward for t in pop.types],
+        )
+        assert check_reward_fairness(menu, pop) == reward_fair
+        assert report.participation_fair == (report.ir_ok and report.ic_ok)
+        assert check_fairness(menu, pop, params) == (report.participation_fair, reward_fair)
+
     def test_optimal_menu_is_fair(self):
         pop = make_pop([0.5, 0.25])
         params = GcsParams(budget=10.0)

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honeygame.channel import ChannelParams, a2g_rate, transmission_delay
+from honeygame.model import UavType, canonicalize
 from honeygame.scenario import (
     PopulationSpec,
     Scenario,
@@ -146,6 +149,62 @@ class TestGeneration:
         sc = Scenario(population=PopulationSpec(count=3, delay=[1.0, 2.0]))
         with pytest.raises(ValueError, match="delay list"):
             generate_population(sc)
+
+
+def reference_raw_types(sc: Scenario) -> list[UavType]:
+    """One ``UavType`` per spec row, in spec order, before any merging."""
+    spec = sc.population
+    if spec.distribution == "explicit":
+        return [UavType(i + 1, float(t["cost"]), float(t["delay"]), int(t.get("count", 1)))
+                for i, t in enumerate(spec.types)]
+    rng = np.random.default_rng(sc.seed)
+    n = spec.count
+    lo, hi = spec.cost_range
+    if spec.distribution == "even":
+        costs = [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    else:
+        costs = sorted(float(c) for c in rng.uniform(lo, hi, size=n))
+    if spec.delay == "channel":
+        delays = _channel_delays(sc, n, rng)
+    elif isinstance(spec.delay, float):
+        delays = [spec.delay] * n
+    else:
+        delays = list(spec.delay)
+    counts = spec.counts or [1] * n
+    return [UavType(i + 1, c, d, k) for i, (c, d, k) in enumerate(zip(costs, delays, counts))]
+
+
+COSTS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+DELAYS = st.sampled_from([0.5, 1.0, 3.0]) | st.floats(0.01, 5.0)
+
+
+@st.composite
+def population_scenarios(draw):
+    """Explicit, even and uniform specs whose rows repeat (cost, delay) keys
+    and tie costs: sampled values, equal cost-range ends, one fixed delay."""
+    distribution = draw(st.sampled_from(["explicit", "even", "uniform"]))
+    if distribution == "explicit":
+        row = st.fixed_dictionaries({"cost": COSTS, "delay": DELAYS},
+                                    optional={"count": st.integers(1, 3)})
+        spec = PopulationSpec(distribution="explicit",
+                              types=tuple(draw(st.lists(row, min_size=1, max_size=10))))
+    else:
+        n = draw(st.integers(1, 10))
+        lo, hi = sorted(draw(st.lists(COSTS, min_size=2, max_size=2)))
+        delay = draw(st.sampled_from(["channel", 1.0])
+                     | st.lists(DELAYS, min_size=n, max_size=n).map(tuple))
+        counts = draw(st.none() | st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple))
+        spec = PopulationSpec(count=n, cost_range=(lo, hi), distribution=distribution,
+                              delay=delay, counts=counts)
+    return Scenario(seed=draw(st.integers(0, 3)), population=spec)
+
+
+class TestPopulationBuild:
+    @given(sc=population_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_canonicalize_of_raw_types(self, sc):
+        # repr tells -0.0 from 0.0 and int from float
+        assert repr(generate_population(sc)) == repr(canonicalize(reference_raw_types(sc)))
 
 
 def reference_delays(sc: Scenario, n: int, rng: np.random.Generator) -> list[float]:
