@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "ChannelParams",
@@ -59,11 +60,11 @@ class ChannelParams:
             if not 0.0 < watts < math.inf:
                 raise ValueError(f"channel.{key} must give a finite power > 0 W, got {dbm} dBm")
 
-    @property
+    @cached_property
     def tx_power_w(self) -> float:
         return dbm_to_watt(self.tx_power_dbm)
 
-    @property
+    @cached_property
     def noise_w(self) -> float:
         return dbm_to_watt(self.noise_dbm)
 

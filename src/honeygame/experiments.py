@@ -3,12 +3,12 @@ returns its plottable CSV table as text, keyed by file name.  Output is
 deterministic byte-for-byte for a fixed scenario and seed; numbers are
 printed with 9 significant digits.
 
-Menus emitted by the contract sweeps are audited first: the asymmetric-
-information menu must pass the full feasibility and fairness predicates, the
-complete-information menu must pass IR and the budget (it is intentionally
-not incentive compatible across types).  The two baselines are not menus a
-rational population would self-select truthfully and are only audited for
-budget feasibility.
+Each comparison menu is solved once per population; the uniform baseline is
+read off the asymmetric-information menu.  That menu must pass the full
+feasibility report and reward fairness, the complete-information menu IR and
+the budget (it is intentionally not incentive compatible across types); each
+gets one feasibility scan.  The two baselines, which no rational population
+would self-select truthfully, are checked by their payment total alone.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .learn import hotboot, run_dynamic_game
 from .model import (
+    FEASIBILITY_TOL,
     ContractMenu,
     GcsParams,
     Population,
@@ -28,6 +29,7 @@ from .model import (
     gcs_term,
     gcs_utility,
     participating_set,
+    total_payment,
     uav_utility,
 )
 from .scenario import Scenario, generate_population
@@ -61,27 +63,28 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _solve_all(pop: Population, params: GcsParams, t_max: float, cfg) -> dict[str, ContractMenu]:
+    partial = solve_partial(pop, params, t_max, cfg)
     return {
         "complete": solve_complete(pop, params, t_max, cfg),
-        "partial": solve_partial(pop, params, t_max, cfg),
+        "partial": partial,
         "linear": linear_contract(pop, params, t_max),
-        "uniform": uniform_contract(pop, params, t_max, cfg),
+        "uniform": uniform_contract(partial, pop),
     }
 
 
 def _audit(menus: dict[str, ContractMenu], pop: Population, params: GcsParams) -> None:
     partial_report = check_feasibility(menus["partial"], pop, params)
-    fair = (partial_report.participation_fair, check_reward_fairness(menus["partial"], pop))
-    if not partial_report.all_ok or not all(fair):
+    reward_fair = check_reward_fairness(menus["partial"], pop)
+    if not (partial_report.all_ok and reward_fair):
         raise AuditError(
             f"asymmetric-information menu failed audit: worst slack "
-            f"{partial_report.worst_violation:.3e}, fairness {fair}"
+            f"{partial_report.worst_violation:.3e}, reward fairness {reward_fair}"
         )
     complete_report = check_feasibility(menus["complete"], pop, params)
     if not (complete_report.ir_ok and complete_report.budget_ok):
         raise AuditError("complete-information menu failed IR/budget audit")
     for name in ("linear", "uniform"):
-        if not check_feasibility(menus[name], pop, params).budget_ok:
+        if not params.budget - total_payment(menus[name], pop) >= -FEASIBILITY_TOL:
             raise AuditError(f"{name} baseline exceeded the budget")
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "uav_utility",
     "gcs_utility",
     "social_surplus",
+    "total_payment",
     "check_feasibility",
     "check_fairness",
     "check_reward_fairness",
@@ -237,6 +238,12 @@ def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> fl
     return total
 
 
+def total_payment(menu: ContractMenu, pop: Population) -> float:
+    """What the GCS pays the on-time UAVs: the ``math.fsum`` of count x reward."""
+    on_time = participating_set(pop, menu.t_max)
+    return math.fsum(t.count * menu.item(t.index).reward for t in on_time)
+
+
 def check_feasibility(
     menu: ContractMenu,
     pop: Population,
@@ -253,8 +260,7 @@ def check_feasibility(
     items = [menu.item(t.index) for t in on_time]
     ir_ok, ic_ok, worst, worst_pair = _incentive_scan(on_time, items, params.deploy_cost, tol)
 
-    paid = math.fsum(t.count * it.reward for t, it in zip(on_time, items))
-    budget_slack = params.budget - paid
+    budget_slack = params.budget - total_payment(menu, pop)
     monotone_ok, mono_worst = _compact_conditions(on_time, items, menu, pop, params, tol)
 
     return FeasibilityReport(

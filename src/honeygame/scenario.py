@@ -268,6 +268,8 @@ def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
     spec = sc.population
     rng = rng if rng is not None else np.random.default_rng(sc.seed)
     if spec.distribution == "explicit":
+        if count is not None:
+            raise ValueError("population.distribution: explicit types cannot be swept over UAV counts")
         assert spec.types is not None
         return canonical_population(
             (float(t["cost"]), float(t["delay"]), int(t.get("count", 1))) for t in spec.types

@@ -23,7 +23,6 @@ more than the audit tolerance is re-solved just below it;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +35,7 @@ from .model import (
     UavType,
     ZERO_ITEM,
     participating_set,
+    total_payment,
 )
 
 __all__ = [
@@ -186,36 +186,32 @@ _WATER_LEVEL = {BUDGET_EXACT: _solve_water_level, PAPER_LITERAL: _literal_water_
 
 
 def _fit_budget(
-    items_at: Callable[[float], list[ContractItem]],
-    part: list[UavType],
+    menu_at: Callable[[float], ContractMenu],
+    pop: Population,
     budget: float,
     mode: str,
-) -> list[ContractItem]:
-    """The items ``items_at`` emits for the budget.
+) -> ContractMenu:
+    """The menu ``menu_at`` builds for the budget.
 
     In budget-exact mode the water level meets the budget equation in its
     own summation order, and over thousands of types (and the partial reward
     recursion) rounding can leave the emitted payments a few ulps of the
-    budget over it.  Totalled as the audit totals them (``math.fsum`` of
-    count x reward), a total over the budget by more than FEASIBILITY_TOL is
-    re-solved against budget - g, with g doubling from the overshoot until
-    the total fits, or g exceeds the budget itself.
+    budget over it.  Totalled as the audit totals them (``total_payment``),
+    a total over the budget by more than FEASIBILITY_TOL is re-solved against
+    budget - g, with g doubling from the overshoot until the total fits, or
+    g exceeds the budget itself.
     """
-    items = items_at(budget)
+    menu = menu_at(budget)
     if mode != BUDGET_EXACT:
-        return items
-    g = _paid(part, items) - budget
+        return menu
+    g = total_payment(menu, pop) - budget
     if g <= FEASIBILITY_TOL:
-        return items
+        return menu
     while True:
-        items = items_at(budget - g)
-        if _paid(part, items) <= budget or g > budget:
-            return items
+        menu = menu_at(budget - g)
+        if total_payment(menu, pop) <= budget or g > budget:
+            return menu
         g *= 2.0
-
-
-def _paid(part: list[UavType], items: list[ContractItem]) -> float:
-    return math.fsum(t.count * item.reward for t, item in zip(part, items))
 
 
 def _menu_from(
@@ -249,15 +245,15 @@ def solve_complete(
     unit = [t.count * t.marginal_cost for t in part]
     weights = [t.count / t.delay for t in part]
 
-    def items_at(budget: float) -> list[ContractItem]:
+    def menu_at(budget: float) -> ContractMenu:
         _, sizes = _WATER_LEVEL[cfg.budget_mode](unit, weights, fixed, budget, params.s_max)
-        return [
+        items = [
             ContractItem(s, t.marginal_cost * s + params.deploy_cost)
             for t, s in zip(part, sizes)
         ]
+        return _menu_from(pop, t_max, part, items)
 
-    items = _fit_budget(items_at, part, params.budget, cfg.budget_mode)
-    return _menu_from(pop, t_max, part, items)
+    return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
 
 def optimal_rewards(
@@ -350,16 +346,15 @@ def solve_partial(
     block_costs = [a for _, a, _ in blocks]
     block_weights = [w for w, _, _ in blocks]
 
-    def items_at(budget: float) -> list[ContractItem]:
+    def menu_at(budget: float) -> ContractMenu:
         _, block_sizes = _WATER_LEVEL[cfg.budget_mode](
             block_costs, block_weights, fixed, budget, params.s_max
         )
         sizes = [s for (_, _, n), s in zip(blocks, block_sizes) for _ in range(n)]
         rewards = optimal_rewards(sizes, part, params)
-        return [ContractItem(s, r) for s, r in zip(sizes, rewards)]
+        return _menu_from(pop, t_max, part, [ContractItem(s, r) for s, r in zip(sizes, rewards)])
 
-    items = _fit_budget(items_at, part, params.budget, cfg.budget_mode)
-    return _menu_from(pop, t_max, part, items)
+    return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
 
 def linear_contract(
@@ -384,18 +379,10 @@ def linear_contract(
     return _menu_from(pop, t_max, part, items)
 
 
-def uniform_contract(
-    pop: Population,
-    params: GcsParams,
-    t_max: float,
-    cfg: SolverConfig | None = None,
-) -> ContractMenu:
-    """Baseline: every participating type gets the item designed for the
-    costliest type in the asymmetric-information optimum."""
-    cfg = cfg or SolverConfig()
-    part = participating_set(pop, t_max)
-    if not part:
-        return ContractMenu.zero(pop, t_max)
-    first = solve_partial(pop, params, t_max, cfg).item(part[0].index)
-    items = [first for _ in part]
-    return _menu_from(pop, t_max, part, items)
+def uniform_contract(partial: ContractMenu, pop: Population) -> ContractMenu:
+    """Baseline: every on-time type gets the item that ``partial``, the
+    asymmetric-information menu ``solve_partial`` built for ``pop``, gives
+    the costliest on-time type.  Nothing is solved here."""
+    part = participating_set(pop, partial.t_max)
+    items = [partial.item(part[0].index)] * len(part) if part else []
+    return _menu_from(pop, partial.t_max, part, items)

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from honeygame import experiments, model
+from honeygame import experiments, model, solver
 from honeygame.cli import _canonical_menu, _menu_from_file, _menu_from_yaml, _menu_text, main
 from honeygame.model import ContractItem, ContractMenu, participating_set, uav_utility
 from honeygame.scenario import YAML_DUMPER, Scenario, generate_population, load_scenario
@@ -193,6 +193,31 @@ class TestReproduce:
             for k, o in ranked
         ]
 
+    @pytest.mark.parametrize("fig", ["fig7", "sweep"])
+    def test_explicit_population_not_swept(self, small_scenario, tmp_path, capsys, fig):
+        # the sweep varies the UAV count, which an explicit type list fixes
+        out = tmp_path / "art"
+        rc = main(["reproduce", fig, "--scenario", str(small_scenario), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "population.distribution" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_solve_all_solves_the_partial_menu_once(self, monkeypatch):
+        calls = []
+        solve = solver.solve_partial
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(solver, "solve_partial", counted)
+        monkeypatch.setattr(experiments, "solve_partial", counted)
+        sc = Scenario()
+        experiments._solve_all(generate_population(sc), sc.gcs, sc.t_max, sc.solver)
+        assert len(calls) == 1
+
     def test_unknown_experiment_rejected(self):
         for name in ("fig99", "fig9", "fig2"):
             with pytest.raises(SystemExit):
@@ -371,10 +396,10 @@ class TestOneScanPerMenu:
         scans.clear()
         experiments._audit(menus, pop, sc.gcs)
         on_time = participating_set(pop, sc.t_max)
-        partial = [(menus["partial"].item(t.index).vdd_size, menus["partial"].item(t.index).reward)
-                   for t in on_time]
-        assert scans.count(partial) == 1
-        assert len(scans) == len(menus)  # one feasibility report per menu
+        items = {name: [(menu.item(t.index).vdd_size, menu.item(t.index).reward) for t in on_time]
+                 for name, menu in menus.items()}
+        # the baselines are checked by their payment total alone
+        assert scans == [items["partial"], items["complete"]]
 
 
 class TestScenarioErrors:

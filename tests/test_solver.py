@@ -315,7 +315,7 @@ class TestPartialEndToEnd:
             checked += 1
             g_complete = gcs_utility(solve_complete(pop, params, T_MAX), pop, params)
             g_partial = gcs_utility(solve_partial(pop, params, T_MAX), pop, params)
-            g_uniform = gcs_utility(uniform_contract(pop, params, T_MAX), pop, params)
+            g_uniform = gcs_utility(uniform_contract(solve_partial(pop, params, T_MAX), pop), pop, params)
             assert g_complete >= g_partial - 1e-9
             assert g_partial >= g_uniform - 1e-9
 
@@ -341,7 +341,7 @@ class TestBaselines:
     def test_uniform_replicates_first_item(self):
         pop = make_pop([0.5, 0.25, 0.1])
         params = GcsParams(budget=30.0)
-        uni = uniform_contract(pop, params, T_MAX)
+        uni = uniform_contract(solve_partial(pop, params, T_MAX), pop)
         opt = solve_partial(pop, params, T_MAX)
         first = opt.item(1)
         for t in pop.types:
@@ -350,7 +350,7 @@ class TestBaselines:
     def test_uniform_first_type_zero_rent_others_positive(self):
         pop = make_pop([0.5, 0.25, 0.1])
         params = GcsParams(budget=30.0)
-        menu = uniform_contract(pop, params, T_MAX)
+        menu = uniform_contract(solve_partial(pop, params, T_MAX), pop)
         us = [uav_utility(t, menu.item(t.index), T_MAX, params) for t in pop.types]
         assert us[0] == pytest.approx(0.0, abs=1e-9)
         assert all(u > 0 for u in us[1:])
@@ -358,7 +358,7 @@ class TestBaselines:
     def test_uniform_surplus_constant_when_delays_match(self):
         pop = make_pop([0.5, 0.25, 0.1])
         params = GcsParams(budget=30.0)
-        menu = uniform_contract(pop, params, T_MAX)
+        menu = uniform_contract(solve_partial(pop, params, T_MAX), pop)
         item = menu.item(1)
         per_type = [
             params.satisfaction * (t.count / t.delay) * math.log1p(item.vdd_size)
@@ -376,7 +376,7 @@ class TestDegenerateCases:
             menu = solver(pop, WORKED_PARAMS, T_MAX)
             assert menu.item(1).vdd_size == 0.0
         assert linear_contract(pop, WORKED_PARAMS, T_MAX).item(1).reward == 0.0
-        assert uniform_contract(pop, WORKED_PARAMS, T_MAX).item(1).reward == 0.0
+        assert uniform_contract(solve_partial(pop, WORKED_PARAMS, T_MAX), pop).item(1).reward == 0.0
 
     def test_participating_subset_only(self):
         pop = make_pop([0.9, 0.5, 0.2], delays=[1.0, 9.0, 1.0])
