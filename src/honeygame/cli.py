@@ -21,25 +21,30 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .experiments import EXPERIMENTS, AuditError, run_experiment
 from .model import (
+    ARRAY_MIN_TYPES,
     ContractItem,
     ContractMenu,
+    Population,
+    _kernels,
     check_feasibility,
     check_reward_fairness,
     defensive_effectiveness,
     gcs_utility,
+    on_time_rows,
     participating_set,
     social_surplus,
 )
-from .oracle import GridSpec, grid_search_complete, grid_search_partial
 from .scenario import (
     YAML_LOADER,
     Scenario,
@@ -80,7 +85,11 @@ def _yaml_number(x: float) -> str:
 
 def _menu_text(menu: ContractMenu) -> str:
     """The menu file: the bytes ``yaml.dump`` writes for ``{items: [{reward,
-    type, vdd_size}, ...], t_max}`` with the items in type order."""
+    type, vdd_size}, ...], t_max}`` with the items in type order.  From
+    ``ARRAY_MIN_TYPES`` items on, each field's column is formatted at once."""
+    if len(menu.items) >= ARRAY_MIN_TYPES:
+        body = _kernels().menu_items_text(menu.items)
+        return f"items:\n{body}t_max: {_yaml_number(menu.t_max)}\n"
     lines = ["items:" if menu.items else "items: []"]
     for index, item in sorted(menu.items.items()):
         lines += (
@@ -159,7 +168,11 @@ def _canonical_menu(text: str) -> ContractMenu | None:
     t_max = _number(lines[-2][len("t_max: "):])
     if None in columns or t_max is None:
         return None
-    return ContractMenu(t_max=t_max, items=dict(zip(indices, map(ContractItem, sizes, rewards))))
+    if len(indices) >= ARRAY_MIN_TYPES and indices == list(range(1, len(indices) + 1)):
+        items = _kernels().ItemColumns(np.array(sizes, dtype=float), np.array(rewards, dtype=float))
+    else:
+        items = dict(zip(indices, map(ContractItem, sizes, rewards)))
+    return ContractMenu(t_max=t_max, items=items)
 
 
 def _menu_from_file(path: str) -> ContractMenu:
@@ -209,12 +222,7 @@ def _cmd_solve(args) -> int:
     for name, menu in menus.items():
         report = check_feasibility(menu, pop, sc.gcs)
         print(f"== {name} information menu (t_max = {menu.t_max:g} s) ==")
-        for t in participating_set(pop, sc.t_max):
-            item = menu.item(t.index)
-            print(
-                f"  type {t.index}: C = {t.marginal_cost:.4g}, "
-                f"S = {item.vdd_size:.6g} bytes, R = {item.reward:.6g}"
-            )
+        print(_type_lines(menu, pop), end="")
         print(f"  GCS utility     : {gcs_utility(menu, pop, sc.gcs):.6g}")
         print(f"  social surplus  : {social_surplus(menu, pop, sc.gcs):.6g}")
         print(f"  effectiveness   : {defensive_effectiveness(menu, pop, sc.gcs):.6g}")
@@ -241,7 +249,25 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _type_lines(menu: ContractMenu, pop: Population) -> str:
+    """One line per on-time type: index, cost, size and reward."""
+    rows = on_time_rows(pop, menu.t_max)
+    if rows is None:
+        part = participating_set(pop, menu.t_max)
+        items = [menu.item(t.index) for t in part]
+        columns = ([t.index for t in part], [t.marginal_cost for t in part],
+                   [it.vdd_size for it in items], [it.reward for it in items])
+    else:
+        sizes, rewards = _kernels().item_columns(menu, pop)
+        columns = ((rows + 1).tolist(), pop.cost[rows].tolist(), sizes[rows].tolist(),
+                   rewards[rows].tolist())
+    return "".join(map("  type %d: C = %.4g, S = %.6g bytes, R = %.6g\n".__mod__, zip(*columns)))
+
+
 def _cmd_oracle_check(args) -> int:
+    # only this command uses the oracle; the others start without loading it
+    from .oracle import GridSpec, grid_search_complete, grid_search_partial
+
     sc = _load(args)
     pop = generate_population(sc)
     part = participating_set(pop, sc.t_max)
@@ -361,8 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call only: argparse takes
+    about a millisecond to build one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, yaml.YAMLError) as exc:

@@ -14,7 +14,10 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "UavType",
@@ -41,6 +44,12 @@ __all__ = [
 # Slack threshold below which an IR/IC/budget violation is reported as real.
 FEASIBILITY_TOL = 1e-9
 
+# On-time types from which the solvers, audits and utilities run as the
+# numpy kernels of ``kernels`` (and a population is built as columns); below
+# it the per-type loops here and in ``solver`` run.  Both give the same bits.
+# Set at the measured crossover of the two paths (README, "Performance").
+ARRAY_MIN_TYPES = 64
+
 
 @dataclass(frozen=True)
 class UavType:
@@ -63,21 +72,87 @@ class UavType:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
 
-@dataclass(frozen=True)
 class Population:
     """Canonicalized collection of UAV types.
 
     Types are ordered by descending marginal cost (ties broken by smaller
     delay) and indexed 1..J.  Use :func:`canonicalize` to build one from raw
-    types.
+    types.  A population holds its types, or (as :func:`canonical_population`
+    builds it from ``ARRAY_MIN_TYPES`` types up) its cost, delay and count
+    columns; either form is derived from the other on first use.
     """
 
-    types: tuple[UavType, ...]
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.types, self.types[1:]):
+    def __init__(self, types: Iterable[UavType]) -> None:
+        types = tuple(types)
+        for a, b in zip(types, types[1:]):
             if (a.marginal_cost, -a.delay) < (b.marginal_cost, -b.delay):
                 raise ValueError("types must be ordered by descending cost, then ascending delay")
+        if any(t.index != i for i, t in enumerate(types, start=1)):
+            raise ValueError("types must be indexed 1..J in order")
+        self.__dict__["types"] = types
+
+    @classmethod
+    def _from_columns(cls, cost: np.ndarray, delay: np.ndarray, count: np.ndarray) -> Population:
+        """A population of columns already canonical and valid."""
+        pop = cls.__new__(cls)
+        pop.__dict__.update(cost=cost, delay=delay, count=count)
+        return pop
+
+    @cached_property
+    def types(self) -> tuple[UavType, ...]:
+        return tuple(map(UavType, range(1, len(self) + 1), self.cost.tolist(),
+                         self.delay.tolist(), self.count.tolist()))
+
+    @cached_property
+    def cost(self) -> np.ndarray:
+        return np.array([t.marginal_cost for t in self.types], dtype=float)
+
+    @cached_property
+    def delay(self) -> np.ndarray:
+        return np.array([t.delay for t in self.types], dtype=float)
+
+    @cached_property
+    def count(self) -> np.ndarray:
+        return np.array([t.count for t in self.types], dtype=np.int64)
+
+    @cached_property
+    def _columns_exact(self) -> bool:
+        """Whether every count sum fits the int64 count column."""
+        return "types" not in self.__dict__ or sum(t.count for t in self.types) < 2**63
+
+    def __len__(self) -> int:
+        return len(self.__dict__["types"] if "types" in self.__dict__ else self.cost)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Population):
+            return NotImplemented
+        return self.types == other.types
+
+    def __hash__(self) -> int:
+        return hash(self.types)
+
+    def __repr__(self) -> str:
+        return f"Population(types={self.types!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _kernels():
+    """The array kernels, imported on first use (see ``ARRAY_MIN_TYPES``)."""
+    from . import kernels
+
+    return kernels
+
+
+def on_time_rows(pop: Population, t_max: float) -> np.ndarray | None:
+    """Row positions of the types that meet the deadline when there are at
+    least ``ARRAY_MIN_TYPES`` of them, so that the array kernels run; None
+    when the per-type loops run instead."""
+    if len(pop) < ARRAY_MIN_TYPES or not pop._columns_exact:
+        return None
+    rows = np.flatnonzero(pop.delay <= t_max)
+    return rows if len(rows) >= ARRAY_MIN_TYPES else None
 
 
 def canonicalize(types: Iterable[UavType]) -> Population:
@@ -88,7 +163,14 @@ def canonicalize(types: Iterable[UavType]) -> Population:
 
 def canonical_population(rows: Iterable[tuple[float, float, int]]) -> Population:
     """:func:`canonicalize` for plain (cost, delay, count) rows: one
-    ``UavType`` is built per merged type, none per row."""
+    ``UavType`` is built per merged type, none per row.  From
+    ``ARRAY_MIN_TYPES`` valid float rows on, the rows are merged and sorted
+    as columns and the types are left to be built on first use."""
+    rows = list(rows)
+    if len(rows) >= ARRAY_MIN_TYPES:
+        pop = _kernels().population(rows)
+        if pop is not None:
+            return pop
     merged: dict[tuple[float, float], int] = {}
     for cost, delay, count in rows:
         key = (cost, delay)
@@ -134,7 +216,7 @@ class ContractMenu:
 
     @staticmethod
     def zero(pop: Population, t_max: float) -> "ContractMenu":
-        return ContractMenu(t_max=t_max, items={t.index: ZERO_ITEM for t in pop.types})
+        return ContractMenu(t_max=t_max, items=dict.fromkeys(range(1, len(pop) + 1), ZERO_ITEM))
 
 
 @dataclass(frozen=True)
@@ -223,6 +305,9 @@ def uav_utility(t: UavType, item: ContractItem, t_max: float, params: GcsParams)
 def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """Log-satisfaction over delivered VDD minus total payments (natural log).
     Non-delivering types contribute no satisfaction and receive no payment."""
+    rows = on_time_rows(pop, menu.t_max)
+    if rows is not None:
+        return _kernels().gcs_utility(menu, pop, params, rows)
     total = 0.0
     for t in participating_set(pop, menu.t_max):
         item = menu.item(t.index)
@@ -233,6 +318,9 @@ def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float
 def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """GCS utility plus the utilities of all on-time UAVs (rewards cancel)."""
     total = gcs_utility(menu, pop, params)
+    rows = on_time_rows(pop, menu.t_max)
+    if rows is not None:
+        return _kernels().uav_total(menu, pop, params, rows, total)
     for t in participating_set(pop, menu.t_max):
         total += t.count * uav_utility(t, menu.item(t.index), menu.t_max, params)
     return total
@@ -240,8 +328,15 @@ def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> fl
 
 def total_payment(menu: ContractMenu, pop: Population) -> float:
     """What the GCS pays the on-time UAVs: the ``math.fsum`` of count x reward."""
+    rows = on_time_rows(pop, menu.t_max)
+    if rows is not None:
+        return _kernels().total_payment(menu, pop, rows)
     on_time = participating_set(pop, menu.t_max)
-    return math.fsum(t.count * menu.item(t.index).reward for t in on_time)
+    return _paid(on_time, [menu.item(t.index) for t in on_time])
+
+
+def _paid(on_time: list[UavType], items: list[ContractItem]) -> float:
+    return math.fsum(t.count * it.reward for t, it in zip(on_time, items))
 
 
 def check_feasibility(
@@ -256,11 +351,14 @@ def check_feasibility(
     Violations are data, not errors: slacks within ``tol`` of zero count as
     satisfied and ``worst_violation`` carries the raw minimum slack.
     """
+    rows = on_time_rows(pop, menu.t_max)
+    if rows is not None:
+        return _kernels().check_feasibility(menu, pop, params, tol, rows)
     on_time = participating_set(pop, menu.t_max)
     items = [menu.item(t.index) for t in on_time]
     ir_ok, ic_ok, worst, worst_pair = _incentive_scan(on_time, items, params.deploy_cost, tol)
 
-    budget_slack = params.budget - total_payment(menu, pop)
+    budget_slack = params.budget - _paid(on_time, items)
     monotone_ok, mono_worst = _compact_conditions(on_time, items, menu, pop, params, tol)
 
     return FeasibilityReport(
@@ -319,9 +417,14 @@ def _upper_envelope(items: list[ContractItem]) -> list[tuple[float, float, int]]
     larger reward; an exact copy of a kept item ties it, so its owner's
     slack against the kept one is 0 and nothing is lost by dropping it."""
     order = sorted(range(len(items)), key=lambda k: (-items[k].vdd_size, -items[k].reward, k))
+    return _hull([(items[k].vdd_size, items[k].reward, k) for k in order])
+
+
+def _hull(lines: Iterable[tuple[float, float, int]]) -> list[tuple[float, float, int]]:
+    """:func:`_upper_envelope` of (S, R, position) lines already in its
+    order: size, then reward, descending."""
     hull: list[tuple[float, float, int]] = []
-    for k in order:
-        s, r = items[k].vdd_size, items[k].reward
+    for s, r, k in lines:
         if hull and hull[-1][0] == s:
             continue
         # the last line is redundant once its neighbours cross at or before
@@ -394,6 +497,8 @@ def check_fairness(
 def check_reward_fairness(menu: ContractMenu, pop: Population, tol: float = FEASIBILITY_TOL) -> bool:
     """Larger VDD contributions never earn smaller rewards, and types that
     cannot deliver on time are paid nothing."""
+    if on_time_rows(pop, menu.t_max) is not None:
+        return _kernels().reward_fair(menu, pop, menu.t_max, tol)
     items = [menu.item(t.index) for t in pop.types]
     if any(t.delay > menu.t_max and it.reward > tol for t, it in zip(pop.types, items)):
         return False
@@ -415,5 +520,9 @@ def _reward_ordered(items: list[ContractItem], tol: float) -> bool:
 
 def defensive_effectiveness(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """Total on-time VDD per type divided by the GCS requirement."""
-    contributed = sum(menu.item(t.index).vdd_size for t in participating_set(pop, menu.t_max))
+    rows = on_time_rows(pop, menu.t_max)
+    if rows is not None:
+        contributed = _kernels().delivered(menu, pop, rows)
+    else:
+        contributed = sum(menu.item(t.index).vdd_size for t in participating_set(pop, menu.t_max))
     return contributed / params.vdd_requirement

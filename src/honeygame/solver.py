@@ -19,6 +19,10 @@ breakpoints of the piecewise-linear payment, no iteration error), and a
 menu whose payments, summed as the audit sums them, overshoot the budget by
 more than the audit tolerance is re-solved just below it;
 ``paper-literal`` applies the full-set closed form once and then clamps.
+
+The loops here serve populations with fewer than ``model.ARRAY_MIN_TYPES``
+on-time types; from there on each solver hands over to its column kernel
+in ``kernels``, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .model import (
     Population,
     UavType,
     ZERO_ITEM,
+    _kernels,
+    on_time_rows,
     participating_set,
     total_payment,
 )
@@ -235,6 +241,9 @@ def solve_complete(
     """Optimal menu when the GCS observes every type: rewards equal costs
     (zero rent), sizes water-fill the budget."""
     cfg = cfg or SolverConfig()
+    rows = on_time_rows(pop, t_max)
+    if rows is not None:
+        return _kernels().solve_complete(pop, params, t_max, cfg, rows)
     part = participating_set(pop, t_max)
     if not part:
         return ContractMenu.zero(pop, t_max)
@@ -334,6 +343,9 @@ def solve_partial(
     ironing into blocks, one water level over the blocks (so the budget
     still binds in budget-exact mode), then the reward recursion."""
     cfg = cfg or SolverConfig()
+    rows = on_time_rows(pop, t_max)
+    if rows is not None:
+        return _kernels().solve_partial(pop, params, t_max, cfg, rows)
     part = participating_set(pop, t_max)
     if not part:
         return ContractMenu.zero(pop, t_max)

@@ -4,13 +4,15 @@ import math
 import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from honeygame import experiments, model, solver
+from honeygame import cli, experiments, kernels, model, solver
 from honeygame.cli import _canonical_menu, _menu_from_file, _menu_from_yaml, _menu_text, main
+from honeygame.kernels import ItemColumns
 from honeygame.model import ContractItem, ContractMenu, participating_set, uav_utility
 from honeygame.scenario import YAML_DUMPER, Scenario, generate_population, load_scenario
 from honeygame.solver import solve_partial
@@ -134,6 +136,26 @@ class TestSolve:
         assert "budget ok       : False" not in capsys.readouterr().out
         menu = str(out / "menu_partial.yaml")
         assert main(["validate", "--scenario", str(path), "--menu", menu]) == 0
+
+
+class TestParser:
+    def test_two_commands_build_the_parser_once(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert main(["solve", "--seed", "0"]) == 0
+            assert main(["solve", "--seed", "1", "--budget-mode", "paper"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert capsys.readouterr().out.count("== partial information menu") == 2
 
 
 class TestOracleCheck:
@@ -358,22 +380,66 @@ class TestValidate:
         assert "Traceback" not in err
 
 
+# on-time types above model.ARRAY_MIN_TYPES, so the column kernels run
+MANY_TYPES_SCENARIO = """
+seed: 3
+gcs: {budget: 4600.0}
+population: {count: 100, distribution: uniform, delay: 1.0}
+"""
+
+
 class TestOneScanPerMenu:
     """Each audited menu gets one IR/IC scan: participation fairness is read
-    from the feasibility report, not from a second scan."""
+    from the feasibility report, not from a second scan.  Below
+    ``model.ARRAY_MIN_TYPES`` on-time types the scan is
+    ``model._incentive_scan``, from it on ``kernels._envelope_scan``."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        """The (size, reward) items of every ``_incentive_scan`` call."""
+        """The (size, reward) items of every ``_incentive_scan`` and
+        ``_envelope_scan`` call."""
         calls = []
-        scan = model._incentive_scan
+        scan, envelope = model._incentive_scan, kernels._envelope_scan
 
         def counted(on_time, items, *args):
             calls.append([(it.vdd_size, it.reward) for it in items])
             return scan(on_time, items, *args)
 
+        def counted_envelope(cost, sizes, rewards, *args):
+            calls.append(list(zip(sizes.tolist(), rewards.tolist())))
+            return envelope(cost, sizes, rewards, *args)
+
         monkeypatch.setattr(model, "_incentive_scan", counted)
+        monkeypatch.setattr(kernels, "_envelope_scan", counted_envelope)
         return calls
+
+    @pytest.fixture
+    def many_types(self, tmp_path):
+        path = tmp_path / "many.yaml"
+        path.write_text(MANY_TYPES_SCENARIO)
+        return path
+
+    def test_many_types_scanned_once_per_menu(self, many_types, tmp_path, capsys, scans):
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", str(many_types), "--out", str(out)]) == 0
+        assert len(scans) == 2
+        scans.clear()
+        assert main(["validate", "--scenario", str(many_types),
+                     "--menu", str(out / "menu_partial.yaml")]) == 0
+        assert len(scans) == 1
+        assert "fairness     : participation=True, reward=True" in capsys.readouterr().out
+
+    def test_many_types_audit_scans_partial_then_complete(self, many_types, scans):
+        sc = load_scenario(str(many_types))
+        pop = generate_population(sc)
+        assert len(participating_set(pop, sc.t_max)) >= model.ARRAY_MIN_TYPES
+        menus = experiments._solve_all(pop, sc.gcs, sc.t_max, sc.solver)
+        scans.clear()
+        experiments._audit(menus, pop, sc.gcs)
+        items = {name: [(menu.item(t.index).vdd_size, menu.item(t.index).reward)
+                        for t in participating_set(pop, sc.t_max)]
+                 for name, menu in menus.items()}
+        assert scans == [items["partial"], items["complete"]]
 
     def test_validate_scans_the_menu_once(self, small_scenario, tmp_path, capsys, scans):
         out = tmp_path / "run"
@@ -517,15 +583,21 @@ INDICES = st.one_of(st.integers(0, 1000), st.integers(-10**30, 10**30))
 
 
 @st.composite
-def raw_menus(draw, values=AWKWARD_FLOATS):
+def raw_menus(draw, values=AWKWARD_FLOATS, min_size=0):
     """Menus as plain attribute holders, so that values ContractItem would
     refuse (negative, nan, inf) can still be written."""
-    items = draw(st.dictionaries(INDICES, st.tuples(values, values), max_size=6))
+    items = draw(st.dictionaries(INDICES, st.tuples(values, values), min_size=min_size,
+                                 max_size=max(6, min_size + 8)))
     return SimpleNamespace(
         t_max=draw(values),
         items={k: SimpleNamespace(vdd_size=s, reward=r) for k, (s, r) in items.items()},
     )
 
+
+VALID_FLOATS = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from([5e-324, 1e-310, 1e-05, -0.0, 1e16, 1e22, 300.0]),
+)
 
 VALID_VALUES = st.one_of(
     st.floats(min_value=0.0, allow_infinity=False),
@@ -538,6 +610,12 @@ class TestMenuCodec:
     @given(menu=raw_menus())
     @settings(max_examples=200, deadline=None)
     def test_writer_matches_yaml_dump(self, menu):
+        assert _menu_text(menu) == yaml.dump(_menu_dict(menu), Dumper=YAML_DUMPER)
+
+    @given(menu=raw_menus(min_size=model.ARRAY_MIN_TYPES))
+    @settings(max_examples=25, deadline=None)
+    def test_column_writer_matches_yaml_dump(self, menu):
+        # from ARRAY_MIN_TYPES items the writer formats each field's column at once
         assert _menu_text(menu) == yaml.dump(_menu_dict(menu), Dumper=YAML_DUMPER)
 
     @given(menu=raw_menus())
@@ -563,6 +641,34 @@ class TestMenuCodec:
         assert fast == ContractMenu(t_max=t_max, items={
             k: ContractItem(float(it.vdd_size), float(it.reward)) for k, it in menu.items.items()
         })
+
+    @given(data=st.data(), t_max=st.floats(min_value=1e-300, max_value=1e300))
+    @settings(max_examples=30, deadline=None)
+    def test_column_menus_write_and_read_as_yaml_does(self, data, t_max):
+        # from ARRAY_MIN_TYPES items the writer formats whole columns and the
+        # reader returns them as columns
+        n = data.draw(st.integers(model.ARRAY_MIN_TYPES, model.ARRAY_MIN_TYPES + 8))
+        floats = st.lists(VALID_FLOATS, min_size=n, max_size=n)
+        sizes, rewards = data.draw(floats), data.draw(floats)
+        menu = ContractMenu(t_max=t_max, items=ItemColumns(np.array(sizes), np.array(rewards)))
+        text = _menu_text(menu)
+        assert text == yaml.dump(_menu_dict(menu), Dumper=YAML_DUMPER)
+        fast = _canonical_menu(text)
+        assert isinstance(fast.items, ItemColumns)
+        assert repr(fast) == repr(_menu_from_yaml(text, "menu.yaml")) == repr(menu)
+
+    @pytest.mark.parametrize("field", ["vdd_size", "reward"])
+    def test_column_reader_names_the_first_bad_row(self, field):
+        n = model.ARRAY_MIN_TYPES + 2
+        menu = ContractMenu(t_max=2.0, items=ItemColumns(np.linspace(0.0, 9.0, n), np.ones(n)))
+        lines = _menu_text(menu).split("\n")
+        for row in (5, 9):  # two bad rows: the error names the first
+            at = 1 + 3 * row + (2 if field == "vdd_size" else 0)
+            lines[at] = lines[at].rsplit(" ", 1)[0] + " -1.5"
+        text = "\n".join(lines)
+        fast = _outcome(_canonical_menu, text)
+        assert fast.startswith(f"ValueError: {field} must be finite and >= 0")
+        assert fast == _outcome(lambda t: _menu_from_yaml(t, "menu.yaml"), text)
 
     def test_empty_menu(self):
         menu = ContractMenu(t_max=2.0, items={})
