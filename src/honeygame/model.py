@@ -89,13 +89,13 @@ class Population:
                 raise ValueError("types must be ordered by descending cost, then ascending delay")
         if any(t.index != i for i, t in enumerate(types, start=1)):
             raise ValueError("types must be indexed 1..J in order")
-        self.__dict__["types"] = types
+        self.__dict__.update(types=types, _size=len(types))
 
     @classmethod
     def _from_columns(cls, cost: np.ndarray, delay: np.ndarray, count: np.ndarray) -> Population:
         """A population of columns already canonical and valid."""
         pop = cls.__new__(cls)
-        pop.__dict__.update(cost=cost, delay=delay, count=count)
+        pop.__dict__.update(cost=cost, delay=delay, count=count, _size=len(cost))
         return pop
 
     @cached_property
@@ -121,7 +121,7 @@ class Population:
         return "types" not in self.__dict__ or sum(t.count for t in self.types) < 2**63
 
     def __len__(self) -> int:
-        return len(self.__dict__["types"] if "types" in self.__dict__ else self.cost)
+        return self._size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Population):
@@ -149,7 +149,7 @@ def on_time_rows(pop: Population, t_max: float) -> np.ndarray | None:
     """Row positions of the types that meet the deadline when there are at
     least ``ARRAY_MIN_TYPES`` of them, so that the array kernels run; None
     when the per-type loops run instead."""
-    if len(pop) < ARRAY_MIN_TYPES or not pop._columns_exact:
+    if pop._size < ARRAY_MIN_TYPES or not pop._columns_exact:
         return None
     rows = np.flatnonzero(pop.delay <= t_max)
     return rows if len(rows) >= ARRAY_MIN_TYPES else None
@@ -332,11 +332,7 @@ def total_payment(menu: ContractMenu, pop: Population) -> float:
     if rows is not None:
         return _kernels().total_payment(menu, pop, rows)
     on_time = participating_set(pop, menu.t_max)
-    return _paid(on_time, [menu.item(t.index) for t in on_time])
-
-
-def _paid(on_time: list[UavType], items: list[ContractItem]) -> float:
-    return math.fsum(t.count * it.reward for t, it in zip(on_time, items))
+    return math.fsum(t.count * menu.item(t.index).reward for t in on_time)
 
 
 def check_feasibility(
@@ -358,7 +354,7 @@ def check_feasibility(
     items = [menu.item(t.index) for t in on_time]
     ir_ok, ic_ok, worst, worst_pair = _incentive_scan(on_time, items, params.deploy_cost, tol)
 
-    budget_slack = params.budget - _paid(on_time, items)
+    budget_slack = params.budget - math.fsum(t.count * it.reward for t, it in zip(on_time, items))
     monotone_ok, mono_worst = _compact_conditions(on_time, items, menu, pop, params, tol)
 
     return FeasibilityReport(
