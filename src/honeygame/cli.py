@@ -24,15 +24,17 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import sys
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import yaml
 
+from . import model
 from .experiments import EXPERIMENTS, AuditError, run_experiment
 from .model import (
-    ARRAY_MIN_TYPES,
     ContractItem,
     ContractMenu,
     Population,
@@ -41,7 +43,6 @@ from .model import (
     check_reward_fairness,
     defensive_effectiveness,
     gcs_utility,
-    on_time_rows,
     participating_set,
     social_surplus,
 )
@@ -83,22 +84,43 @@ def _yaml_number(x: float) -> str:
     return text
 
 
+# in a list's repr: a float repr whose exponent has no dot, and nan or an infinity
+_DOTLESS_EXPONENT = re.compile(r"(?<![\d.])(-?\d+)e")
+_NON_FINITE = re.compile(r"(?<![\w.])(-?)(inf|nan)")
+
+
+def _number_tokens(values: list) -> list[str]:
+    """``_yaml_number`` of each int or float, formatted at once: the ``repr``
+    of the list, with ``.0`` put before an exponent that has no dot and
+    YAML's spelling of nan and the infinities, split."""
+    text = repr(values)[1:-1]
+    if "e" in text:
+        text = _DOTLESS_EXPONENT.sub(r"\1.0e", text)
+    if "n" in text:
+        text = _NON_FINITE.sub(r"\1.\2", text)
+    return text.split(", ")
+
+
+def _item_columns(items: Mapping) -> tuple[list, list, list]:
+    """The rewards, type indices and sizes of a menu's items in type order."""
+    if isinstance(items, dict):
+        pairs = sorted(items.items())
+        return ([it.reward for _, it in pairs], [k for k, _ in pairs],
+                [it.vdd_size for _, it in pairs])
+    # ``kernels.ItemColumns``: row n holds type n + 1
+    return items.rewards.tolist(), list(range(1, len(items) + 1)), items.sizes.tolist()
+
+
 def _menu_text(menu: ContractMenu) -> str:
     """The menu file: the bytes ``yaml.dump`` writes for ``{items: [{reward,
-    type, vdd_size}, ...], t_max}`` with the items in type order.  From
-    ``ARRAY_MIN_TYPES`` items on, each field's column is formatted at once."""
-    if len(menu.items) >= ARRAY_MIN_TYPES:
-        body = _kernels().menu_items_text(menu.items)
-        return f"items:\n{body}t_max: {_yaml_number(menu.t_max)}\n"
-    lines = ["items:" if menu.items else "items: []"]
-    for index, item in sorted(menu.items.items()):
-        lines += (
-            f"- reward: {_yaml_number(item.reward)}",
-            f"  type: {_yaml_number(index)}",
-            f"  vdd_size: {_yaml_number(item.vdd_size)}",
-        )
-    lines.append(f"t_max: {_yaml_number(menu.t_max)}")
-    return "\n".join(lines) + "\n"
+    type, vdd_size}, ...], t_max}`` with the items in type order, each
+    field's column formatted at once."""
+    t_max = f"t_max: {_yaml_number(menu.t_max)}\n"
+    if not menu.items:
+        return "items: []\n" + t_max
+    body = "".join(map("- reward: %s\n  type: %s\n  vdd_size: %s\n".__mod__,
+                       zip(*map(_number_tokens, _item_columns(menu.items)))))
+    return f"items:\n{body}{t_max}"
 
 
 # the line prefixes of one item in a menu file, and the field each introduces
@@ -168,7 +190,7 @@ def _canonical_menu(text: str) -> ContractMenu | None:
     t_max = _number(lines[-2][len("t_max: "):])
     if None in columns or t_max is None:
         return None
-    if len(indices) >= ARRAY_MIN_TYPES and indices == list(range(1, len(indices) + 1)):
+    if len(indices) >= model.ARRAY_MIN_TYPES and indices == list(range(1, len(indices) + 1)):
         items = _kernels().ItemColumns(np.array(sizes, dtype=float), np.array(rewards, dtype=float))
     else:
         items = dict(zip(indices, map(ContractItem, sizes, rewards)))
@@ -251,16 +273,10 @@ def _cmd_solve(args) -> int:
 
 def _type_lines(menu: ContractMenu, pop: Population) -> str:
     """One line per on-time type: index, cost, size and reward."""
-    rows = on_time_rows(pop, menu.t_max)
-    if rows is None:
-        part = participating_set(pop, menu.t_max)
-        items = [menu.item(t.index) for t in part]
-        columns = ([t.index for t in part], [t.marginal_cost for t in part],
-                   [it.vdd_size for it in items], [it.reward for it in items])
-    else:
-        sizes, rewards = _kernels().item_columns(menu, pop)
-        columns = ((rows + 1).tolist(), pop.cost[rows].tolist(), sizes[rows].tolist(),
-                   rewards[rows].tolist())
+    rows = np.flatnonzero(pop.delay <= menu.t_max)
+    sizes, rewards = _kernels().item_columns(menu, pop)
+    columns = ((rows + 1).tolist(), pop.cost[rows].tolist(), sizes[rows].tolist(),
+               rewards[rows].tolist())
     return "".join(map("  type %d: C = %.4g, S = %.6g bytes, R = %.6g\n".__mod__, zip(*columns)))
 
 

@@ -1,8 +1,7 @@
-"""Array kernels: the population build, solvers, audits, utilities and menu
-writer over numpy columns, for populations with at least
-``model.ARRAY_MIN_TYPES`` on-time types (menus with that many items).
-Below that the per-type loops in ``model``, ``solver`` and ``cli`` run;
-they are also the bitwise reference these kernels reproduce:
+"""Array kernels: the population build, solvers, audits and utilities over
+numpy columns, for populations with at least ``model.ARRAY_MIN_TYPES``
+on-time types.  Below that the per-type loops in ``model`` and ``solver``
+run; they are also the bitwise reference these kernels reproduce:
 
 * a sum a loop takes left to right is a sequential ``np.cumsum`` (never the
   pairwise ``np.sum``), started where the loop starts;
@@ -11,15 +10,14 @@ they are also the bitwise reference these kernels reproduce:
 * Python's ``min``/``max`` tie rules become explicit ``np.where`` choices,
   and the first of equal minima is the one kept.
 
-This module is imported on first use, so a process that only meets small
-populations (the learner, the fig7 sweeps) never loads it.
+This module is imported on first use, so the learner and the experiments
+over small populations never load it (``solve`` reads its per-type listing
+from ``item_columns`` at any size).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import re
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -193,11 +191,11 @@ def _envelope_scan(
     hull = [k for _, _, k in _hull(zip(sizes[order].tolist(), rewards[order].tolist(),
                                        order.tolist()))]
     hs, hr = sizes[hull], rewards[hull]
+    # sorted: ``_hull`` keeps each middle line only if its two break points
+    # compare ``<`` as products of the same rounded differences, and correctly
+    # rounded products and quotients keep that order (ties aside)
     breaks = (hr[:-1] - hr[1:]) / (hs[:-1] - hs[1:])
-    if (breaks[1:] >= breaks[:-1]).all():
-        at = np.searchsorted(breaks, cost, side="left")
-    else:  # bisection on an unsorted list: take its answers as they are
-        at = np.array([bisect.bisect_left(breaks.tolist(), c) for c in cost.tolist()], dtype=int)
+    at = np.searchsorted(breaks, cost, side="left")
 
     own = rewards - (cost * sizes + deploy_cost)
     # candidate hull positions h - 1, h, h + 1; off the hull or the type's own item: no slack
@@ -378,34 +376,3 @@ def solve_partial(pop: Population, params: GcsParams, t_max: float, cfg: SolverC
 
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
-
-# -- menu file --------------------------------------------------------------
-
-# in a list's repr: a float repr whose exponent has no dot, and nan or an infinity
-_DOTLESS_EXPONENT = re.compile(r"(?<![\d.])(-?\d+)e")
-_NON_FINITE = re.compile(r"(?<![\w.])(-?)(inf|nan)")
-
-
-def number_tokens(values: list) -> list[str]:
-    """``cli._yaml_number`` of each int or float, formatted at once: the
-    ``repr`` of the list, with ``.0`` put before an exponent that has no dot
-    and YAML's spelling of nan and the infinities, split."""
-    text = repr(values)[1:-1]
-    if "e" in text:
-        text = _DOTLESS_EXPONENT.sub(r"\1.0e", text)
-    if "n" in text:
-        text = _NON_FINITE.sub(r"\1.\2", text)
-    return text.split(", ")
-
-
-def menu_items_text(items: Mapping) -> str:
-    """The item lines of ``cli._menu_text``, in type order, one field's
-    column formatted at a time."""
-    if isinstance(items, ItemColumns):
-        columns = (items.rewards.tolist(), list(range(1, len(items) + 1)), items.sizes.tolist())
-    else:
-        pairs = sorted(items.items())
-        columns = ([it.reward for _, it in pairs], [k for k, _ in pairs],
-                   [it.vdd_size for _, it in pairs])
-    return "".join(map("- reward: %s\n  type: %s\n  vdd_size: %s\n".__mod__,
-                       zip(*map(number_tokens, columns))))

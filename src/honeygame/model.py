@@ -47,7 +47,7 @@ FEASIBILITY_TOL = 1e-9
 # On-time types from which the solvers, audits and utilities run as the
 # numpy kernels of ``kernels`` (and a population is built as columns); below
 # it the per-type loops here and in ``solver`` run.  Both give the same bits.
-# Set at the measured crossover of the two paths (README, "Performance").
+# Set above the measured crossover of the two paths (README, "Performance").
 ARRAY_MIN_TYPES = 64
 
 

@@ -615,7 +615,7 @@ class TestMenuCodec:
     @given(menu=raw_menus(min_size=model.ARRAY_MIN_TYPES))
     @settings(max_examples=25, deadline=None)
     def test_column_writer_matches_yaml_dump(self, menu):
-        # from ARRAY_MIN_TYPES items the writer formats each field's column at once
+        # menus as long as solved ones from ARRAY_MIN_TYPES types up
         assert _menu_text(menu) == yaml.dump(_menu_dict(menu), Dumper=YAML_DUMPER)
 
     @given(menu=raw_menus())
@@ -645,8 +645,8 @@ class TestMenuCodec:
     @given(data=st.data(), t_max=st.floats(min_value=1e-300, max_value=1e300))
     @settings(max_examples=30, deadline=None)
     def test_column_menus_write_and_read_as_yaml_does(self, data, t_max):
-        # from ARRAY_MIN_TYPES items the writer formats whole columns and the
-        # reader returns them as columns
+        # menus held as columns are written from them, and from ARRAY_MIN_TYPES
+        # items the reader returns columns
         n = data.draw(st.integers(model.ARRAY_MIN_TYPES, model.ARRAY_MIN_TYPES + 8))
         floats = st.lists(VALID_FLOATS, min_size=n, max_size=n)
         sizes, rewards = data.draw(floats), data.draw(floats)

@@ -1,8 +1,8 @@
 """The array kernels and the per-type loops give the same bits.
 
-From ``model.ARRAY_MIN_TYPES`` on-time types the solvers, the audits, the
-utilities and the menu writer run as numpy kernels over the population and
-menu columns; below it the loops run.  On populations just below and just
+From ``model.ARRAY_MIN_TYPES`` on-time types the solvers, the audits and
+the utilities run as numpy kernels over the population and menu columns;
+below it the loops run.  On populations just below and just
 above that constant, each path is forced in turn and every output is
 compared by ``repr`` (which tells -0.0 from 0.0 and every last bit).
 """
@@ -19,6 +19,7 @@ from honeygame import kernels, model, solver
 from honeygame.cli import _menu_text
 from honeygame.model import (
     ContractItem,
+    UavType,
     ContractMenu,
     GcsParams,
     canonical_population,
@@ -76,8 +77,8 @@ def cases(draw):
 
 
 def outputs(rows, params, cfg) -> list[str]:
-    """repr of the population ``rows`` make and of every solver, audit,
-    utility and writer output on it."""
+    """repr of the population ``rows`` make and of every solver, audit and
+    utility output on it, and the text of each menu."""
     pop = canonical_population(rows)
     menus = [solver.solve_complete(pop, params, T_MAX, cfg),
              solver.solve_partial(pop, params, T_MAX, cfg)]
@@ -108,6 +109,46 @@ def test_array_kernels_match_the_loops(case):
         assert "types" not in vars(canonical_population(rows))
         arrays = outputs(rows, params, cfg)
     assert arrays == loops
+
+
+@st.composite
+def near_collinear_items(draw):
+    """Items on one to three lines R = scale (a + c u), S = scale u, each
+    reward moved by a few ulps, so that envelope break points tie or all but
+    tie; the scales reach products that underflow and that overflow."""
+    n = draw(st.integers(3, 30))
+    scale = draw(st.sampled_from([1e-300, 1e-170, 1e-5, 1.0, 300.0, 1e150, 1e170]))
+    lines = draw(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 5.0)),
+                          min_size=1, max_size=3))
+    units = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    nudges = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    items = []
+    for k, (u, nudge) in enumerate(zip(units, nudges)):
+        a, c = lines[k % len(lines)]
+        reward = scale * (a + c * u)
+        items.append(ContractItem(scale * u, max(0.0, reward + nudge * math.ulp(reward))))
+    return items
+
+
+@given(items=near_collinear_items(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_envelope_break_points_are_sorted(items, data):
+    # the envelope keeps a middle line only if its two break points compare
+    # ``<`` as cross products, so the break points come out sorted and the
+    # kernel's np.searchsorted finds what the loop's bisect finds
+    hull = model._upper_envelope(items)
+    breaks = [(ra - rb) / (sa - sb) for (sa, ra, _), (sb, rb, _) in zip(hull, hull[1:])]
+    assert breaks == sorted(breaks)
+    near = [0.0, 1.0] + [b for x in breaks if x >= 0.0
+                         for b in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    costs = data.draw(st.lists(st.sampled_from([c for c in near if math.isfinite(c)]),
+                               min_size=len(items), max_size=len(items)))
+    on_time = [UavType(k, c, 1.0) for k, c in enumerate(costs, start=1)]
+    sizes, rewards = (np.array([getattr(it, f) for it in items]) for f in ("vdd_size", "reward"))
+    loop = model._incentive_scan(on_time, items, 1.0, model.FEASIBILITY_TOL)
+    array = kernels._envelope_scan(np.array(costs), sizes, rewards, np.arange(1, len(items) + 1),
+                                   1.0, model.FEASIBILITY_TOL)
+    assert repr(array) == repr(loop)
 
 
 def test_breakpoints_sorted_once_per_solve(monkeypatch):
