@@ -11,7 +11,10 @@ Subcommands:
 Menu files (``solve --out``) are written directly as the text ``yaml.dump``
 gives for ``{items: [{reward, type, vdd_size}, ...], t_max}``.  ``validate``
 reads a file in exactly that form column by column and parses any other
-file as YAML, with the same field checks.
+file as YAML, with the same field checks: ``type`` is an integer, the other
+fields are numbers.  Each item goes to the row of its type among the
+scenario's J types; an index outside 1..J, or one given twice, exits 2, and
+a type the file leaves out gets the zero item.
 
 Exit code 0 on success; nonzero with a diagnostic on any invariant
 violation.
@@ -27,18 +30,14 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 import yaml
 
-from . import model
 from .experiments import EXPERIMENTS, AuditError, run_experiment
 from .model import (
-    ContractItem,
     ContractMenu,
     Population,
-    _kernels,
     check_feasibility,
     check_reward_fairness,
     defensive_effectiveness,
@@ -49,6 +48,8 @@ from .model import (
 from .scenario import (
     YAML_LOADER,
     Scenario,
+    _is_integer,
+    _is_number,
     dump_scenario,
     generate_population,
     load_scenario,
@@ -84,42 +85,31 @@ def _yaml_number(x: float) -> str:
     return text
 
 
-# in a list's repr: a float repr whose exponent has no dot, and nan or an infinity
+# in a list's repr: a float repr whose exponent has no dot
 _DOTLESS_EXPONENT = re.compile(r"(?<![\d.])(-?\d+)e")
-_NON_FINITE = re.compile(r"(?<![\w.])(-?)(inf|nan)")
 
 
 def _number_tokens(values: list) -> list[str]:
-    """``_yaml_number`` of each int or float, formatted at once: the ``repr``
-    of the list, with ``.0`` put before an exponent that has no dot and
-    YAML's spelling of nan and the infinities, split."""
+    """``_yaml_number`` of each int or finite float, formatted at once: the
+    ``repr`` of the list, with ``.0`` put before an exponent that has no
+    dot, split."""
     text = repr(values)[1:-1]
     if "e" in text:
         text = _DOTLESS_EXPONENT.sub(r"\1.0e", text)
-    if "n" in text:
-        text = _NON_FINITE.sub(r"\1.\2", text)
     return text.split(", ")
-
-
-def _item_columns(items: Mapping) -> tuple[list, list, list]:
-    """The rewards, type indices and sizes of a menu's items in type order."""
-    if isinstance(items, dict):
-        pairs = sorted(items.items())
-        return ([it.reward for _, it in pairs], [k for k, _ in pairs],
-                [it.vdd_size for _, it in pairs])
-    # ``kernels.ItemColumns``: row n holds type n + 1
-    return items.rewards.tolist(), list(range(1, len(items) + 1)), items.sizes.tolist()
 
 
 def _menu_text(menu: ContractMenu) -> str:
     """The menu file: the bytes ``yaml.dump`` writes for ``{items: [{reward,
-    type, vdd_size}, ...], t_max}`` with the items in type order, each
-    field's column formatted at once."""
+    type, vdd_size}, ...], t_max}`` with one item per type in type order,
+    each field's column formatted at once."""
     t_max = f"t_max: {_yaml_number(menu.t_max)}\n"
-    if not menu.items:
+    n = len(menu.sizes)
+    if not n:
         return "items: []\n" + t_max
+    columns = (menu.rewards.tolist(), list(range(1, n + 1)), menu.sizes.tolist())
     body = "".join(map("- reward: %s\n  type: %s\n  vdd_size: %s\n".__mod__,
-                       zip(*map(_number_tokens, _item_columns(menu.items)))))
+                       zip(*map(_number_tokens, columns))))
     return f"items:\n{body}{t_max}"
 
 
@@ -174,10 +164,11 @@ def _column(lines: list[str], prefix: str, integer: bool) -> list | None:
     return values if list(map(str, values)) == tokens else None
 
 
-def _canonical_menu(text: str) -> ContractMenu | None:
-    """Read a menu file written exactly as ``_menu_text`` writes one, without
-    a YAML parser.  Any other text (comments, flow style, other key orders
-    or spellings such as ``010`` or ``1e5``) gives None."""
+def _canonical_menu(text: str, path: str, n: int) -> ContractMenu | None:
+    """Read a menu file of ``n`` types written exactly as ``_menu_text``
+    writes one, without a YAML parser.  Any other text (comments, flow
+    style, other key orders or spellings such as ``010`` or ``1e5``) gives
+    None."""
     lines = text.split("\n")
     body = lines[1:-2]
     if (len(lines) < 3 or lines[-1] or len(body) % 3
@@ -190,47 +181,72 @@ def _canonical_menu(text: str) -> ContractMenu | None:
     t_max = _number(lines[-2][len("t_max: "):])
     if None in columns or t_max is None:
         return None
-    if len(indices) >= model.ARRAY_MIN_TYPES and indices == list(range(1, len(indices) + 1)):
-        items = _kernels().ItemColumns(np.array(sizes, dtype=float), np.array(rewards, dtype=float))
-    else:
-        items = dict(zip(indices, map(ContractItem, sizes, rewards)))
-    return ContractMenu(t_max=t_max, items=items)
+    return _menu_in_rows(path, n, t_max, indices, sizes, rewards)
 
 
-def _menu_from_file(path: str) -> ContractMenu:
+def _menu_from_file(path: str, n: int) -> ContractMenu:
+    """The menu file at ``path``, read for a scenario of ``n`` types."""
     text = Path(path).read_text()
-    menu = _canonical_menu(text)
-    return menu if menu is not None else _menu_from_yaml(text, path)
+    menu = _canonical_menu(text, path, n)
+    return menu if menu is not None else _menu_from_yaml(text, path, n)
 
 
-def _menu_from_yaml(text: str, path: str) -> ContractMenu:
+def _menu_from_yaml(text: str, path: str, n: int) -> ContractMenu:
     data = yaml.load(text, Loader=YAML_LOADER)
     if not isinstance(data, dict):
         raise ValueError(f"menu file {path} must be a mapping")
     entries = _menu_field(data, "items", path)
     if not isinstance(entries, list):
         raise ValueError(f"menu file {path}: items must be a list")
-    items = {}
-    for n, entry in enumerate(entries):
-        where = f"{path}: items[{n}]"
+    indices, sizes, rewards = [], [], []
+    for at, entry in enumerate(entries):
+        where = f"{path}: items[{at}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be a mapping")
-        index = _menu_field(entry, "type", where, int)
-        items[index] = ContractItem(
-            _menu_field(entry, "vdd_size", where, float), _menu_field(entry, "reward", where, float)
-        )
-    return ContractMenu(t_max=_menu_field(data, "t_max", path, float), items=items)
+        indices.append(_menu_number(entry, "type", where, integer=True))
+        sizes.append(_menu_number(entry, "vdd_size", where))
+        rewards.append(_menu_number(entry, "reward", where))
+    t_max = _menu_number(data, "t_max", path)
+    return _menu_in_rows(path, n, t_max, indices, sizes, rewards)
 
 
-def _menu_field(data: dict, key: str, where: str, kind=None):
+def _menu_field(data: dict, key: str, where: str):
     if key not in data:
         raise ValueError(f"{where}: missing field {key!r}")
-    if kind is None:
-        return data[key]
+    return data[key]
+
+
+def _menu_number(data: dict, key: str, where: str, integer: bool = False):
+    """Field ``key`` of ``data`` by the scenario loader's rules: an int (not
+    a bool) if ``integer``, else a real number (not a bool or a string),
+    returned as a float."""
+    value = _menu_field(data, key, where)
     try:
-        return kind(data[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: field {key!r} must be a number, got {data[key]!r}") from None
+        if _is_integer(value) if integer else _is_number(value):
+            return value if integer else float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ValueError(f"{where}: field {key!r} must be {'an integer' if integer else 'a number'}, "
+                     f"got {value!r}")
+
+
+def _menu_in_rows(path: str, n: int, t_max: float, indices: list[int], sizes: list,
+                  rewards: list) -> ContractMenu:
+    """The menu of ``n`` types whose item j (in file order) has type index
+    ``indices[j]``: each item goes to its type's row, and a row no item
+    names gets the zero item."""
+    if indices != list(range(1, n + 1)):
+        first: dict[int, int] = {}
+        for at, k in enumerate(indices):
+            if not 1 <= k <= n:
+                raise ValueError(f"{path}: items[{at}]: type {k} is outside 1..{n}")
+            if first.setdefault(k, at) != at:
+                raise ValueError(f"{path}: items[{at}]: type {k} repeats items[{first[k]}]")
+        # ``ContractMenu.placed`` takes its rows in increasing order
+        order = sorted(range(len(indices)), key=indices.__getitem__)
+        indices, sizes, rewards = ([column[at] for at in order]
+                                   for column in (indices, sizes, rewards))
+    return ContractMenu.placed(n, t_max, [k - 1 for k in indices], sizes, rewards)
 
 
 def _cmd_solve(args) -> int:
@@ -274,9 +290,8 @@ def _cmd_solve(args) -> int:
 def _type_lines(menu: ContractMenu, pop: Population) -> str:
     """One line per on-time type: index, cost, size and reward."""
     rows = np.flatnonzero(pop.delay <= menu.t_max)
-    sizes, rewards = _kernels().item_columns(menu, pop)
-    columns = ((rows + 1).tolist(), pop.cost[rows].tolist(), sizes[rows].tolist(),
-               rewards[rows].tolist())
+    columns = ((rows + 1).tolist(), pop.cost[rows].tolist(), menu.sizes[rows].tolist(),
+               menu.rewards[rows].tolist())
     return "".join(map("  type %d: C = %.4g, S = %.6g bytes, R = %.6g\n".__mod__, zip(*columns)))
 
 
@@ -350,7 +365,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_validate(args) -> int:
     sc = _load(args)
     pop = generate_population(sc)
-    menu = _menu_from_file(args.menu)
+    menu = _menu_from_file(args.menu, len(pop))
     report = check_feasibility(menu, pop, sc.gcs)
     reward_fair = check_reward_fairness(menu, pop)
     print(f"IR ok        : {report.ir_ok}")

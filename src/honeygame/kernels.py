@@ -10,65 +10,26 @@ run; they are also the bitwise reference these kernels reproduce:
 * Python's ``min``/``max`` tie rules become explicit ``np.where`` choices,
   and the first of equal minima is the one kept.
 
-This module is imported on first use, so the learner and the experiments
-over small populations never load it (``solve`` reads its per-type listing
-from ``item_columns`` at any size).
+This module is imported on first use, so runs over small populations
+never load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .model import (
-    ContractItem,
     ContractMenu,
     FeasibilityReport,
     GcsParams,
     Population,
     _hull,
+    uav_payoff,
 )
 from .solver import BUDGET_EXACT, _MONO_TOL, SolverConfig, _fit_budget, iron
-
-
-class ItemColumns(Mapping):
-    """Menu items held as a size and a reward column: type index k is row
-    k - 1.  Reading an item builds its ``ContractItem``; the kernels read
-    the columns."""
-
-    def __init__(self, sizes: np.ndarray, rewards: np.ndarray) -> None:
-        if not all(np.isfinite(c).all() and not (c < 0).any() for c in (sizes, rewards)):
-            for s, r in zip(sizes.tolist(), rewards.tolist()):
-                ContractItem(s, r)  # raises the error of the first bad row
-        self.sizes = sizes
-        self.rewards = rewards
-
-    def __getitem__(self, index: int) -> ContractItem:
-        if not 1 <= index <= len(self.sizes):
-            raise KeyError(index)
-        return ContractItem(float(self.sizes[index - 1]), float(self.rewards[index - 1]))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(1, len(self.sizes) + 1))
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
-def item_columns(menu: ContractMenu, pop: Population) -> tuple[np.ndarray, np.ndarray]:
-    """The menu's sizes and rewards as columns aligned to ``pop.types``; a
-    type the menu leaves out gets the zero item."""
-    items, n = menu.items, len(pop)
-    if isinstance(items, ItemColumns) and len(items) == n:
-        return items.sizes, items.rewards
-    rows = [menu.item(k) for k in range(1, n + 1)]
-    return (np.array([it.vdd_size for it in rows], dtype=float),
-            np.array([it.reward for it in rows], dtype=float))
 
 
 def _running_total(start: float, terms: np.ndarray) -> float:
@@ -104,7 +65,7 @@ def population(rows: list[tuple[float, float, int]]) -> Population | None:
 # -- utilities --------------------------------------------------------------
 
 def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams, rows: np.ndarray) -> float:
-    sizes, rewards = (c[rows] for c in item_columns(menu, pop))
+    sizes, rewards = menu.sizes[rows], menu.rewards[rows]
     count = pop.count[rows]
     log = np.array(list(map(math.log1p, sizes.tolist())))
     terms = params.satisfaction * (count / pop.delay[rows]) * log - count * rewards
@@ -114,13 +75,12 @@ def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams, rows: np
 def uav_total(menu: ContractMenu, pop: Population, params: GcsParams, rows: np.ndarray,
               start: float) -> float:
     """``start`` plus count x utility of each on-time type."""
-    sizes, rewards = (c[rows] for c in item_columns(menu, pop))
-    payoff = rewards - (pop.cost[rows] * sizes + params.deploy_cost)
+    payoff = uav_payoff(pop.cost[rows], menu.sizes[rows], menu.rewards[rows], params.deploy_cost)
     return _running_total(start, pop.count[rows] * payoff)
 
 
 def total_payment(menu: ContractMenu, pop: Population, rows: np.ndarray) -> float:
-    return _paid(pop.count[rows], item_columns(menu, pop)[1][rows])
+    return _paid(pop.count[rows], menu.rewards[rows])
 
 
 def _paid(counts: np.ndarray, rewards: np.ndarray) -> float:
@@ -129,7 +89,7 @@ def _paid(counts: np.ndarray, rewards: np.ndarray) -> float:
 
 def delivered(menu: ContractMenu, pop: Population, rows: np.ndarray) -> float:
     """The on-time sizes summed as the built-in ``sum`` sums them."""
-    return _running_total(0.0, item_columns(menu, pop)[0][rows])
+    return _running_total(0.0, menu.sizes[rows])
 
 
 # -- audits -----------------------------------------------------------------
@@ -142,8 +102,7 @@ def check_feasibility(
     rows: np.ndarray,
 ) -> FeasibilityReport:
     """``model.check_feasibility`` over the columns, for the on-time ``rows``."""
-    all_sizes, all_rewards = item_columns(menu, pop)
-    cost, sizes, rewards = pop.cost[rows], all_sizes[rows], all_rewards[rows]
+    cost, sizes, rewards = pop.cost[rows], menu.sizes[rows], menu.rewards[rows]
     ir_ok, ic_ok, worst, worst_pair = _envelope_scan(
         cost, sizes, rewards, rows + 1, params.deploy_cost, tol
     )
@@ -153,12 +112,12 @@ def check_feasibility(
     # on-time type, then the adjacent monotonicity and cost-sandwich slacks
     late = np.ones(len(pop), dtype=bool)
     late[rows] = False
-    late_sizes, late_rewards = all_sizes[late], all_rewards[late]
+    late_sizes, late_rewards = menu.sizes[late], menu.rewards[late]
     paid_late = (late_sizes != 0.0) | (late_rewards != 0.0)
     ds, dr = np.diff(sizes), np.diff(rewards)
     slacks = np.concatenate((
         -np.where(late_sizes >= late_rewards, late_sizes, late_rewards)[paid_late],
-        rewards[:1] - (cost[:1] * sizes[:1] + params.deploy_cost),
+        uav_payoff(cost[:1], sizes[:1], rewards[:1], params.deploy_cost),
         ds, dr, dr - cost[1:] * ds, cost[:-1] * ds - dr,
     ))
     monotone_ok = not paid_late.any() and not (slacks < -tol).any()
@@ -197,12 +156,12 @@ def _envelope_scan(
     breaks = (hr[:-1] - hr[1:]) / (hs[:-1] - hs[1:])
     at = np.searchsorted(breaks, cost, side="left")
 
-    own = rewards - (cost * sizes + deploy_cost)
+    own = uav_payoff(cost, sizes, rewards, deploy_cost)
     # candidate hull positions h - 1, h, h + 1; off the hull or the type's own item: no slack
     pos = at[:, None] + np.arange(-1, 2)
     k = np.asarray(hull)[np.clip(pos, 0, len(hull) - 1)]
     valid = (pos >= 0) & (pos < len(hull)) & (k != np.arange(n)[:, None])
-    other = rewards[k] - (cost[:, None] * sizes[k] + deploy_cost)
+    other = uav_payoff(cost[:, None], sizes[k], rewards[k], deploy_cost)
     slack = np.where(valid, own[:, None] - other, np.inf)
     table = np.concatenate((own[:, None], np.where(np.isnan(slack), np.inf, slack)), axis=1)
 
@@ -215,7 +174,7 @@ def _envelope_scan(
 def reward_fair(menu: ContractMenu, pop: Population, t_max: float, tol: float) -> bool:
     """``model.check_reward_fairness`` over the columns: a stable sort by
     size, a running maximum of rewards and one binary search per item."""
-    sizes, rewards = item_columns(menu, pop)
+    sizes, rewards = menu.sizes, menu.rewards
     if ((pop.delay > t_max) & (rewards > tol)).any():
         return False
     order = np.argsort(sizes, kind="stable")
@@ -334,15 +293,6 @@ def _rewards(sizes: np.ndarray, cost: np.ndarray, deploy_cost: float) -> np.ndar
                                      cost[1:] * np.diff(sizes))))
 
 
-def _menu(pop: Population, t_max: float, rows: np.ndarray, sizes: np.ndarray,
-          rewards: np.ndarray) -> ContractMenu:
-    """The menu giving the on-time ``rows`` these sizes and rewards, and
-    every other type the zero item."""
-    columns = np.zeros((2, len(pop)))
-    columns[0, rows], columns[1, rows] = sizes, rewards
-    return ContractMenu(t_max=t_max, items=ItemColumns(columns[0], columns[1]))
-
-
 def solve_complete(pop: Population, params: GcsParams, t_max: float, cfg: SolverConfig,
                    rows: np.ndarray) -> ContractMenu:
     cost, count = pop.cost[rows], pop.count[rows]
@@ -354,7 +304,7 @@ def solve_complete(pop: Population, params: GcsParams, t_max: float, cfg: Solver
 
     def menu_at(budget: float) -> ContractMenu:
         _, sizes = level(budget)
-        return _menu(pop, t_max, rows, sizes, cost * sizes + params.deploy_cost)
+        return ContractMenu.placed(len(pop), t_max, rows, sizes, cost * sizes + params.deploy_cost)
 
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
@@ -372,7 +322,8 @@ def solve_partial(pop: Population, params: GcsParams, t_max: float, cfg: SolverC
 
     def menu_at(budget: float) -> ContractMenu:
         sizes = np.repeat(level(budget)[1], lengths)
-        return _menu(pop, t_max, rows, sizes, _rewards(sizes, cost, params.deploy_cost))
+        return ContractMenu.placed(len(pop), t_max, rows, sizes,
+                                   _rewards(sizes, cost, params.deploy_cost))
 
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 

@@ -224,7 +224,8 @@ def _payoffs(types: list[UavType], params: GcsParams, gcs: LearnerState,
     rewards, sizes = gcs.grid.values.tolist(), uav.grid.values.tolist()
     n = len(types) * len(rewards) * len(sizes)
     g = (gcs_term(t, s, r, params) for t in types for r in rewards for s in sizes)
-    u = (uav_payoff(t, s, r, params.deploy_cost) for t in types for r in rewards for s in sizes)
+    u = (uav_payoff(t.marginal_cost, s, r, params.deploy_cost)
+         for t in types for r in rewards for s in sizes)
     return np.fromiter(g, float, n), np.fromiter(u, float, n)
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -197,26 +198,66 @@ class ContractItem:
             raise ValueError(f"reward must be finite and >= 0, got {self.reward}")
 
 
-ZERO_ITEM = ContractItem(0.0, 0.0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ContractMenu:
-    """The GCS offer: a delivery deadline and one item per type index."""
+    """The GCS offer: a delivery deadline and one (VDD size, reward) item per
+    population type, held as two float64 columns in which row k - 1 holds
+    type k.  The columns are checked once, here: equal lengths, every value
+    finite and >= 0."""
 
     t_max: float
-    items: Mapping[int, ContractItem]
+    sizes: np.ndarray
+    rewards: np.ndarray
 
     def __post_init__(self) -> None:
+        if len(self.sizes) != len(self.rewards):
+            raise ValueError(f"sizes and rewards must be columns of one length, "
+                             f"got {len(self.sizes)} and {len(self.rewards)}")
+        columns = np.array((self.sizes, self.rewards), dtype=float)
+        if columns.ndim != 2:
+            raise ValueError(f"sizes and rewards must be columns, got shape {columns.shape[1:]}")
+        # a nan fails both comparisons
+        if columns.size and not (np.minimum.reduce(columns, axis=None) >= 0.0
+                                 and np.maximum.reduce(columns, axis=None) < math.inf):
+            for s, r in zip(*columns.tolist()):
+                ContractItem(s, r)  # raises the error of the first bad row
         if not math.isfinite(self.t_max) or self.t_max <= 0:
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
+        object.__setattr__(self, "sizes", columns[0])
+        object.__setattr__(self, "rewards", columns[1])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ContractMenu):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        t_max, sizes, rewards = self._values()
+        return f"ContractMenu(t_max={t_max!r}, sizes={sizes!r}, rewards={rewards!r})"
+
+    def _values(self) -> tuple[float, list[float], list[float]]:
+        return self.t_max, self.sizes.tolist(), self.rewards.tolist()
 
     def item(self, index: int) -> ContractItem:
-        return self.items.get(index, ZERO_ITEM)
+        """Type ``index``'s item, for 1 <= index <= J."""
+        if not 1 <= index <= len(self.sizes):
+            raise IndexError(f"type index {index} is outside 1..{len(self.sizes)}")
+        return ContractItem(self.sizes[index - 1].item(), self.rewards[index - 1].item())
 
     @staticmethod
-    def zero(pop: Population, t_max: float) -> "ContractMenu":
-        return ContractMenu(t_max=t_max, items=dict.fromkeys(range(1, len(pop) + 1), ZERO_ITEM))
+    def zero(pop: Population, t_max: float) -> ContractMenu:
+        return ContractMenu(t_max, np.zeros(len(pop)), np.zeros(len(pop)))
+
+    @staticmethod
+    def placed(n: int, t_max: float, rows, sizes, rewards) -> ContractMenu:
+        """The menu of ``n`` types that gives each of the rows ``rows`` (in
+        increasing order) its size and reward, and every other row the zero
+        item."""
+        if len(rows) == n:  # every row, so rows[k] == k
+            return ContractMenu(t_max, sizes, rewards)
+        columns = np.zeros((2, n))
+        columns[:, rows] = sizes, rewards
+        return ContractMenu(t_max, *columns)
 
 
 @dataclass(frozen=True)
@@ -284,9 +325,10 @@ def participating_set(pop: Population, t_max: float) -> list[UavType]:
     return [t for t in pop.types if t.delay <= t_max]
 
 
-def uav_payoff(t: UavType, size: float, reward: float, deploy_cost: float) -> float:
-    """What a type-t UAV earns from delivering ``size`` bytes for ``reward``."""
-    return reward - (t.marginal_cost * size + deploy_cost)
+def uav_payoff(cost, size, reward, deploy_cost: float):
+    """What a UAV of marginal cost ``cost`` earns from delivering ``size``
+    bytes for ``reward``; element-wise on arrays."""
+    return reward - (cost * size + deploy_cost)
 
 
 def gcs_term(t: UavType, size: float, reward: float, params: GcsParams) -> float:
@@ -299,7 +341,7 @@ def uav_utility(t: UavType, item: ContractItem, t_max: float, params: GcsParams)
     """Reward minus cost; a UAV that misses the deadline forfeits the reward
     but still bears its VDD and deployment costs."""
     reward = item.reward if t.delay <= t_max else 0.0
-    return uav_payoff(t, item.vdd_size, reward, params.deploy_cost)
+    return uav_payoff(t.marginal_cost, item.vdd_size, reward, params.deploy_cost)
 
 
 def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
@@ -308,10 +350,10 @@ def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float
     rows = on_time_rows(pop, menu.t_max)
     if rows is not None:
         return _kernels().gcs_utility(menu, pop, params, rows)
+    sizes, rewards = menu.sizes.tolist(), menu.rewards.tolist()
     total = 0.0
     for t in participating_set(pop, menu.t_max):
-        item = menu.item(t.index)
-        total += gcs_term(t, item.vdd_size, item.reward, params)
+        total += gcs_term(t, sizes[t.index - 1], rewards[t.index - 1], params)
     return total
 
 
@@ -321,8 +363,10 @@ def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> fl
     rows = on_time_rows(pop, menu.t_max)
     if rows is not None:
         return _kernels().uav_total(menu, pop, params, rows, total)
+    sizes, rewards = menu.sizes.tolist(), menu.rewards.tolist()
     for t in participating_set(pop, menu.t_max):
-        total += t.count * uav_utility(t, menu.item(t.index), menu.t_max, params)
+        k = t.index - 1
+        total += t.count * uav_payoff(t.marginal_cost, sizes[k], rewards[k], params.deploy_cost)
     return total
 
 
@@ -331,8 +375,8 @@ def total_payment(menu: ContractMenu, pop: Population) -> float:
     rows = on_time_rows(pop, menu.t_max)
     if rows is not None:
         return _kernels().total_payment(menu, pop, rows)
-    on_time = participating_set(pop, menu.t_max)
-    return math.fsum(t.count * menu.item(t.index).reward for t in on_time)
+    rewards = menu.rewards.tolist()
+    return math.fsum(t.count * rewards[t.index - 1] for t in participating_set(pop, menu.t_max))
 
 
 def check_feasibility(
@@ -351,11 +395,16 @@ def check_feasibility(
     if rows is not None:
         return _kernels().check_feasibility(menu, pop, params, tol, rows)
     on_time = participating_set(pop, menu.t_max)
-    items = [menu.item(t.index) for t in on_time]
-    ir_ok, ic_ok, worst, worst_pair = _incentive_scan(on_time, items, params.deploy_cost, tol)
+    all_sizes, all_rewards = menu.sizes.tolist(), menu.rewards.tolist()
+    sizes = [all_sizes[t.index - 1] for t in on_time]
+    rewards = [all_rewards[t.index - 1] for t in on_time]
+    ir_ok, ic_ok, worst, worst_pair = _incentive_scan(
+        on_time, sizes, rewards, params.deploy_cost, tol
+    )
 
-    budget_slack = params.budget - math.fsum(t.count * it.reward for t, it in zip(on_time, items))
-    monotone_ok, mono_worst = _compact_conditions(on_time, items, menu, pop, params, tol)
+    budget_slack = params.budget - math.fsum(t.count * r for t, r in zip(on_time, rewards))
+    late = [(s, r) for t, s, r in zip(pop.types, all_sizes, all_rewards) if t.delay > menu.t_max]
+    monotone_ok, mono_worst = _compact_conditions(on_time, sizes, rewards, late, params, tol)
 
     return FeasibilityReport(
         ir_ok=ir_ok,
@@ -369,7 +418,8 @@ def check_feasibility(
 
 def _incentive_scan(
     on_time: list[UavType],
-    items: list[ContractItem],
+    sizes: list[float],
+    rewards: list[float],
     deploy_cost: float,
     tol: float,
 ) -> tuple[bool, bool, float, tuple[int, int] | None]:
@@ -387,12 +437,12 @@ def _incentive_scan(
     computed here.)
     Returns (IR ok, IC ok, smallest IR/IC slack, its population (j, k)).
     """
-    hull = _upper_envelope(items)
+    hull = _upper_envelope(sizes, rewards)
     breaks = [(ra - rb) / (sa - sb) for (sa, ra, _), (sb, rb, _) in zip(hull, hull[1:])]
     ir_ok = ic_ok = True
     worst, worst_pair = math.inf, None
-    for pos, (t, it) in enumerate(zip(on_time, items)):
-        own = uav_payoff(t, it.vdd_size, it.reward, deploy_cost)
+    for pos, (t, s, r) in enumerate(zip(on_time, sizes, rewards)):
+        own = uav_payoff(t.marginal_cost, s, r, deploy_cost)
         ir_ok = ir_ok and own >= -tol
         if own < worst:
             worst, worst_pair = own, (t.index, t.index)
@@ -400,20 +450,20 @@ def _incentive_scan(
         for _, _, k in hull[max(h - 1, 0):h + 2]:
             if k == pos:
                 continue
-            slack = own - uav_payoff(t, items[k].vdd_size, items[k].reward, deploy_cost)
+            slack = own - uav_payoff(t.marginal_cost, sizes[k], rewards[k], deploy_cost)
             ic_ok = ic_ok and slack >= -tol
             if slack < worst:
                 worst, worst_pair = slack, (t.index, on_time[k].index)
     return bool(ir_ok), bool(ic_ok), worst, worst_pair
 
 
-def _upper_envelope(items: list[ContractItem]) -> list[tuple[float, float, int]]:
+def _upper_envelope(sizes: list[float], rewards: list[float]) -> list[tuple[float, float, int]]:
     """The lines x -> R_k - x S_k that attain max_k (R_k - x S_k) somewhere,
     as (S, R, position) in order of increasing x.  Equal sizes keep the
     larger reward; an exact copy of a kept item ties it, so its owner's
     slack against the kept one is 0 and nothing is lost by dropping it."""
-    order = sorted(range(len(items)), key=lambda k: (-items[k].vdd_size, -items[k].reward, k))
-    return _hull([(items[k].vdd_size, items[k].reward, k) for k in order])
+    order = sorted(range(len(sizes)), key=lambda k: (-sizes[k], -rewards[k], k))
+    return _hull([(sizes[k], rewards[k], k) for k in order])
 
 
 def _hull(lines: Iterable[tuple[float, float, int]]) -> list[tuple[float, float, int]]:
@@ -436,34 +486,33 @@ def _hull(lines: Iterable[tuple[float, float, int]]) -> list[tuple[float, float,
 
 def _compact_conditions(
     on_time: list[UavType],
-    items: list[ContractItem],
-    menu: ContractMenu,
-    pop: Population,
+    sizes: list[float],
+    rewards: list[float],
+    late: list[tuple[float, float]],
     params: GcsParams,
     tol: float,
 ) -> tuple[bool, float]:
     """The if-and-only-if feasibility characterization: zero items for
-    non-participants, joint monotonicity of sizes and rewards, IR binding at
-    the costliest participating type, and the adjacent cost sandwich
+    non-participants (``late`` holds their (size, reward) pairs), joint
+    monotonicity of sizes and rewards, IR binding at the costliest
+    participating type, and the adjacent cost sandwich
     C_j (S_j - S_{j-1}) <= R_j - R_{j-1} <= C_{j-1} (S_j - S_{j-1})."""
     worst = 0.0
     ok = True
-    for t in pop.types:
-        if t.delay > menu.t_max:
-            it = menu.item(t.index)
-            if it.vdd_size != 0.0 or it.reward != 0.0:
-                ok = False
-                worst = min(worst, -max(it.vdd_size, it.reward))
+    for s, r in late:
+        if s != 0.0 or r != 0.0:
+            ok = False
+            worst = min(worst, -max(s, r))
     if not on_time:
         return ok, worst
 
-    first = uav_utility(on_time[0], items[0], menu.t_max, params)
+    first = uav_payoff(on_time[0].marginal_cost, sizes[0], rewards[0], params.deploy_cost)
     worst = min(worst, first)
     if first < -tol:
         ok = False
     for j in range(1, len(on_time)):
-        ds = items[j].vdd_size - items[j - 1].vdd_size
-        dr = items[j].reward - items[j - 1].reward
+        ds = sizes[j] - sizes[j - 1]
+        dr = rewards[j] - rewards[j - 1]
         lo = on_time[j].marginal_cost * ds
         hi = on_time[j - 1].marginal_cost * ds
         for slack in (ds, dr, dr - lo, hi - dr):
@@ -495,21 +544,21 @@ def check_reward_fairness(menu: ContractMenu, pop: Population, tol: float = FEAS
     cannot deliver on time are paid nothing."""
     if on_time_rows(pop, menu.t_max) is not None:
         return _kernels().reward_fair(menu, pop, menu.t_max, tol)
-    items = [menu.item(t.index) for t in pop.types]
-    if any(t.delay > menu.t_max and it.reward > tol for t, it in zip(pop.types, items)):
+    rewards = menu.rewards.tolist()
+    if any(t.delay > menu.t_max and r > tol for t, r in zip(pop.types, rewards)):
         return False
-    return _reward_ordered(items, tol)
+    return _reward_ordered(menu.sizes.tolist(), rewards, tol)
 
 
-def _reward_ordered(items: list[ContractItem], tol: float) -> bool:
+def _reward_ordered(sizes: list[float], rewards: list[float], tol: float) -> bool:
     """No item a with S_a < S_b - tol and R_a > R_b + tol, for any b: a sort
     by size, a prefix maximum of rewards, and one bisection per item."""
-    items = sorted(items, key=lambda it: it.vdd_size)
-    sizes = [it.vdd_size for it in items]
-    best = list(itertools.accumulate((it.reward for it in items), max))
-    for b in items:
-        n = bisect.bisect_left(sizes, b.vdd_size - tol)
-        if n and best[n - 1] > b.reward + tol:
+    items = sorted(zip(sizes, rewards), key=operator.itemgetter(0))
+    ordered = [s for s, _ in items]
+    best = list(itertools.accumulate((r for _, r in items), max))
+    for s, r in items:
+        n = bisect.bisect_left(ordered, s - tol)
+        if n and best[n - 1] > r + tol:
             return False
     return True
 
@@ -520,5 +569,6 @@ def defensive_effectiveness(menu: ContractMenu, pop: Population, params: GcsPara
     if rows is not None:
         contributed = _kernels().delivered(menu, pop, rows)
     else:
-        contributed = sum(menu.item(t.index).vdd_size for t in participating_set(pop, menu.t_max))
+        sizes = menu.sizes.tolist()
+        contributed = sum(sizes[t.index - 1] for t in participating_set(pop, menu.t_max))
     return contributed / params.vdd_requirement

@@ -17,11 +17,9 @@ import numpy as np
 
 from .model import (
     FEASIBILITY_TOL,
-    ContractItem,
     ContractMenu,
     GcsParams,
     Population,
-    ZERO_ITEM,
     gcs_utility,
     participating_set,
 )
@@ -54,13 +52,6 @@ class GridSpec:
     @property
     def points(self) -> np.ndarray:
         return np.arange(round(self.s_max / self.s_step) + 1) * self.s_step
-
-
-def _menu(pop: Population, t_max: float, part, sizes, rewards) -> ContractMenu:
-    items = {t.index: ZERO_ITEM for t in pop.types}
-    for t, s, r in zip(part, sizes, rewards):
-        items[t.index] = ContractItem(float(s), float(r))
-    return ContractMenu(t_max=t_max, items=items)
 
 
 def grid_search_complete(
@@ -101,7 +92,7 @@ def grid_search_complete(
     idx = int(np.argmax(objective))
     best_obj = float(objective[idx])
     best = (sizes[idx], rewards[idx])
-    menu = _menu(pop, t_max, part, best[0], best[1])
+    menu = ContractMenu.placed(len(pop), t_max, [t.index - 1 for t in part], *best)
     return menu, best_obj
 
 
@@ -150,7 +141,7 @@ def grid_search_partial(
     if best is None:
         menu = ContractMenu.zero(pop, t_max)
         return menu, gcs_utility(menu, pop, params)
-    menu = _menu(pop, t_max, part, best[0], best[1])
+    menu = ContractMenu.placed(len(pop), t_max, [t.index - 1 for t in part], *best)
     return menu, best_obj
 
 

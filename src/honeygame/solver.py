@@ -32,12 +32,10 @@ from typing import Callable
 
 from .model import (
     FEASIBILITY_TOL,
-    ContractItem,
     ContractMenu,
     GcsParams,
     Population,
     UavType,
-    ZERO_ITEM,
     _kernels,
     on_time_rows,
     participating_set,
@@ -220,18 +218,6 @@ def _fit_budget(
         g *= 2.0
 
 
-def _menu_from(
-    pop: Population,
-    t_max: float,
-    part: list[UavType],
-    items: list[ContractItem],
-) -> ContractMenu:
-    out = {t.index: ZERO_ITEM for t in pop.types}
-    for t, item in zip(part, items):
-        out[t.index] = item
-    return ContractMenu(t_max=t_max, items=out)
-
-
 def solve_complete(
     pop: Population,
     params: GcsParams,
@@ -253,14 +239,12 @@ def solve_complete(
 
     unit = [t.count * t.marginal_cost for t in part]
     weights = [t.count / t.delay for t in part]
+    rows = [t.index - 1 for t in part]
 
     def menu_at(budget: float) -> ContractMenu:
         _, sizes = _WATER_LEVEL[cfg.budget_mode](unit, weights, fixed, budget, params.s_max)
-        items = [
-            ContractItem(s, t.marginal_cost * s + params.deploy_cost)
-            for t, s in zip(part, sizes)
-        ]
-        return _menu_from(pop, t_max, part, items)
+        rewards = [t.marginal_cost * s + params.deploy_cost for t, s in zip(part, sizes)]
+        return ContractMenu.placed(len(pop), t_max, rows, sizes, rewards)
 
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
@@ -357,6 +341,7 @@ def solve_partial(
     blocks = iron([t.count / t.delay for t in part], virtual)
     block_costs = [a for _, a, _ in blocks]
     block_weights = [w for w, _, _ in blocks]
+    rows = [t.index - 1 for t in part]
 
     def menu_at(budget: float) -> ContractMenu:
         _, block_sizes = _WATER_LEVEL[cfg.budget_mode](
@@ -364,7 +349,7 @@ def solve_partial(
         )
         sizes = [s for (_, _, n), s in zip(blocks, block_sizes) for _ in range(n)]
         rewards = optimal_rewards(sizes, part, params)
-        return _menu_from(pop, t_max, part, [ContractItem(s, r) for s, r in zip(sizes, rewards)])
+        return ContractMenu.placed(len(pop), t_max, rows, sizes, rewards)
 
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
@@ -387,8 +372,8 @@ def linear_contract(
     if paid > params.budget and paid > 0:
         scale = params.budget / paid
         sizes = [s * scale for s in sizes]
-    items = [ContractItem(s, price * s) for s in sizes]
-    return _menu_from(pop, t_max, part, items)
+    rows = [t.index - 1 for t in part]
+    return ContractMenu.placed(len(pop), t_max, rows, sizes, [price * s for s in sizes])
 
 
 def uniform_contract(partial: ContractMenu, pop: Population) -> ContractMenu:
@@ -396,5 +381,9 @@ def uniform_contract(partial: ContractMenu, pop: Population) -> ContractMenu:
     asymmetric-information menu ``solve_partial`` built for ``pop``, gives
     the costliest on-time type.  Nothing is solved here."""
     part = participating_set(pop, partial.t_max)
-    items = [partial.item(part[0].index)] * len(part) if part else []
-    return _menu_from(pop, partial.t_max, part, items)
+    if not part:
+        return ContractMenu.zero(pop, partial.t_max)
+    item = partial.item(part[0].index)
+    rows = [t.index - 1 for t in part]
+    return ContractMenu.placed(len(pop), partial.t_max, rows, [item.vdd_size] * len(rows),
+                               [item.reward] * len(rows))

@@ -1,8 +1,13 @@
 """End-to-end CLI tests driven through the argparse entry point."""
 
+import contextlib
+import io
 import math
+import os
 import re
-from types import SimpleNamespace
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +17,7 @@ from hypothesis import strategies as st
 
 from honeygame import cli, experiments, kernels, model, solver
 from honeygame.cli import _canonical_menu, _menu_from_file, _menu_from_yaml, _menu_text, main
-from honeygame.kernels import ItemColumns
-from honeygame.model import ContractItem, ContractMenu, participating_set, uav_utility
+from honeygame.model import ContractMenu, participating_set, uav_utility
 from honeygame.scenario import YAML_DUMPER, Scenario, generate_population, load_scenario
 from honeygame.solver import solve_partial
 
@@ -364,11 +368,37 @@ class TestValidate:
             (f"items:\n- reward: 1.0\n  type: 1\n  vdd_size: 1.0\nt_max: 1{'0' * 400}\n",
              "'t_max' must be a number"),
             ("t_max: 2.0\nitems: [{type: .inf, vdd_size: 1.0, reward: 1.0}]\n",
-             "'type' must be a number"),
+             "'type' must be an integer"),
+            # values the reader once coerced: 2.7 and true read as types 2 and 1,
+            # a quoted size as its number, and a true deadline as 1.0
+            ("t_max: 2.0\nitems: [{type: 2.7, vdd_size: 1.0, reward: 1.0}]\n",
+             "items[0]: field 'type' must be an integer, got 2.7"),
+            ("t_max: 2.0\nitems: [{type: true, vdd_size: 1.0, reward: 1.0}]\n",
+             "items[0]: field 'type' must be an integer, got True"),
+            ("t_max: 2.0\nitems: [{type: 1, vdd_size: '1.5', reward: 1.0}]\n",
+             "items[0]: field 'vdd_size' must be a number, got '1.5'"),
+            ("t_max: true\nitems: [{type: 1, vdd_size: 1.0, reward: 1.0}]\n",
+             "field 't_max' must be a number, got True"),
+            # YAML 1.1 reads an exponent without a dot or a sign as a string
+            ("items:\n- reward: 1e5\n  type: 1\n  vdd_size: 1.5\nt_max: 2.0\n",
+             "items[0]: field 'reward' must be a number, got '1e5'"),
+            # type indices outside 1..J (J = 2 here) or repeated, in both readers
+            ("items:\n- reward: 1.0\n  type: 0\n  vdd_size: 1.0\nt_max: 2.0\n",
+             "items[0]: type 0 is outside 1..2"),
+            ("t_max: 2.0\nitems: [{type: 1, vdd_size: 1.0, reward: 1.0},"
+             " {type: 3, vdd_size: 1.0, reward: 1.0}]\n",
+             "items[1]: type 3 is outside 1..2"),
+            ("items:\n- reward: 1.0\n  type: -1\n  vdd_size: 1.0\nt_max: 2.0\n",
+             "items[0]: type -1 is outside 1..2"),
+            ("items:\n- reward: 1.0\n  type: 2\n  vdd_size: 1.0\n"
+             "- reward: 1.0\n  type: 2\n  vdd_size: 1.0\nt_max: 2.0\n",
+             "items[1]: type 2 repeats items[0]"),
         ],
         ids=["not-mapping", "no-t_max", "no-items", "no-type", "no-vdd_size", "no-reward",
              "null-reward", "bad-yaml", "huge-reward-block", "huge-reward-flow", "huge-t_max",
-             "infinite-type"],
+             "infinite-type", "float-type", "bool-type", "str-vdd_size", "bool-t_max",
+             "no-dot-exponent",
+             "zero-type", "type-past-J", "negative-type", "repeated-type"],
     )
     def test_malformed_menu_exits_2(self, small_scenario, tmp_path, capsys, text, field):
         menu_path = tmp_path / "menu.yaml"
@@ -378,6 +408,82 @@ class TestValidate:
         assert rc == 2
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
+
+
+# tokens a hand edit may leave in a menu field: numbers the writer never
+# writes, type indices 0, negative, past J = 10, float, bool and str, and text
+# that is no number or breaks the YAML
+GARBLED = st.sampled_from([
+    "0", "-3", "11", "1", "10", "2.7", "true", "'2'", "null", "", "x", "1.5.5", "-1.5", ".nan",
+    "-.inf", "1e5", "1.0e+5", "1" + "0" * 400, "[1, 2]", "{a: 1}", "'", ": :", "- 3", "010",
+])
+
+
+@st.composite
+def mutated_menu_files(draw, texts):
+    """One of ``texts`` with tokens garbled, swapped or repeated, lines
+    reordered, CRLF line ends or a truncated tail."""
+    lines = draw(st.sampled_from(texts)).split("\n")
+    at = st.integers(0, len(lines) - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(at), draw(at)
+        (key_a, sep_a, token_a), (key_b, sep_b, token_b) = (lines[a].rpartition(": "),
+                                                            lines[b].rpartition(": "))
+        kind = draw(st.sampled_from(["garble", "swap", "copy", "reorder"]))
+        if kind == "garble" and sep_a:
+            lines[a] = key_a + sep_a + draw(GARBLED)
+        elif kind == "swap" and sep_a and sep_b:  # e.g. a size into a type field
+            lines[a], lines[b] = key_a + sep_a + token_b, key_b + sep_b + token_a
+        elif kind == "copy" and sep_a and sep_b:  # e.g. a repeated type index
+            lines[a] = key_a + sep_a + token_b
+        else:  # reordered keys within or across items
+            lines[a], lines[b] = lines[b], lines[a]
+    text = "\n".join(lines)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text.replace("\n", "\r\n") if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def default_menus(tmp_path_factory):
+    """The directory ``solve --out`` wrote the default scenario's menus to,
+    and the text of each menu."""
+    out = tmp_path_factory.mktemp("menus")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--out", str(out)]) == 0
+    return out, [(out / f"menu_{name}.yaml").read_text() for name in ("complete", "partial")]
+
+
+class TestMenuFuzz:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_validate_never_ends_in_a_traceback(self, default_menus, data):
+        out, texts = default_menus
+        path = out / "fuzzed.yaml"
+        path.write_bytes(data.draw(mutated_menu_files(texts)).encode())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["validate", "--menu", str(path)])
+        assert rc in (0, 1, 2)
+        assert (rc == 2) == err.getvalue().startswith("error:")
+        assert "Traceback" not in err.getvalue()
+
+    def test_small_runs_never_load_the_kernels(self, tmp_path):
+        # the kernels serve populations of model.ARRAY_MIN_TYPES on-time types
+        # and more; the default 10 types run the loops and never import them
+        script = (
+            "import sys\n"
+            "from honeygame.cli import main\n"
+            "out = sys.argv[1]\n"
+            "codes = [main(['solve', '--out', out]),\n"
+            "         main(['validate', '--menu', out + '/menu_partial.yaml']),\n"
+            "         main(['reproduce', 'fig7', '--out', out])]\n"
+            "print(codes, 'honeygame.kernels' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                                capture_output=True, text=True, timeout=120, check=True)
+        assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 # on-time types above model.ARRAY_MIN_TYPES, so the column kernels run
@@ -401,9 +507,9 @@ class TestOneScanPerMenu:
         calls = []
         scan, envelope = model._incentive_scan, kernels._envelope_scan
 
-        def counted(on_time, items, *args):
-            calls.append([(it.vdd_size, it.reward) for it in items])
-            return scan(on_time, items, *args)
+        def counted(on_time, sizes, rewards, *args):
+            calls.append(list(zip(sizes, rewards)))
+            return scan(on_time, sizes, rewards, *args)
 
         def counted_envelope(cost, sizes, rewards, *args):
             calls.append(list(zip(sizes.tolist(), rewards.tolist())))
@@ -551,12 +657,10 @@ class TestScenarioErrors:
 
 def _menu_dict(menu) -> dict:
     """The mapping a menu file holds, for ``yaml.dump``."""
+    rows = zip(menu.sizes.tolist(), menu.rewards.tolist())
     return {
         "t_max": menu.t_max,
-        "items": [
-            {"type": index, "vdd_size": item.vdd_size, "reward": item.reward}
-            for index, item in sorted(menu.items.items())
-        ],
+        "items": [{"type": k, "vdd_size": s, "reward": r} for k, (s, r) in enumerate(rows, 1)],
     }
 
 
@@ -579,102 +683,116 @@ AWKWARD_FLOATS = st.one_of(
                      -math.inf]),
     st.integers(0, 10**30),
 )
-INDICES = st.one_of(st.integers(0, 1000), st.integers(-10**30, 10**30))
+# what a hand-edited field may hold besides numbers: PyYAML quotes the strings
+NOT_NUMBERS = st.one_of(st.booleans(), st.none(), st.sampled_from(["1.5", "1", "x", ""]))
+INDICES = st.one_of(st.integers(-1, 9), st.integers(-10**30, 10**30), st.floats(0.0, 9.0),
+                    NOT_NUMBERS)
 
 
 @st.composite
-def raw_menus(draw, values=AWKWARD_FLOATS, min_size=0):
-    """Menus as plain attribute holders, so that values ContractItem would
-    refuse (negative, nan, inf) can still be written."""
-    items = draw(st.dictionaries(INDICES, st.tuples(values, values), min_size=min_size,
-                                 max_size=max(6, min_size + 8)))
-    return SimpleNamespace(
-        t_max=draw(values),
-        items={k: SimpleNamespace(vdd_size=s, reward=r) for k, (s, r) in items.items()},
-    )
+def raw_menu_texts(draw):
+    """Menu files in the writer's layout, dumped by PyYAML from values a menu
+    refuses (negative, nan, inf, past a float, booleans, strings), type
+    indices in any order, outside 1..J or repeated."""
+    value = st.one_of(AWKWARD_FLOATS, NOT_NUMBERS)
+    entries = draw(st.lists(st.tuples(INDICES, value, value), max_size=8))
+    return yaml.dump({"t_max": draw(value), "items": [
+        {"type": k, "vdd_size": s, "reward": r} for k, s, r in entries
+    ]}, Dumper=YAML_DUMPER)
 
 
 VALID_FLOATS = st.one_of(
     st.floats(min_value=0.0, allow_infinity=False),
     st.sampled_from([5e-324, 1e-310, 1e-05, -0.0, 1e16, 1e22, 300.0]),
 )
+T_MAXES = st.floats(min_value=1e-300, max_value=1e300)
 
-VALID_VALUES = st.one_of(
-    st.floats(min_value=0.0, allow_infinity=False),
-    st.sampled_from([5e-324, 1e-310, -0.0, 1e16, 1e22, 300.0]),
-    st.integers(0, 10**30),
-)
+
+@st.composite
+def menus(draw, min_size=0, t_max=T_MAXES):
+    """Menus of finite sizes and rewards >= 0, with -0.0, subnormals and
+    values whose ``repr`` has an exponent among them."""
+    n = draw(st.integers(min_size, min_size + 8))
+    floats = st.lists(VALID_FLOATS, min_size=n, max_size=n)
+    return ContractMenu(draw(t_max), draw(floats), draw(floats))
+
+
+def _read_both(text: str, n: int) -> tuple[str, str]:
+    """The outcomes of the column reader and the YAML reader on ``text``."""
+    return (_outcome(lambda t: _canonical_menu(t, "menu.yaml", n), text),
+            _outcome(lambda t: _menu_from_yaml(t, "menu.yaml", n), text))
 
 
 class TestMenuCodec:
-    @given(menu=raw_menus())
+    @given(menu=menus(t_max=T_MAXES | st.integers(1, 10**30)))
     @settings(max_examples=200, deadline=None)
     def test_writer_matches_yaml_dump(self, menu):
         assert _menu_text(menu) == yaml.dump(_menu_dict(menu), Dumper=YAML_DUMPER)
 
-    @given(menu=raw_menus(min_size=model.ARRAY_MIN_TYPES))
+    @given(menu=menus(min_size=model.ARRAY_MIN_TYPES))
     @settings(max_examples=25, deadline=None)
     def test_column_writer_matches_yaml_dump(self, menu):
-        # menus as long as solved ones from ARRAY_MIN_TYPES types up
+        # menus as long as those the kernels solve, from ARRAY_MIN_TYPES types up
         assert _menu_text(menu) == yaml.dump(_menu_dict(menu), Dumper=YAML_DUMPER)
 
-    @given(menu=raw_menus())
-    @settings(max_examples=200, deadline=None)
-    def test_fast_reader_agrees_with_yaml(self, menu):
+    @given(text=raw_menu_texts(), n=st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_fast_reader_agrees_with_yaml(self, text, n):
         # the fast reader may pass a text on (None) but never reads it otherwise
-        text = _menu_text(menu)
-        fast = _outcome(_canonical_menu, text)
+        fast, slow = _read_both(text, n)
         if fast != "None":
-            assert fast == _outcome(lambda t: _menu_from_yaml(t, "menu.yaml"), text)
+            assert fast == slow
 
-    @given(menu=raw_menus(VALID_VALUES), t_max=st.floats(min_value=1e-300, max_value=1e300))
+    @given(menu=menus())
     @settings(max_examples=200, deadline=None)
-    def test_fast_reader_reads_every_written_menu(self, menu, t_max):
-        menu = ContractMenu(
-            t_max=t_max,
-            items={k: ContractItem(it.vdd_size, it.reward) for k, it in menu.items.items()},
-        )
+    def test_fast_reader_reads_every_written_menu(self, menu):
         text = _menu_text(menu)
-        fast = _canonical_menu(text)
-        assert fast is not None
-        assert repr(fast) == repr(_menu_from_yaml(text, "menu.yaml"))
-        assert fast == ContractMenu(t_max=t_max, items={
-            k: ContractItem(float(it.vdd_size), float(it.reward)) for k, it in menu.items.items()
-        })
+        fast, slow = _read_both(text, len(menu.sizes))
+        assert fast == slow == repr(menu)
 
-    @given(data=st.data(), t_max=st.floats(min_value=1e-300, max_value=1e300))
+    @given(menu=menus(min_size=model.ARRAY_MIN_TYPES))
     @settings(max_examples=30, deadline=None)
-    def test_column_menus_write_and_read_as_yaml_does(self, data, t_max):
-        # menus held as columns are written from them, and from ARRAY_MIN_TYPES
-        # items the reader returns columns
-        n = data.draw(st.integers(model.ARRAY_MIN_TYPES, model.ARRAY_MIN_TYPES + 8))
-        floats = st.lists(VALID_FLOATS, min_size=n, max_size=n)
-        sizes, rewards = data.draw(floats), data.draw(floats)
-        menu = ContractMenu(t_max=t_max, items=ItemColumns(np.array(sizes), np.array(rewards)))
+    def test_column_menus_write_and_read_as_yaml_does(self, menu):
         text = _menu_text(menu)
         assert text == yaml.dump(_menu_dict(menu), Dumper=YAML_DUMPER)
-        fast = _canonical_menu(text)
-        assert isinstance(fast.items, ItemColumns)
-        assert repr(fast) == repr(_menu_from_yaml(text, "menu.yaml")) == repr(menu)
+        fast, slow = _read_both(text, len(menu.sizes))
+        assert fast == slow == repr(menu)
 
     @pytest.mark.parametrize("field", ["vdd_size", "reward"])
     def test_column_reader_names_the_first_bad_row(self, field):
         n = model.ARRAY_MIN_TYPES + 2
-        menu = ContractMenu(t_max=2.0, items=ItemColumns(np.linspace(0.0, 9.0, n), np.ones(n)))
+        menu = ContractMenu(2.0, np.linspace(0.0, 9.0, n), np.ones(n))
         lines = _menu_text(menu).split("\n")
         for row in (5, 9):  # two bad rows: the error names the first
             at = 1 + 3 * row + (2 if field == "vdd_size" else 0)
             lines[at] = lines[at].rsplit(" ", 1)[0] + " -1.5"
-        text = "\n".join(lines)
-        fast = _outcome(_canonical_menu, text)
+        fast, slow = _read_both("\n".join(lines), n)
         assert fast.startswith(f"ValueError: {field} must be finite and >= 0")
-        assert fast == _outcome(lambda t: _menu_from_yaml(t, "menu.yaml"), text)
+        assert fast == slow
 
     def test_empty_menu(self):
-        menu = ContractMenu(t_max=2.0, items={})
+        menu = ContractMenu(2.0, [], [])
         text = _menu_text(menu)
         assert text == "items: []\nt_max: 2.0\n"
-        assert _canonical_menu(text) == menu == _menu_from_yaml(text, "menu.yaml")
+        assert _read_both(text, 0) == (repr(menu), repr(menu))
+        # for a scenario of 3 types every row is the zero item
+        zero = ContractMenu(2.0, [0.0] * 3, [0.0] * 3)
+        assert _read_both(text, 3) == (repr(zero), repr(zero))
+
+    def test_types_left_out_get_the_zero_row(self):
+        text = "items:\n- reward: 2.5\n  type: 3\n  vdd_size: 1.5\nt_max: 2.0\n"
+        want = repr(ContractMenu(2.0, [0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 2.5, 0.0]))
+        assert _read_both(text, 4) == (want, want)
+
+    @pytest.mark.parametrize("order", [(2, 1), (3, 1, 2), (2, 3)])
+    def test_items_go_to_their_rows_in_any_order(self, order):
+        text = "items:\n" + "".join(
+            f"- reward: {2.0 * k}\n  type: {k}\n  vdd_size: {1.0 * k}\n" for k in order
+        ) + "t_max: 2.0\n"
+        n = max(order)
+        sizes = [float(k) if k in order else 0.0 for k in range(1, n + 1)]
+        want = repr(ContractMenu(2.0, sizes, [2.0 * s for s in sizes]))
+        assert _read_both(text, n) == (want, want)
 
     CANONICAL = "items:\n- reward: 2.5\n  type: 1\n  vdd_size: 1.5\nt_max: 2.0\n"
 
@@ -686,22 +804,22 @@ class TestMenuCodec:
             ("# written by hand\n" + CANONICAL, (1, 1.5, 2.5)),
             (CANONICAL.replace("reward: 2.5", "reward: 2.5  # paid"), (1, 1.5, 2.5)),
             (CANONICAL.replace("type: 1", "type: 010"), (8, 1.5, 2.5)),
-            (CANONICAL.replace("reward: 2.5", "reward: 1e5"), (1, 1.5, 100000.0)),
+            (CANONICAL.replace("reward: 2.5", "reward: 1.0e+5"), (1, 1.5, 100000.0)),
             (CANONICAL.replace("vdd_size: 1.5", "vdd_size: 1.5 "), (1, 1.5, 2.5)),
             (CANONICAL + "note: hand-edited\n", (1, 1.5, 2.5)),
             (CANONICAL.replace("\n", "\r\n"), (1, 1.5, 2.5)),
         ],
         ids=["flow-style", "reordered-keys", "comment-line", "trailing-comment", "octal-type",
-             "no-dot-exponent", "trailing-space", "extra-key", "crlf"],
+             "signed-exponent", "trailing-space", "extra-key", "crlf"],
     )
     def test_other_spellings_load_as_yaml_reads_them(self, tmp_path, text, item):
         path = tmp_path / "menu.yaml"
         path.write_bytes(text.encode())
         read_back = path.read_text()  # universal newlines turn CRLF into the canonical text
-        assert (_canonical_menu(read_back) is None) == (read_back != self.CANONICAL)
+        assert (_canonical_menu(read_back, str(path), 8) is None) == (read_back != self.CANONICAL)
         index, size, reward = item
-        expected = ContractMenu(t_max=2.0, items={index: ContractItem(size, reward)})
-        assert _menu_from_file(str(path)) == _menu_from_yaml(read_back, str(path)) == expected
+        expected = ContractMenu.placed(8, 2.0, [index - 1], [size], [reward])
+        assert _menu_from_file(str(path), 8) == _menu_from_yaml(read_back, str(path), 8) == expected
 
     @pytest.mark.parametrize("style", ["flow", "reordered"])
     def test_validate_reads_other_yaml_layouts(self, small_scenario, tmp_path, capsys, style):
@@ -713,7 +831,7 @@ class TestMenuCodec:
         else:
             items = [{k: e[k] for k in ("vdd_size", "type", "reward")} for e in data["items"]]
             text = yaml.dump({"t_max": data["t_max"], "items": items}, sort_keys=False)
-        assert _canonical_menu(text) is None
+        assert _canonical_menu(text, "menu.yaml", 2) is None
         menu = tmp_path / "menu.yaml"
         menu.write_text(text)
         assert main(["validate", "--scenario", str(small_scenario), "--menu", str(menu)]) == 0

@@ -83,9 +83,8 @@ def outputs(rows, params, cfg) -> list[str]:
     menus = [solver.solve_complete(pop, params, T_MAX, cfg),
              solver.solve_partial(pop, params, T_MAX, cfg)]
     partial = menus[1]
-    noisy = {k: ContractItem(it.vdd_size, it.reward * (1.0 + 0.01 * (k % 3 - 1)))
-             for k, it in partial.items.items()}
-    menus.append(ContractMenu(t_max=T_MAX, items=noisy))
+    noisy = [r * (1.0 + 0.01 * (k % 3 - 1)) for k, r in enumerate(partial.rewards.tolist(), 1)]
+    menus.append(ContractMenu(T_MAX, partial.sizes, noisy))
     out = [repr(solver.solve_partial_relaxed(pop, params, T_MAX, cfg))]
     for menu in menus:
         out += [repr(menu), _menu_text(menu),
@@ -136,7 +135,8 @@ def test_envelope_break_points_are_sorted(items, data):
     # the envelope keeps a middle line only if its two break points compare
     # ``<`` as cross products, so the break points come out sorted and the
     # kernel's np.searchsorted finds what the loop's bisect finds
-    hull = model._upper_envelope(items)
+    sizes, rewards = ([getattr(it, f) for it in items] for f in ("vdd_size", "reward"))
+    hull = model._upper_envelope(sizes, rewards)
     breaks = [(ra - rb) / (sa - sb) for (sa, ra, _), (sb, rb, _) in zip(hull, hull[1:])]
     assert breaks == sorted(breaks)
     near = [0.0, 1.0] + [b for x in breaks if x >= 0.0
@@ -144,10 +144,9 @@ def test_envelope_break_points_are_sorted(items, data):
     costs = data.draw(st.lists(st.sampled_from([c for c in near if math.isfinite(c)]),
                                min_size=len(items), max_size=len(items)))
     on_time = [UavType(k, c, 1.0) for k, c in enumerate(costs, start=1)]
-    sizes, rewards = (np.array([getattr(it, f) for it in items]) for f in ("vdd_size", "reward"))
-    loop = model._incentive_scan(on_time, items, 1.0, model.FEASIBILITY_TOL)
-    array = kernels._envelope_scan(np.array(costs), sizes, rewards, np.arange(1, len(items) + 1),
-                                   1.0, model.FEASIBILITY_TOL)
+    loop = model._incentive_scan(on_time, sizes, rewards, 1.0, model.FEASIBILITY_TOL)
+    array = kernels._envelope_scan(np.array(costs), np.array(sizes), np.array(rewards),
+                                   np.arange(1, len(items) + 1), 1.0, model.FEASIBILITY_TOL)
     assert repr(array) == repr(loop)
 
 

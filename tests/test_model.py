@@ -1,7 +1,9 @@
 """Unit and property tests for the domain model: utilities, feasibility,
 fairness, and the compact feasibility characterization."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,8 +45,8 @@ def make_pop(costs, delays=None, counts=None):
 
 
 def menu_for(pop, sizes, rewards, t_max=T_MAX):
-    items = {t.index: ContractItem(s, r) for t, s, r in zip(pop.types, sizes, rewards)}
-    return ContractMenu(t_max=t_max, items=items)
+    assert len(sizes) == len(rewards) == len(pop)
+    return ContractMenu(t_max, sizes, rewards)
 
 
 class TestDomainTypes:
@@ -98,6 +100,49 @@ class TestDomainTypes:
             ContractItem(-1.0, 0.0)
         with pytest.raises(ValueError):
             ContractItem(0.0, math.inf)
+
+    @pytest.mark.parametrize(
+        "sizes, rewards, error",
+        [
+            ([1.0, 2.0], [1.0], "columns of one length"),
+            ([[1.0], [2.0]], [[1.0], [2.0]], "must be columns, got shape (2, 1)"),
+            ([1.0, -0.5, -1.0], [1.0, 1.0, 1.0], "vdd_size must be finite and >= 0, got -0.5"),
+            ([1.0, 2.0], [1.0, math.nan], "reward must be finite and >= 0, got nan"),
+            ([math.inf], [1.0], "vdd_size must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_contract_menu_validation(self, sizes, rewards, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            ContractMenu(T_MAX, sizes, rewards)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, math.nan])
+    def test_contract_menu_t_max_validation(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be finite and > 0"):
+            ContractMenu(t_max, [1.0], [1.0])
+
+    def test_contract_menu_columns_and_items(self):
+        menu = ContractMenu(T_MAX, [1.5, -0.0], [2.5, 3])
+        assert menu.sizes.dtype == menu.rewards.dtype == np.float64
+        assert menu.item(1) == ContractItem(1.5, 2.5)
+        assert menu.item(2) == ContractItem(0.0, 3.0)
+        for index in (0, -1, 3):  # row -1 is never read
+            with pytest.raises(IndexError, match="outside 1..2"):
+                menu.item(index)
+        # equality and repr read the exact values, so -0.0 shows in the repr
+        assert menu == ContractMenu(T_MAX, np.array([1.5, 0.0]), [2.5, 3.0])
+        assert menu != ContractMenu(T_MAX, [1.5, 0.0], [2.5, 3.5])
+        assert menu != ContractMenu(T_MAX, [1.5, 0.0, 0.0], [2.5, 3.0, 0.0])
+        assert repr(menu) == "ContractMenu(t_max=2.0, sizes=[1.5, -0.0], rewards=[2.5, 3.0])"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            menu.sizes = np.zeros(2)
+
+    def test_contract_menu_placed_rows(self):
+        pop = make_pop([0.9, 0.5, 0.2])
+        assert ContractMenu.placed(3, T_MAX, [0, 2], [7.0, 5.0], [2.0, 1.0]) == ContractMenu(
+            T_MAX, [7.0, 0.0, 5.0], [2.0, 0.0, 1.0])
+        assert ContractMenu.placed(3, T_MAX, [0, 1, 2], [7.0, 6.0, 5.0], [2.0, 3.0, 1.0]) == (
+            ContractMenu(T_MAX, [7.0, 6.0, 5.0], [2.0, 3.0, 1.0]))
+        assert ContractMenu.placed(3, T_MAX, [], [], []) == ContractMenu.zero(pop, T_MAX)
 
 
 class TestUtilities:
@@ -348,8 +393,9 @@ def late_paid_cases(draw):
     if late and draw(st.booleans()):
         k = draw(st.sampled_from(late))
         reward = draw(st.sampled_from([0.5e-9, 2e-9, 3.5]))
-        menu = ContractMenu(t_max=menu.t_max,
-                            items={**menu.items, k: ContractItem(menu.item(k).vdd_size, reward)})
+        rewards = menu.rewards.copy()
+        rewards[k - 1] = reward
+        menu = ContractMenu(menu.t_max, menu.sizes, rewards)
     return pop, menu
 
 
@@ -446,9 +492,16 @@ class TestParticipatingSet:
         for t in part:
             item = menu.item(t.index)
             assert uav_utility(t, item, T_MAX, params) == uav_payoff(
-                t, item.vdd_size, item.reward, params.deploy_cost
+                t.marginal_cost, item.vdd_size, item.reward, params.deploy_cost
             )
         late = pop.types[1]
         assert uav_utility(late, menu.item(late.index), T_MAX, params) == uav_payoff(
-            late, 20.0, 0.0, params.deploy_cost
+            late.marginal_cost, 20.0, 0.0, params.deploy_cost
         )
+        # on arrays it gives each element's float bits
+        costs = np.array([t.marginal_cost for t in pop.types])
+        payoffs = uav_payoff(costs, menu.sizes, menu.rewards, params.deploy_cost)
+        assert payoffs.tolist() == [
+            uav_payoff(c, s, r, params.deploy_cost)
+            for c, s, r in zip(costs.tolist(), menu.sizes.tolist(), menu.rewards.tolist())
+        ]

@@ -131,7 +131,9 @@ def _perturbed(menu: ContractMenu, pop, rng: np.random.Generator) -> dict[str, C
                                   ContractItem(items[a].vdd_size, items[b].reward))
         out["swapped"] = swapped
     out["doubled"] = {k: ContractItem(it.vdd_size, 2.0 * it.reward) for k, it in items.items()}
-    return {name: ContractMenu(t_max=menu.t_max, items=m) for name, m in out.items()}
+    return {name: ContractMenu(menu.t_max, [m[k].vdd_size for k in indices],
+                               [m[k].reward for k in indices])
+            for name, m in out.items()}
 
 
 def _population_cases():

@@ -162,7 +162,7 @@ class TestRewardRecursion:
     def test_minimal_total_payment(self):
         # random feasible reward perturbations never pay less in aggregate
         rng = np.random.default_rng(13)
-        from honeygame.model import ContractItem, ContractMenu
+        from honeygame.model import ContractMenu
 
         for _ in range(200):
             n = int(rng.integers(2, 7))
@@ -175,10 +175,7 @@ class TestRewardRecursion:
             total_base = sum(r for r in base)
             shift = rng.uniform(0.0, 5.0)
             alt = [r + shift for r in base]  # uniform shift preserves IC, raises IR slack
-            menu = ContractMenu(
-                t_max=T_MAX,
-                items={t.index: ContractItem(s, r) for t, s, r in zip(pop.types, sizes, alt)},
-            )
+            menu = ContractMenu(T_MAX, sizes, alt)
             report = check_feasibility(menu, pop, GcsParams(budget=1e9))
             assert report.ir_ok and report.ic_ok
             assert sum(alt) >= total_base - 1e-9
