@@ -6,7 +6,11 @@ short learner, on the default learner (2 000 episodes after 10 hotboot runs
 of 500) and on an explicit four-type scenario whose two late types sit
 between on-time types of unequal counts.  ``solve`` runs on the 10 default
 types and on 1 000 uniform types with channel delays and a binding budget,
-which covers the menu writer and the channel-delay draw at scale.  The
+which covers the menu writer and the channel-delay draw at scale.
+``validate`` reads the two 1 000-type menus that ``solve --out`` writes,
+and a re-indented copy of the partial one that only the YAML reader
+takes; its standard output is hashed (the validate cases were frozen from
+the column reader that checked every token's round trip).  The
 hashes were frozen from the code before unread outputs and fields were
 deleted from the package (the fig8 cases from the per-type learner, before
 its pairs were batched; the 1 000-type cases from the PyYAML menu writer), on
@@ -72,6 +76,13 @@ def _cases() -> dict[str, tuple[list[str], str | None]]:
 
 CASES = _cases()
 
+# validate case -> (menu file of the 1 000-type seed-0 solve, re-indented?)
+VALIDATE_CASES = {
+    "validate-j1000-partial-seed0": ("menu_partial.yaml", False),
+    "validate-j1000-complete-seed0": ("menu_complete.yaml", False),
+    "validate-j1000-partial-reindented-seed0": ("menu_partial.yaml", True),
+}
+
 
 def output_hashes(argv: list[str], scenario: str | None, tmp_path: Path) -> dict[str, str]:
     """Run one command into a fresh directory and hash every file it wrote."""
@@ -90,9 +101,40 @@ def frozen() -> dict[str, dict[str, str]]:
 
 
 def test_fixture_covers_every_case(frozen):
-    assert sorted(frozen) == sorted(CASES)
+    assert sorted(frozen) == sorted([*CASES, *VALIDATE_CASES])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_unchanged(name, frozen, tmp_path, capsys):
     assert output_hashes(*CASES[name], tmp_path) == frozen[name]
+
+
+@pytest.fixture(scope="module")
+def many_types_menus(tmp_path_factory) -> Path:
+    """The directory of ``solve --out`` on the 1 000-type scenario, seed 0."""
+    work = tmp_path_factory.mktemp("many-types")
+    (work / "scenario.yaml").write_text(MANY_TYPES)
+    assert main(["solve", "--seed", "0", "--scenario", str(work / "scenario.yaml"),
+                 "--out", str(work)]) == 0
+    return work
+
+
+def _reindented(text: str) -> str:
+    """The same YAML document with its list items indented by two spaces."""
+    head, _, rest = text.partition("\n")
+    body, t_max = rest.rsplit("t_max: ", 1)
+    return "\n".join([head, *("  " + line for line in body.splitlines())]) + "\nt_max: " + t_max
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
+def test_validate_stdout_unchanged(name, frozen, many_types_menus, tmp_path, capsys):
+    menu_name, reindent = VALIDATE_CASES[name]
+    menu = many_types_menus / menu_name
+    if reindent:
+        menu = tmp_path / menu_name
+        menu.write_text(_reindented((many_types_menus / menu_name).read_text()))
+    capsys.readouterr()
+    main(["validate", "--seed", "0", "--scenario", str(many_types_menus / "scenario.yaml"),
+          "--menu", str(menu)])
+    stdout = capsys.readouterr().out
+    assert {"stdout": hashlib.sha256(stdout.encode()).hexdigest()} == frozen[name]
