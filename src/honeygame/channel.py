@@ -2,8 +2,9 @@
 the Shannon-bound uplink rate to the ground station and the VDD transmission
 delay over that one link (no air-to-air link or relay selection).  A UAV
 enters only through its altitude and its horizontal distance to the ground
-station, both plain floats.  All functions are pure; dBm quantities are
-converted to watts, and all SNR algebra runs in the linear domain.
+station.  The formulas take columns of UAVs (one-UAV forms wrap them).
+All functions are pure; dBm quantities are converted to watts, and all SNR
+algebra runs in the linear domain.
 """
 
 from __future__ import annotations
@@ -12,12 +13,17 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 __all__ = [
     "ChannelParams",
     "dbm_to_watt",
     "los_probability",
+    "los_probabilities",
     "a2g_pathloss",
+    "a2g_pathlosses",
     "a2g_rate",
+    "a2g_rates",
     "transmission_delay",
 ]
 
@@ -73,37 +79,75 @@ def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def los_probability(elevation_rad: float, params: ChannelParams | None = None) -> float:
-    """Probability of a line-of-sight ground link, a logistic curve in the
-    elevation angle (radians in, converted to degrees internally)."""
-    p = params or ChannelParams()
-    theta_deg = math.degrees(elevation_rad)
-    return 1.0 / (1.0 + p.logit_a * math.exp(-p.logit_b * (theta_deg - p.logit_a)))
+def _each(function, *columns) -> np.ndarray:
+    """The scalar ``function`` (a ``math`` call, whose libm rounding numpy's
+    ufuncs need not share) applied to each row of the columns."""
+    rows = map(function, *(np.asarray(c, dtype=float).tolist() for c in columns))
+    return np.fromiter(rows, dtype=float, count=len(columns[0]))
 
 
-def a2g_pathloss(altitude: float, params: ChannelParams, horiz_dist: float) -> float:
-    """Average pathloss in dB from a UAV at ``altitude`` metres to the ground
-    station ``horiz_dist`` metres away: free-space term over the horizontal
-    distance plus LoS/NLoS-weighted extra attenuation."""
-    if horiz_dist <= 0:
-        raise ValueError(f"horizontal distance must be > 0, got {horiz_dist}")
-    elevation = math.atan2(altitude - params.gcs_height, horiz_dist)
-    p_los = los_probability(elevation, params)
-    fspl = 20.0 * math.log10(4.0 * math.pi * horiz_dist * params.carrier_hz / SPEED_OF_LIGHT)
+# ``math.degrees(x)`` is ``x`` times this constant
+_DEGREES_PER_RADIAN = math.degrees(1.0)
+
+# the column functions below run plain arithmetic as numpy ufuncs, in
+# Python's order of evaluation, and keep ``atan2``, ``exp``, ``log10``,
+# ``10.0 **`` and ``log2`` the scalar calls, so that each row has the bits
+# of the one-UAV formula; an overflow gives inf, as it does on Python floats
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
+def los_probabilities(elevation_rad, params: ChannelParams) -> np.ndarray:
+    """Probability of a line-of-sight ground link for each of a column of
+    elevation angles: a logistic curve in the angle (radians in, converted
+    to degrees internally)."""
+    theta_deg = np.asarray(elevation_rad, dtype=float) * _DEGREES_PER_RADIAN
+    odds = _each(math.exp, -params.logit_b * (theta_deg - params.logit_a))
+    return 1.0 / (1.0 + params.logit_a * odds)
+
+
+@_quiet
+def a2g_pathlosses(altitudes, params: ChannelParams, horiz_dists) -> np.ndarray:
+    """Average pathloss in dB from UAVs at ``altitudes`` metres to the ground
+    station ``horiz_dists`` metres away, row by row: free-space term over
+    the horizontal distance plus LoS/NLoS-weighted extra attenuation."""
+    d = np.asarray(horiz_dists, dtype=float)
+    if (d <= 0).any():
+        raise ValueError(f"horizontal distance must be > 0, got {d[d <= 0][0]}")
+    elevation = _each(math.atan2, np.asarray(altitudes, dtype=float) - params.gcs_height, d)
+    p_los = los_probabilities(elevation, params)
+    fspl = 20.0 * _each(math.log10, 4.0 * math.pi * d * params.carrier_hz / SPEED_OF_LIGHT)
     return fspl + p_los * params.atten_los + (1.0 - p_los) * params.atten_nlos
 
 
+@_quiet
+def a2g_rates(altitudes, params: ChannelParams, horiz_dists) -> np.ndarray:
+    """Shannon rate of each UAV's uplink to the ground station, bits/s.  Each
+    UAV has an orthogonal sub-channel, so there is no inter-UAV interference."""
+    pl_db = a2g_pathlosses(altitudes, params, horiz_dists)
+    snr = params.tx_power_w * _each((10.0).__pow__, -pl_db / 10.0) / params.noise_w
+    return params.bw_a2g * _each(math.log2, 1.0 + snr)
+
+
+def los_probability(elevation_rad: float, params: ChannelParams | None = None) -> float:
+    """:func:`los_probabilities` of one angle."""
+    return float(los_probabilities([elevation_rad], params or ChannelParams())[0])
+
+
+def a2g_pathloss(altitude: float, params: ChannelParams, horiz_dist: float) -> float:
+    """:func:`a2g_pathlosses` of one UAV."""
+    return float(a2g_pathlosses([altitude], params, [horiz_dist])[0])
+
+
 def a2g_rate(altitude: float, params: ChannelParams, horiz_dist: float) -> float:
-    """Shannon rate of the uplink to the ground station, bits/s.  Each UAV
-    has an orthogonal sub-channel, so there is no inter-UAV interference."""
-    pl_db = a2g_pathloss(altitude, params, horiz_dist)
-    snr = params.tx_power_w * 10.0 ** (-pl_db / 10.0) / params.noise_w
-    return params.bw_a2g * math.log2(1.0 + snr)
+    """:func:`a2g_rates` of one UAV."""
+    return float(a2g_rates([altitude], params, [horiz_dist])[0])
 
 
-def transmission_delay(s_bytes: float, rate: float) -> float:
-    """Seconds to push ``s_bytes`` over one link of ``rate`` bits/s.  Linear
-    in the payload size."""
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+def transmission_delay(s_bytes: float, rate):
+    """Seconds to push ``s_bytes`` over a link of ``rate`` bits/s, or over
+    each of a column of rates.  Linear in the payload size."""
+    low = np.min(rate, initial=math.inf)
+    if low <= 0:
+        raise ValueError(f"rate must be > 0, got {low}")
     return 8.0 * s_bytes / rate

@@ -89,14 +89,24 @@ def _yaml_number(x: float) -> str:
 _DOTLESS_EXPONENT = re.compile(r"(?<![\d.])(-?\d+)e")
 
 
-def _number_tokens(values: list) -> list[str]:
-    """``_yaml_number`` of each int or finite float, formatted at once: the
-    ``repr`` of the list, with ``.0`` put before an exponent that has no
-    dot, split."""
+def _float_tokens(values: list[float]) -> list[str]:
+    """``_yaml_number`` of each finite float, formatted at once: the ``repr``
+    of the list, with ``.0`` put before an exponent that has no dot, split."""
     text = repr(values)[1:-1]
     if "e" in text:
         text = _DOTLESS_EXPONENT.sub(r"\1.0e", text)
     return text.split(", ")
+
+
+def _number_tokens(column: np.ndarray) -> list[str]:
+    """``_yaml_number`` of each value of a non-empty column of finite floats.
+    When at most half the values are distinct (the sizes and rewards of
+    bunched types), each distinct value is formatted once, keyed by its bits
+    so that 0.0 and -0.0 stay apart; otherwise the whole column is."""
+    bits, at = np.unique(column.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(column):
+        return _float_tokens(column.tolist())
+    return np.array(_float_tokens(bits.view(float).tolist()), dtype=object)[at].tolist()
 
 
 def _menu_text(menu: ContractMenu) -> str:
@@ -107,9 +117,8 @@ def _menu_text(menu: ContractMenu) -> str:
     n = len(menu.sizes)
     if not n:
         return "items: []\n" + t_max
-    columns = (menu.rewards.tolist(), list(range(1, n + 1)), menu.sizes.tolist())
-    body = "".join(map("- reward: %s\n  type: %s\n  vdd_size: %s\n".__mod__,
-                       zip(*map(_number_tokens, columns))))
+    columns = (_number_tokens(menu.rewards), range(1, n + 1), _number_tokens(menu.sizes))
+    body = "".join(map("- reward: %s\n  type: %d\n  vdd_size: %s\n".__mod__, zip(*columns)))
     return f"items:\n{body}{t_max}"
 
 
@@ -130,11 +139,25 @@ def _number(token: str) -> float | None:
         return None
 
 
-def _float_column(tokens: list[str]) -> list[float] | None:
-    """The floats of one menu field's tokens, or None unless ``_number``
-    reads every one.  A token that is its float's ``repr`` and holds a dot
-    is what ``_yaml_number`` writes for that float; only the other tokens
-    take ``_number``'s round trip."""
+def _tokens(lines: list[str], prefix: str) -> list[str] | None:
+    """What follows ``prefix`` on each line, or None unless every line
+    starts with it."""
+    if not all(map(str.startswith, lines, itertools.repeat(prefix))):
+        return None
+    start = len(prefix)
+    return [line[start:] for line in lines]
+
+
+def _float_column(lines: list[str], prefix: str) -> list[float] | None:
+    """The floats of one menu field's lines, or None unless every line is
+    ``prefix`` and a token ``_number`` reads.  Each distinct line is read
+    once.  A token that is its float's ``repr`` and holds a dot is what
+    ``_yaml_number`` writes for that float; only the other tokens take
+    ``_number``'s round trip."""
+    distinct = list(dict.fromkeys(lines))
+    tokens = _tokens(distinct, prefix)
+    if tokens is None:
+        return None
     try:
         values = list(map(float, tokens))
     except ValueError:
@@ -145,18 +168,17 @@ def _float_column(tokens: list[str]) -> list[float] | None:
         values[n] = _number(tokens[n])
         if values[n] is None:
             return None
-    return values
+    if len(distinct) == len(lines):
+        return values
+    return list(map(dict(zip(distinct, values)).__getitem__, lines))
 
 
-def _column(lines: list[str], prefix: str, integer: bool) -> list | None:
-    """One menu field's numbers, from its lines, or None unless every line
-    is ``prefix`` and a token that reads back: an int ``str`` writes as the
-    token (if ``integer``), else a float ``_float_column`` accepts."""
-    if not all(map(str.startswith, lines, itertools.repeat(prefix))):
+def _int_column(lines: list[str], prefix: str) -> list[int] | None:
+    """The ints of one menu field's lines, or None unless every line is
+    ``prefix`` and a token an int ``str`` writes as the token."""
+    tokens = _tokens(lines, prefix)
+    if tokens is None:
         return None
-    tokens = [line[len(prefix):] for line in lines]
-    if not integer:
-        return _float_column(tokens)
     try:
         values = list(map(int, tokens))
     except ValueError:
@@ -175,9 +197,9 @@ def _canonical_menu(text: str, path: str, n: int) -> ContractMenu | None:
             or lines[0] != ("items:" if body else "items: []")
             or not lines[-2].startswith("t_max: ")):
         return None
-    rewards, indices, sizes = columns = [
-        _column(body[n::3], prefix, n == 1) for n, prefix in enumerate(_ITEM_LINES)
-    ]
+    rewards, indices, sizes = columns = (_float_column(body[0::3], _ITEM_LINES[0]),
+                                         _int_column(body[1::3], _ITEM_LINES[1]),
+                                         _float_column(body[2::3], _ITEM_LINES[2]))
     t_max = _number(lines[-2][len("t_max: "):])
     if None in columns or t_max is None:
         return None

@@ -131,13 +131,18 @@ def _contract_tables(sc: Scenario, which: str) -> dict[str, str]:
 def _sweep_tables(sc: Scenario, metric: str) -> dict[str, str]:
     """Defensive-effectiveness (or GCS-utility) sweep over UAV counts under
     the paired high/low budget schedules."""
+    # one population draw per count, shared by both budget schedules, so
+    # high-vs-low comparisons are apples to apples
+    pops = {
+        count: generate_population(
+            sc, rng=np.random.default_rng(np.random.SeedSequence([sc.seed, count])), count=count
+        )
+        for count in SWEEP_COUNTS
+    }
     rows = []
     for tag in ("high", "low"):
         for count, budget in zip(SWEEP_COUNTS, SWEEP_BUDGETS[tag]):
-            # same population draw for both budget schedules at a given count,
-            # so high-vs-low comparisons are apples to apples
-            rng = np.random.default_rng(np.random.SeedSequence([sc.seed, count]))
-            pop = generate_population(sc, rng=rng, count=count)
+            pop = pops[count]
             params = dataclasses.replace(sc.gcs, budget=budget)
             menus = _solve_all(pop, params, sc.t_max, sc.solver)
             _audit(menus, pop, params)

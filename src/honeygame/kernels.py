@@ -40,23 +40,18 @@ def _running_total(start: float, terms: np.ndarray) -> float:
 
 # -- population -------------------------------------------------------------
 
-def population(rows: list[tuple[float, float, int]]) -> Population | None:
-    """``model.canonical_population`` of the rows over columns; None unless
-    every cost and delay is a float, every count an int and every
-    ``UavType`` check passes (the loop then builds the types, or raises)."""
-    costs, delays, counts = zip(*rows)
-    if not (all(type(v) is float for v in costs + delays) and all(type(n) is int for n in counts)
-            and min(counts) >= 1 and sum(counts) < 2**63):
-        return None
-    cost, delay = np.array(costs), np.array(delays)
+def population(cost: np.ndarray, delay: np.ndarray, count: np.ndarray) -> Population | None:
+    """``model.canonical_columns`` of float64 cost and delay columns and an
+    int64 count column; None unless every ``UavType`` check passes (the
+    loop then raises)."""
     if not (np.isfinite(cost).all() and (cost >= 0.0).all()
             and np.isfinite(delay).all() and (delay > 0.0).all()):
         return None
     # stable: of equal keys (0.0 and -0.0 are equal) the first row's stays,
     # as the loop's dict keeps the first key
     order = np.lexsort((delay, -cost))
-    cost, delay, count = cost[order], delay[order], np.array(counts, dtype=np.int64)[order]
-    first = np.ones(len(rows), dtype=bool)
+    cost, delay, count = cost[order], delay[order], count[order]
+    first = np.ones(len(cost), dtype=bool)
     first[1:] = (cost[1:] != cost[:-1]) | (delay[1:] != delay[:-1])
     starts = np.flatnonzero(first)
     return Population._from_columns(cost[starts], delay[starts], np.add.reduceat(count, starts))

@@ -29,6 +29,7 @@ __all__ = [
     "FeasibilityReport",
     "canonicalize",
     "canonical_population",
+    "canonical_columns",
     "participating_set",
     "uav_payoff",
     "gcs_term",
@@ -156,6 +157,15 @@ def on_time_rows(pop: Population, t_max: float) -> np.ndarray | None:
     return rows if len(rows) >= ARRAY_MIN_TYPES else None
 
 
+def _menu_rows(menu: ContractMenu, pop: Population) -> np.ndarray | None:
+    """:func:`on_time_rows` at the menu's deadline, once the menu is checked
+    to hold one row per population type."""
+    if len(menu.sizes) != len(pop):
+        raise ValueError(f"a menu of {len(menu.sizes)} rows cannot serve a population of "
+                         f"{len(pop)} types")
+    return on_time_rows(pop, menu.t_max)
+
+
 def canonicalize(types: Iterable[UavType]) -> Population:
     """Merge types with identical (cost, delay), sort by descending marginal
     cost with ties broken by smaller delay, and reindex from 1."""
@@ -165,13 +175,31 @@ def canonicalize(types: Iterable[UavType]) -> Population:
 def canonical_population(rows: Iterable[tuple[float, float, int]]) -> Population:
     """:func:`canonicalize` for plain (cost, delay, count) rows: one
     ``UavType`` is built per merged type, none per row.  From
-    ``ARRAY_MIN_TYPES`` valid float rows on, the rows are merged and sorted
-    as columns and the types are left to be built on first use."""
+    ``ARRAY_MIN_TYPES`` float, float, int rows on, they are canonicalized as
+    columns (see :func:`canonical_columns`)."""
     rows = list(rows)
     if len(rows) >= ARRAY_MIN_TYPES:
-        pop = _kernels().population(rows)
+        costs, delays, counts = zip(*rows)
+        if all(type(v) is float for v in costs + delays) and all(type(n) is int for n in counts):
+            return canonical_columns(np.array(costs), np.array(delays), counts)
+    return _merged_types(rows)
+
+
+def canonical_columns(cost: np.ndarray, delay: np.ndarray, counts) -> Population:
+    """:func:`canonical_population` of the rows (cost[k], delay[k],
+    counts[k]) given as float64 cost and delay columns and a sequence of
+    ints.  From ``ARRAY_MIN_TYPES`` valid rows on, they are merged and
+    sorted as columns and the types are left to be built on first use."""
+    if len(cost) >= ARRAY_MIN_TYPES and min(counts) >= 1 and sum(counts) < 2**63:
+        pop = _kernels().population(cost, delay, np.array(counts, dtype=np.int64))
         if pop is not None:
             return pop
+    return _merged_types(zip(cost.tolist(), delay.tolist(), counts))
+
+
+def _merged_types(rows: Iterable[tuple[float, float, int]]) -> Population:
+    """The loop behind :func:`canonical_population`; a row no ``UavType``
+    accepts raises its error."""
     merged: dict[tuple[float, float], int] = {}
     for cost, delay, count in rows:
         key = (cost, delay)
@@ -347,7 +375,7 @@ def uav_utility(t: UavType, item: ContractItem, t_max: float, params: GcsParams)
 def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """Log-satisfaction over delivered VDD minus total payments (natural log).
     Non-delivering types contribute no satisfaction and receive no payment."""
-    rows = on_time_rows(pop, menu.t_max)
+    rows = _menu_rows(menu, pop)
     if rows is not None:
         return _kernels().gcs_utility(menu, pop, params, rows)
     sizes, rewards = menu.sizes.tolist(), menu.rewards.tolist()
@@ -360,7 +388,7 @@ def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float
 def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """GCS utility plus the utilities of all on-time UAVs (rewards cancel)."""
     total = gcs_utility(menu, pop, params)
-    rows = on_time_rows(pop, menu.t_max)
+    rows = _menu_rows(menu, pop)
     if rows is not None:
         return _kernels().uav_total(menu, pop, params, rows, total)
     sizes, rewards = menu.sizes.tolist(), menu.rewards.tolist()
@@ -372,7 +400,7 @@ def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> fl
 
 def total_payment(menu: ContractMenu, pop: Population) -> float:
     """What the GCS pays the on-time UAVs: the ``math.fsum`` of count x reward."""
-    rows = on_time_rows(pop, menu.t_max)
+    rows = _menu_rows(menu, pop)
     if rows is not None:
         return _kernels().total_payment(menu, pop, rows)
     rewards = menu.rewards.tolist()
@@ -391,7 +419,7 @@ def check_feasibility(
     Violations are data, not errors: slacks within ``tol`` of zero count as
     satisfied and ``worst_violation`` carries the raw minimum slack.
     """
-    rows = on_time_rows(pop, menu.t_max)
+    rows = _menu_rows(menu, pop)
     if rows is not None:
         return _kernels().check_feasibility(menu, pop, params, tol, rows)
     on_time = participating_set(pop, menu.t_max)
@@ -542,7 +570,7 @@ def check_fairness(
 def check_reward_fairness(menu: ContractMenu, pop: Population, tol: float = FEASIBILITY_TOL) -> bool:
     """Larger VDD contributions never earn smaller rewards, and types that
     cannot deliver on time are paid nothing."""
-    if on_time_rows(pop, menu.t_max) is not None:
+    if _menu_rows(menu, pop) is not None:
         return _kernels().reward_fair(menu, pop, menu.t_max, tol)
     rewards = menu.rewards.tolist()
     if any(t.delay > menu.t_max and r > tol for t, r in zip(pop.types, rewards)):
@@ -565,7 +593,7 @@ def _reward_ordered(sizes: list[float], rewards: list[float], tol: float) -> boo
 
 def defensive_effectiveness(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """Total on-time VDD per type divided by the GCS requirement."""
-    rows = on_time_rows(pop, menu.t_max)
+    rows = _menu_rows(menu, pop)
     if rows is not None:
         contributed = _kernels().delivered(menu, pop, rows)
     else:

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import ChannelParams, a2g_rate, transmission_delay
+from .channel import ChannelParams, a2g_rates, transmission_delay
 from .learn import LearnerConfig
-from .model import GcsParams, Population, canonical_population
+from .model import GcsParams, Population, canonical_columns, canonical_population
 from .solver import SolverConfig
 
 __all__ = [
@@ -249,16 +249,17 @@ def _channel_delays(sc: Scenario, n: int, rng: np.random.Generator) -> list[floa
 
     Each UAV takes three uniforms (x, y, altitude) in turn, scaled as
     ``rng.uniform`` scales them, so the positions and the generator's final
-    state equal those of three scalar ``uniform`` calls per UAV."""
+    state equal those of three scalar ``uniform`` calls per UAV.  The
+    horizontal distances are ``math.hypot``'s (CPython's own algorithm),
+    at least 1 m."""
     ax, ay = map(float, sc.area)
     zlo, zhi = map(float, sc.height_range)
-    gx, gy = ax / 2.0, ay / 2.0
-    delays = []
-    for ux, uy, uz in rng.random((n, 3)).tolist():
-        d = max(math.hypot(ax * ux - gx, ay * uy - gy), 1.0)
-        rate = a2g_rate(zlo + (zhi - zlo) * uz, sc.channel, d)
-        delays.append(transmission_delay(sc.gcs.s_max, rate))
-    return delays
+    ux, uy, uz = rng.random((n, 3)).T
+    dx, dy = ax * ux - ax / 2.0, ay * uy - ay / 2.0
+    d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=float, count=n)
+    d = np.where(1.0 > d, 1.0, d)  # max(d, 1.0)
+    rates = a2g_rates(zlo + (zhi - zlo) * uz, sc.channel, d)
+    return transmission_delay(sc.gcs.s_max, rates).tolist()
 
 
 def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
@@ -278,20 +279,21 @@ def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
     n = count if count is not None else spec.count
     lo, hi = spec.cost_range
     if spec.distribution == "even":
-        costs = [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        cost = np.array([lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n)],
+                        dtype=float)
     else:
-        costs = sorted(float(c) for c in rng.uniform(lo, hi, size=n))
+        cost = np.sort(rng.uniform(lo, hi, size=n))
 
     if spec.delay == "channel":
-        delays = _channel_delays(sc, n, rng)
+        delay = np.array(_channel_delays(sc, n, rng))
     elif isinstance(spec.delay, (int, float)):
-        delays = [float(spec.delay)] * n
+        delay = np.full(n, float(spec.delay))
     else:
-        delays = [float(d) for d in spec.delay]
-        if len(delays) != n:
-            raise ValueError(f"delay list has {len(delays)} entries for {n} types")
+        delay = np.array([float(d) for d in spec.delay])
+        if len(delay) != n:
+            raise ValueError(f"delay list has {len(delay)} entries for {n} types")
 
     counts = list(spec.counts) if spec.counts else [1] * n
     if len(counts) != n:
         raise ValueError(f"counts list has {len(counts)} entries for {n} types")
-    return canonical_population(zip(costs, delays, counts))
+    return canonical_columns(cost, delay, counts)

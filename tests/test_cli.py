@@ -723,6 +723,63 @@ def _read_both(text: str, n: int) -> tuple[str, str]:
             _outcome(lambda t: _menu_from_yaml(t, "menu.yaml", n), text))
 
 
+# a pool of column values: few distinct ones repeat heavily, 0.0 sits
+# beside -0.0, and some reprs have an exponent without a dot (1e-05)
+COLUMN_POOLS = st.lists(VALID_FLOATS | st.sampled_from([0.0, -0.0, 1e-05, 1e16, 2.5e-308]),
+                        min_size=1, max_size=6)
+
+
+@st.composite
+def float_columns(draw):
+    """Columns drawn from a small pool (heavy repeats), or all distinct."""
+    if draw(st.booleans()):
+        return draw(st.lists(VALID_FLOATS, min_size=1, max_size=80, unique_by=float.hex))
+    pool = draw(COLUMN_POOLS)
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+
+
+# tokens a hand-edited field may hold: written floats and ints, other
+# spellings of numbers (which only the YAML reader may take) and junk
+TOKENS = st.one_of(
+    VALID_FLOATS.map(cli._yaml_number),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1e5", "1e-05", "1.0e+5", "1.0e-05", "010", "-0", "+1.5", "1_0", " 1.5",
+                     "1.5 ", "inf", ".inf", "-.inf", ".nan", "nan", "0x10", "1.", ".5", "",
+                     "x", "-0.0", "0.0", "1" + "0" * 400, "1e400"]),
+)
+
+
+class TestColumnCodec:
+    @given(values=float_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_writer_tokens_are_each_values_yaml_number(self, values):
+        assert cli._number_tokens(np.array(values)) == list(map(cli._yaml_number, values))
+
+    @given(pool=st.lists(TOKENS, min_size=1, max_size=6), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reader_takes_exactly_what_number_takes(self, pool, data):
+        tokens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+                           | st.permutations(pool))
+        lines = [cli._ITEM_LINES[2] + token for token in tokens]
+        want = list(map(cli._number, tokens))
+        got = cli._float_column(lines, cli._ITEM_LINES[2])
+        # repr tells -0.0 from 0.0
+        assert repr(got) == repr(None if None in want else want)
+
+    @given(values=float_columns())
+    @settings(max_examples=100, deadline=None)
+    def test_written_columns_read_back(self, values):
+        lines = [cli._ITEM_LINES[0] + token for token in cli._number_tokens(np.array(values))]
+        assert repr(cli._float_column(lines, cli._ITEM_LINES[0])) == repr(values)
+
+    def test_zero_and_negative_zero_keep_their_tokens(self):
+        values = [0.0, -0.0, 0.0, -0.0, 1e-05, 1e-05]
+        tokens = cli._number_tokens(np.array(values))
+        assert tokens == ["0.0", "-0.0", "0.0", "-0.0", "1.0e-05", "1.0e-05"]
+        lines = [cli._ITEM_LINES[0] + token for token in tokens]
+        assert repr(cli._float_column(lines, cli._ITEM_LINES[0])) == repr(values)
+
+
 class TestMenuCodec:
     @given(menu=menus(t_max=T_MAXES | st.integers(1, 10**30)))
     @settings(max_examples=200, deadline=None)

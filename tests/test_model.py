@@ -26,6 +26,7 @@ from honeygame.model import (
     gcs_utility,
     participating_set,
     social_surplus,
+    total_payment,
     uav_payoff,
     uav_utility,
 )
@@ -236,6 +237,21 @@ class TestFeasibility:
         report = check_feasibility(menu, pop, params)
         assert not report.budget_ok
         assert report.worst_violation == pytest.approx(-3.0)
+
+    # J = 2 runs the loops, J = 70 the kernels; a menu one row short or long
+    @pytest.mark.parametrize("n", [2, 70])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("audit", [
+        lambda menu, pop: check_feasibility(menu, pop, GcsParams()),
+        lambda menu, pop: gcs_utility(menu, pop, GcsParams()),
+        lambda menu, pop: total_payment(menu, pop),
+    ], ids=["check_feasibility", "gcs_utility", "total_payment"])
+    def test_menu_of_another_length_rejected(self, n, extra, audit):
+        pop = make_pop(np.linspace(1.0, 0.1, n).tolist())
+        rows = n + extra
+        menu = ContractMenu(T_MAX, np.arange(rows, dtype=float), np.arange(rows, dtype=float) + 1.0)
+        with pytest.raises(ValueError, match=f"menu of {rows} rows .* population of {n} types"):
+            audit(menu, pop)
 
     def test_nonparticipant_paid_breaks_compact_conditions(self):
         pop = make_pop([0.5, 0.25], delays=[1.0, 5.0])

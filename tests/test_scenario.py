@@ -238,3 +238,30 @@ class TestChannelDelays:
         want = reference_delays(sc, n, ref_rng)
         assert [d.hex() for d in got] == [d.hex() for d in want]
         assert rng.random() == ref_rng.random()
+
+    @given(
+        area=st.tuples(st.floats(0.0, 5000.0), st.floats(0.0, 5000.0)),
+        heights=st.lists(st.floats(0.0, 500.0), min_size=2, max_size=2).map(sorted),
+        channel=st.builds(
+            ChannelParams,
+            atten_los=st.floats(0.0, 60.0),
+            atten_nlos=st.floats(0.0, 60.0),
+            logit_a=st.floats(0.0, 40.0),
+            logit_b=st.floats(0.01, 2.0),
+            carrier_hz=st.floats(1e8, 1e11),
+            gcs_height=st.floats(0.0, 100.0),
+            bw_a2g=st.floats(1e3, 1e9),
+            tx_power_dbm=st.floats(-20.0, 50.0),
+            noise_dbm=st.floats(-150.0, -60.0),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_for_any_geometry_and_link(self, area, heights, channel, seed, n):
+        sc = Scenario(area=area, height_range=tuple(heights), channel=channel)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _channel_delays(sc, n, rng)
+        want = reference_delays(sc, n, ref_rng)
+        assert [d.hex() for d in got] == [d.hex() for d in want]
+        assert rng.random() == ref_rng.random()
