@@ -259,6 +259,8 @@ class TestChannelDelays:
     )
     @settings(max_examples=150, deadline=None)
     def test_bitwise_equal_for_any_geometry_and_link(self, area, heights, channel, seed, n):
+        # reference_delays prices one UAV at a time through a2g_rate, whose
+        # bits test_channel checks against the formula in scalar math
         sc = Scenario(area=area, height_range=tuple(heights), channel=channel)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _channel_delays(sc, n, rng)
