@@ -100,12 +100,9 @@ def _float_tokens(values: list[float]) -> list[str]:
 
 def _number_tokens(column: np.ndarray) -> list[str]:
     """``_yaml_number`` of each value of a non-empty column of finite floats.
-    When at most half the values are distinct (the sizes and rewards of
-    bunched types), each distinct value is formatted once, keyed by its bits
-    so that 0.0 and -0.0 stay apart; otherwise the whole column is."""
+    Each distinct value (bunched types share sizes and rewards) is formatted
+    once, keyed by its bits so that 0.0 and -0.0 stay apart."""
     bits, at = np.unique(column.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(column):
-        return _float_tokens(column.tolist())
     return np.array(_float_tokens(bits.view(float).tolist()), dtype=object)[at].tolist()
 
 

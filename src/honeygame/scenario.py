@@ -243,7 +243,7 @@ def dump_scenario(sc: Scenario) -> str:
     return buf.getvalue()
 
 
-def _channel_delays(sc: Scenario, n: int, rng: np.random.Generator) -> list[float]:
+def _channel_delays(sc: Scenario, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw initial positions and price each type's delay as the time to ship
     a full s_max payload over its A2G link.  Held fixed afterwards.
 
@@ -259,7 +259,7 @@ def _channel_delays(sc: Scenario, n: int, rng: np.random.Generator) -> list[floa
     d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=float, count=n)
     d = np.where(1.0 > d, 1.0, d)  # max(d, 1.0)
     rates = a2g_rates(zlo + (zhi - zlo) * uz, sc.channel, d)
-    return transmission_delay(sc.gcs.s_max, rates).tolist()
+    return transmission_delay(sc.gcs.s_max, rates)
 
 
 def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
@@ -285,7 +285,7 @@ def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
         cost = np.sort(rng.uniform(lo, hi, size=n))
 
     if spec.delay == "channel":
-        delay = np.array(_channel_delays(sc, n, rng))
+        delay = _channel_delays(sc, n, rng)
     elif isinstance(spec.delay, (int, float)):
         delay = np.full(n, float(spec.delay))
     else:

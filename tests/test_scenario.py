@@ -165,7 +165,7 @@ def reference_raw_types(sc: Scenario) -> list[UavType]:
     else:
         costs = sorted(float(c) for c in rng.uniform(lo, hi, size=n))
     if spec.delay == "channel":
-        delays = _channel_delays(sc, n, rng)
+        delays = _channel_delays(sc, n, rng).tolist()
     elif isinstance(spec.delay, float):
         delays = [spec.delay] * n
     else:
