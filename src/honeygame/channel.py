@@ -10,6 +10,7 @@ algebra runs in the linear domain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,6 +90,9 @@ def _each(function, *columns) -> np.ndarray:
 # ``math.degrees(x)`` is ``x`` times this constant
 _DEGREES_PER_RADIAN = math.degrees(1.0)
 
+# the largest x for which ``math.exp(x)`` does not overflow
+_EXP_MAX = math.log(sys.float_info.max)
+
 # the column functions below run plain arithmetic as numpy ufuncs, in
 # Python's order of evaluation, and keep ``atan2``, ``exp``, ``log10``,
 # ``10.0 **`` and ``log2`` the scalar calls, so that each row has the bits
@@ -102,8 +106,10 @@ def los_probabilities(elevation_rad, params: ChannelParams) -> np.ndarray:
     elevation angles: a logistic curve in the angle (radians in, converted
     to degrees internally)."""
     theta_deg = np.asarray(elevation_rad, dtype=float) * _DEGREES_PER_RADIAN
-    odds = _each(math.exp, -params.logit_b * (theta_deg - params.logit_a))
-    return 1.0 / (1.0 + params.logit_a * odds)
+    # where ``exp`` would overflow, the logistic is at its limit: the largest
+    # float odds give P_LoS ~ 0 (1 when logit_a is 0)
+    exponent = np.minimum(-params.logit_b * (theta_deg - params.logit_a), _EXP_MAX)
+    return 1.0 / (1.0 + params.logit_a * _each(math.exp, exponent))
 
 
 @_quiet

@@ -136,15 +136,6 @@ def _number(token: str) -> float | None:
         return None
 
 
-def _tokens(lines: list[str], prefix: str) -> list[str] | None:
-    """What follows ``prefix`` on each line, or None unless every line
-    starts with it."""
-    if not all(map(str.startswith, lines, itertools.repeat(prefix))):
-        return None
-    start = len(prefix)
-    return [line[start:] for line in lines]
-
-
 def _float_column(lines: list[str], prefix: str) -> list[float] | None:
     """The floats of one menu field's lines, or None unless every line is
     ``prefix`` and a token ``_number`` reads.  Each distinct line is read
@@ -152,9 +143,9 @@ def _float_column(lines: list[str], prefix: str) -> list[float] | None:
     ``_yaml_number`` writes for that float; only the other tokens take
     ``_number``'s round trip."""
     distinct = list(dict.fromkeys(lines))
-    tokens = _tokens(distinct, prefix)
-    if tokens is None:
+    if not all(map(str.startswith, distinct, itertools.repeat(prefix))):
         return None
+    tokens = [line[len(prefix):] for line in distinct]
     try:
         values = list(map(float, tokens))
     except ValueError:
@@ -170,37 +161,25 @@ def _float_column(lines: list[str], prefix: str) -> list[float] | None:
     return list(map(dict(zip(distinct, values)).__getitem__, lines))
 
 
-def _int_column(lines: list[str], prefix: str) -> list[int] | None:
-    """The ints of one menu field's lines, or None unless every line is
-    ``prefix`` and a token an int ``str`` writes as the token."""
-    tokens = _tokens(lines, prefix)
-    if tokens is None:
-        return None
-    try:
-        values = list(map(int, tokens))
-    except ValueError:
-        return None
-    return values if list(map(str, values)) == tokens else None
-
-
 def _canonical_menu(text: str, path: str, n: int) -> ContractMenu | None:
     """Read a menu file of ``n`` types written exactly as ``_menu_text``
-    writes one, without a YAML parser.  Any other text (comments, flow
-    style, other key orders or spellings such as ``010`` or ``1e5``) gives
-    None."""
+    writes one, without a YAML parser: its items in type order 1, 2, ...
+    Any other text (comments, flow style, other key orders or type orders,
+    spellings such as ``010`` or ``1e5``) gives None."""
     lines = text.split("\n")
     body = lines[1:-2]
+    indices = range(1, len(body) // 3 + 1)
     if (len(lines) < 3 or lines[-1] or len(body) % 3
             or lines[0] != ("items:" if body else "items: []")
-            or not lines[-2].startswith("t_max: ")):
+            or not lines[-2].startswith("t_max: ")
+            or body[1::3] != list(map(f"{_ITEM_LINES[1]}%d".__mod__, indices))):
         return None
-    rewards, indices, sizes = columns = (_float_column(body[0::3], _ITEM_LINES[0]),
-                                         _int_column(body[1::3], _ITEM_LINES[1]),
-                                         _float_column(body[2::3], _ITEM_LINES[2]))
+    rewards, sizes = columns = (_float_column(body[0::3], _ITEM_LINES[0]),
+                                _float_column(body[2::3], _ITEM_LINES[2]))
     t_max = _number(lines[-2][len("t_max: "):])
     if None in columns or t_max is None:
         return None
-    return _menu_in_rows(path, n, t_max, indices, sizes, rewards)
+    return _menu_in_rows(path, n, t_max, list(indices), sizes, rewards)
 
 
 def _menu_from_file(path: str, n: int) -> ContractMenu:
@@ -240,11 +219,8 @@ def _menu_number(data: dict, key: str, where: str, integer: bool = False):
     a bool) if ``integer``, else a real number (not a bool or a string),
     returned as a float."""
     value = _menu_field(data, key, where)
-    try:
-        if _is_integer(value) if integer else _is_number(value):
-            return value if integer else float(value)
-    except OverflowError:  # an int too large for a float
-        pass
+    if _is_integer(value) if integer else _is_number(value):
+        return value if integer else float(value)
     raise ValueError(f"{where}: field {key!r} must be {'an integer' if integer else 'a number'}, "
                      f"got {value!r}")
 

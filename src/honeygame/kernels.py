@@ -1,7 +1,7 @@
-"""Array kernels: the population build, solvers, audits and utilities over
-numpy columns, for populations with at least ``model.ARRAY_MIN_TYPES``
-on-time types.  Below that the per-type loops in ``model`` and ``solver``
-run; they are also the bitwise reference these kernels reproduce:
+"""Array kernels: the solvers, audits and utilities over numpy columns,
+for populations with at least ``model.ARRAY_MIN_TYPES`` on-time types.
+Below that the per-type loops in ``model`` and ``solver`` run; they are
+also the bitwise reference these kernels reproduce:
 
 * a sum a loop takes left to right is a sequential ``np.cumsum`` (never the
   pairwise ``np.sum``), started where the loop starts;
@@ -36,25 +36,6 @@ def _running_total(start: float, terms: np.ndarray) -> float:
     """``start`` plus the terms, added one at a time from the left (as a
     Python loop, or the built-in ``sum`` from 0, adds them)."""
     return float(np.cumsum(np.concatenate(([start], terms)))[-1])
-
-
-# -- population -------------------------------------------------------------
-
-def population(cost: np.ndarray, delay: np.ndarray, count: np.ndarray) -> Population | None:
-    """``model.canonical_columns`` of float64 cost and delay columns and an
-    int64 count column; None unless every ``UavType`` check passes (the
-    loop then raises)."""
-    if not (np.isfinite(cost).all() and (cost >= 0.0).all()
-            and np.isfinite(delay).all() and (delay > 0.0).all()):
-        return None
-    # stable: of equal keys (0.0 and -0.0 are equal) the first row's stays,
-    # as the loop's dict keeps the first key
-    order = np.lexsort((delay, -cost))
-    cost, delay, count = cost[order], delay[order], count[order]
-    first = np.ones(len(cost), dtype=bool)
-    first[1:] = (cost[1:] != cost[:-1]) | (delay[1:] != delay[:-1])
-    starts = np.flatnonzero(first)
-    return Population._from_columns(cost[starts], delay[starts], np.add.reduceat(count, starts))
 
 
 # -- utilities --------------------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "GcsParams",
     "FeasibilityReport",
     "canonicalize",
-    "canonical_population",
     "canonical_columns",
     "participating_set",
     "uav_payoff",
@@ -47,8 +46,8 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 
 # On-time types from which the solvers, audits and utilities run as the
-# numpy kernels of ``kernels`` (and a population is built as columns); below
-# it the per-type loops here and in ``solver`` run.  Both give the same bits.
+# numpy kernels of ``kernels``; below it the per-type loops here and in
+# ``solver`` run.  Both give the same bits.
 # Set above the measured crossover of the two paths (README, "Performance").
 ARRAY_MIN_TYPES = 64
 
@@ -75,66 +74,39 @@ class UavType:
 
 
 class Population:
-    """Canonicalized collection of UAV types.
+    """Canonicalized collection of UAV types, held as a float64 cost, a
+    float64 delay and an int64 count column.  Types are ordered by
+    descending marginal cost (ties broken by smaller delay); row k - 1 holds
+    type k.  Use :func:`canonicalize` or :func:`canonical_columns` to build
+    one from raw types or rows; ``types`` is the per-type view, built on
+    first use."""
 
-    Types are ordered by descending marginal cost (ties broken by smaller
-    delay) and indexed 1..J.  Use :func:`canonicalize` to build one from raw
-    types.  A population holds its types, or (as :func:`canonical_population`
-    builds it from ``ARRAY_MIN_TYPES`` types up) its cost, delay and count
-    columns; either form is derived from the other on first use.
-    """
-
-    def __init__(self, types: Iterable[UavType]) -> None:
-        types = tuple(types)
-        for a, b in zip(types, types[1:]):
-            if (a.marginal_cost, -a.delay) < (b.marginal_cost, -b.delay):
-                raise ValueError("types must be ordered by descending cost, then ascending delay")
-        if any(t.index != i for i, t in enumerate(types, start=1)):
-            raise ValueError("types must be indexed 1..J in order")
-        self.__dict__.update(types=types, _size=len(types))
-
-    @classmethod
-    def _from_columns(cls, cost: np.ndarray, delay: np.ndarray, count: np.ndarray) -> Population:
-        """A population of columns already canonical and valid."""
-        pop = cls.__new__(cls)
-        pop.__dict__.update(cost=cost, delay=delay, count=count, _size=len(cost))
-        return pop
+    def __init__(self, cost: np.ndarray, delay: np.ndarray, count: np.ndarray) -> None:
+        if ((cost[1:] > cost[:-1]) | ((cost[1:] == cost[:-1]) & (delay[1:] < delay[:-1]))).any():
+            raise ValueError("types must be ordered by descending cost, then ascending delay")
+        self.__dict__.update(cost=cost, delay=delay, count=count)
 
     @cached_property
     def types(self) -> tuple[UavType, ...]:
-        return tuple(map(UavType, range(1, len(self) + 1), self.cost.tolist(),
-                         self.delay.tolist(), self.count.tolist()))
+        return tuple(map(UavType, range(1, len(self) + 1), *self._values()))
 
-    @cached_property
-    def cost(self) -> np.ndarray:
-        return np.array([t.marginal_cost for t in self.types], dtype=float)
-
-    @cached_property
-    def delay(self) -> np.ndarray:
-        return np.array([t.delay for t in self.types], dtype=float)
-
-    @cached_property
-    def count(self) -> np.ndarray:
-        return np.array([t.count for t in self.types], dtype=np.int64)
-
-    @cached_property
-    def _columns_exact(self) -> bool:
-        """Whether every count sum fits the int64 count column."""
-        return "types" not in self.__dict__ or sum(t.count for t in self.types) < 2**63
+    def _values(self) -> tuple[list[float], list[float], list[int]]:
+        return self.cost.tolist(), self.delay.tolist(), self.count.tolist()
 
     def __len__(self) -> int:
-        return self._size
+        return len(self.cost)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Population):
             return NotImplemented
-        return self.types == other.types
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self.types)
+        return hash(tuple(map(tuple, self._values())))
 
     def __repr__(self) -> str:
-        return f"Population(types={self.types!r})"
+        cost, delay, count = self._values()
+        return f"Population(cost={cost!r}, delay={delay!r}, count={count!r})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -151,7 +123,7 @@ def on_time_rows(pop: Population, t_max: float) -> np.ndarray | None:
     """Row positions of the types that meet the deadline when there are at
     least ``ARRAY_MIN_TYPES`` of them, so that the array kernels run; None
     when the per-type loops run instead."""
-    if pop._size < ARRAY_MIN_TYPES or not pop._columns_exact:
+    if len(pop.cost) < ARRAY_MIN_TYPES:
         return None
     rows = np.flatnonzero(pop.delay <= t_max)
     return rows if len(rows) >= ARRAY_MIN_TYPES else None
@@ -169,47 +141,37 @@ def _menu_rows(menu: ContractMenu, pop: Population) -> np.ndarray | None:
 def canonicalize(types: Iterable[UavType]) -> Population:
     """Merge types with identical (cost, delay), sort by descending marginal
     cost with ties broken by smaller delay, and reindex from 1."""
-    return canonical_population((t.marginal_cost, t.delay, t.count) for t in types)
+    types = list(types)
+    return canonical_columns([t.marginal_cost for t in types], [t.delay for t in types],
+                             [t.count for t in types])
 
 
-def canonical_population(rows: Iterable[tuple[float, float, int]]) -> Population:
-    """:func:`canonicalize` for plain (cost, delay, count) rows: one
-    ``UavType`` is built per merged type, none per row.  From
-    ``ARRAY_MIN_TYPES`` float, float, int rows on, they are canonicalized as
-    columns (see :func:`canonical_columns`)."""
-    rows = list(rows)
-    if len(rows) >= ARRAY_MIN_TYPES:
-        costs, delays, counts = zip(*rows)
-        if all(type(v) is float for v in costs + delays) and all(type(n) is int for n in counts):
-            return canonical_columns(np.array(costs), np.array(delays), counts)
-    return _merged_types(rows)
-
-
-def canonical_columns(cost: np.ndarray, delay: np.ndarray, counts) -> Population:
-    """:func:`canonical_population` of the rows (cost[k], delay[k],
-    counts[k]) given as float64 cost and delay columns and a sequence of
-    ints.  From ``ARRAY_MIN_TYPES`` valid rows on, they are merged and
-    sorted as columns and the types are left to be built on first use."""
-    if len(cost) >= ARRAY_MIN_TYPES and min(counts) >= 1 and sum(counts) < 2**63:
-        pop = _kernels().population(cost, delay, np.array(counts, dtype=np.int64))
-        if pop is not None:
-            return pop
-    return _merged_types(zip(cost.tolist(), delay.tolist(), counts))
-
-
-def _merged_types(rows: Iterable[tuple[float, float, int]]) -> Population:
-    """The loop behind :func:`canonical_population`; a row no ``UavType``
-    accepts raises its error."""
-    merged: dict[tuple[float, float], int] = {}
-    for cost, delay, count in rows:
-        key = (cost, delay)
-        merged[key] = merged.get(key, 0) + count
-    ordered = sorted(merged.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-    out = tuple(
-        UavType(index=i + 1, marginal_cost=c, delay=d, count=n)
-        for i, ((c, d), n) in enumerate(ordered)
-    )
-    return Population(types=out)
+def canonical_columns(cost, delay, counts) -> Population:
+    """:func:`canonicalize` of the rows (cost[k], delay[k], counts[k]), given
+    as cost and delay columns of floats and a sequence of ints.  A row no
+    ``UavType`` accepts raises that error (the first such row's), and so do
+    counts that total 2**63 or more, past the int64 count column."""
+    cost, delay = np.asarray(cost, dtype=float), np.asarray(delay, dtype=float)
+    # a nan fails every comparison
+    if not (np.minimum.reduce(cost, initial=0.0) >= 0.0
+            and np.maximum.reduce(cost, initial=0.0) < math.inf
+            and np.minimum.reduce(delay, initial=1.0) > 0.0
+            and np.maximum.reduce(delay, initial=1.0) < math.inf
+            and min(counts, default=1) >= 1):
+        for row in zip(itertools.count(1), cost.tolist(), delay.tolist(), counts):
+            UavType(*row)
+    total = sum(counts)
+    if total >= 2**63:
+        raise ValueError(f"type counts must total less than 2**63, got {total}")
+    # stable: of rows with equal keys (0.0 and -0.0 are equal) the first
+    # row's key stays
+    order = np.lexsort((delay, -cost))
+    cost, delay, count = cost[order], delay[order], np.array(counts, dtype=np.int64)[order]
+    first = np.empty(len(cost), dtype=bool)
+    first[:1] = True
+    first[1:] = (cost[1:] != cost[:-1]) | (delay[1:] != delay[:-1])
+    starts = first.nonzero()[0]
+    return Population(cost[starts], delay[starts], np.add.reduceat(count, starts))
 
 
 @dataclass(frozen=True)

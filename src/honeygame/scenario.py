@@ -13,6 +13,7 @@ import dataclasses
 import io
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import yaml
 
 from .channel import ChannelParams, a2g_rates, transmission_delay
 from .learn import LearnerConfig
-from .model import GcsParams, Population, canonical_columns, canonical_population
+from .model import GcsParams, Population, canonical_columns
 from .solver import SolverConfig
 
 __all__ = [
@@ -132,11 +133,15 @@ def _check_number(path: str, default, value) -> None:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number a float holds: not a bool, nor an int past the float
+    range."""
+    if isinstance(value, numbers.Integral):
+        return _is_integer(value) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Real)
 
 
 def _is_integer(value) -> bool:
-    return _is_number(value) and isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _list_of(predicate, value) -> bool:
@@ -272,9 +277,8 @@ def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
         if count is not None:
             raise ValueError("population.distribution: explicit types cannot be swept over UAV counts")
         assert spec.types is not None
-        return canonical_population(
-            (float(t["cost"]), float(t["delay"]), int(t.get("count", 1))) for t in spec.types
-        )
+        return canonical_columns([t["cost"] for t in spec.types], [t["delay"] for t in spec.types],
+                                 [t.get("count", 1) for t in spec.types])
 
     n = count if count is not None else spec.count
     lo, hi = spec.cost_range

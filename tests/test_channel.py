@@ -151,6 +151,17 @@ class TestColumns:
         with pytest.raises(ValueError, match="rate must be > 0, got 0.0"):
             transmission_delay(300.0, np.array([1e6, 0.0]))
 
+    @pytest.mark.parametrize("logit_a, theta_deg, p_los",
+                             [(100.0, 0.0, 0.0), (100.0, 20.0, 0.0), (0.0, -80.0, 1.0)])
+    def test_overflowing_exp_gives_the_logistic_limit(self, recwarn, logit_a, theta_deg, p_los):
+        # exp(-logit_b (theta - logit_a)) past the float range: no line of
+        # sight, or a sure one when logit_a is 0, and no warning
+        params = ChannelParams(logit_a=logit_a, logit_b=10.0)
+        with pytest.raises(OverflowError):
+            math.exp(-params.logit_b * (theta_deg - logit_a))
+        assert los_probability(math.radians(theta_deg), params) == p_los
+        assert not recwarn.list
+
     def test_overflow_gives_inf_without_warning(self, recwarn):
         # far below the station, logit_a * exp(...) overflows to inf, as on
         # Python floats: no line of sight, and no warning

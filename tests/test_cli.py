@@ -486,6 +486,83 @@ class TestMenuFuzz:
         assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+# scenario values at and past the edges of what a float or an int64 holds,
+# and values of the wrong type
+EXTREME_NUMBERS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-05, 0.5, 12.0, 100.0, 710.0,
+                                   1e300, 1.7976931348623157e308, -1.0, math.inf, -math.inf,
+                                   math.nan, 10**400])
+HUGE_COUNTS = st.sampled_from([0, -1, 2**31, 2**62, 2**63 - 1, 2**63, 2**64, 10**30])
+WRONG_TYPES = st.sampled_from(["abc", "1e5", None, True, [], {}, [1.0], {"a": 1}])
+LOGITS = st.floats(0.0, 1e3) | st.floats(0.0, 1e308)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Scenarios of 1 to 4 types: generated, explicit or late-only
+    populations, extreme line-of-sight logistics and other extreme values,
+    huge and zero counts, and at times one field of the wrong type."""
+
+    def pick(usual, odd):  # the odd value about one time in five
+        return draw(odd if draw(st.integers(0, 4)) == 0 else usual)
+
+    def number():
+        return pick(st.floats(0.01, 3.0), EXTREME_NUMBERS)
+
+    def count():
+        return pick(st.integers(1, 3), HUGE_COUNTS)
+
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["even", "uniform", "explicit", "late-only"]))
+    types = [{"cost": number(), "count": count(),
+              "delay": draw(st.floats(2.5, 10.0)) if kind == "late-only" else number()}
+             for _ in range(n)]
+    if kind in ("explicit", "late-only"):
+        population = {"distribution": "explicit", "types": types}
+    else:
+        population = {"distribution": kind, "count": n,
+                      "delay": draw(st.sampled_from(["channel", number(), [number() for _ in types]])),
+                      "counts": draw(st.none() | st.just([t["count"] for t in types]))}
+    channel = {"logit_a": pick(LOGITS, EXTREME_NUMBERS), "logit_b": pick(LOGITS, EXTREME_NUMBERS)}
+    gcs = {"budget": pick(st.floats(0.0, 1000.0), EXTREME_NUMBERS)}
+    scenario = {"seed": pick(st.integers(0, 2**32 - 1), HUGE_COUNTS),
+                "t_max": 2.0 if kind == "late-only" else pick(st.just(2.0), EXTREME_NUMBERS),
+                "population": population, "channel": channel, "gcs": gcs}
+    if draw(st.integers(0, 3)) == 0:
+        places = [(scenario, "seed"), (scenario, "t_max")] + [
+            (section, key) for section in (population, channel, gcs, *types) for key in section]
+        section, key = draw(st.sampled_from(places))
+        section[key] = draw(WRONG_TYPES)
+    return scenario
+
+
+@pytest.fixture(scope="module")
+def scenario_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzzed")
+
+
+class TestScenarioFuzz:
+    @given(scenario=scenario_dicts())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_and_fig7_never_end_in_a_traceback(self, scenario_dir, scenario):
+        path = scenario_dir / "scenario.yaml"
+        path.write_text(yaml.dump(scenario, Dumper=YAML_DUMPER))
+        for command in (["solve"], ["reproduce", "fig7", "--out", str(scenario_dir)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([*command, "--scenario", str(path)])
+            assert rc in (0, 1, 2)
+            assert (rc != 0) == err.getvalue().startswith("error:")
+            assert "Traceback" not in err.getvalue()
+
+    def test_extreme_line_of_sight_logistic(self, tmp_path, capsys):
+        # exp(-logit_b (theta - logit_a)) overflows below about 29 degrees of
+        # elevation, where the logistic is at its limit: no line of sight
+        path = tmp_path / "scenario.yaml"
+        path.write_text("channel: {logit_a: 100.0, logit_b: 10.0}\n")
+        assert main(["solve", "--scenario", str(path)]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 # on-time types above model.ARRAY_MIN_TYPES, so the column kernels run
 MANY_TYPES_SCENARIO = """
 seed: 3
@@ -621,6 +698,14 @@ class TestScenarioErrors:
              "{cost: 0.5, delay: 1.0, count: 1}]}", "population.types[0].count must be >= 1, got 0"),
             ("population: {distribution: explicit, types: [{cost: 0.5, delay: 1.0, count: -1}]}",
              "population.types[0].count must be >= 1, got -1"),
+            ("population: {count: 2, delay: 1.0, counts: [9223372036854775807, 1]}",
+             "type counts must total less than 2**63, got 9223372036854775808"),
+            ("population: {distribution: explicit, types: [{cost: 0.5, delay: 1.0, count: "
+             "9223372036854775807}, {cost: 0.5, delay: 1.0}]}",
+             "type counts must total less than 2**63, got 9223372036854775808"),
+            ("population: {distribution: explicit, types: [{cost: -0.5, delay: 1.0}]}",
+             "marginal_cost must be finite and >= 0, got -0.5"),
+            ("gcs: {budget: 1" + "0" * 400 + "}", "gcs.budget must be a number"),
         ],
         ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max",
              "mobility", "light-speed", "per-side-learn-rate", "type-without-delay",
@@ -631,7 +716,8 @@ class TestScenarioErrors:
              "negative-atten-nlos", "nan-logit-a", "infinite-logit-b", "nan-gcs-height",
              "infinite-bandwidth", "infinite-area", "negative-height", "inverted-height-range",
              "zero-count", "negative-count", "zero-count-type-merging-into-twin",
-             "negative-type-count"],
+             "negative-type-count", "counts-past-int64", "twins-past-int64",
+             "negative-type-cost", "int-past-float"],
     )
     def test_bad_scenario_exits_2(self, tmp_path, capsys, text, message):
         # rejected at load, so learn fails before it plays an episode
@@ -836,10 +922,13 @@ class TestMenuCodec:
         zero = ContractMenu(2.0, [0.0] * 3, [0.0] * 3)
         assert _read_both(text, 3) == (repr(zero), repr(zero))
 
+    # the column reader takes types 1..J in order only and passes any other
+    # type column on (None) to the YAML reader, which places the items
+
     def test_types_left_out_get_the_zero_row(self):
         text = "items:\n- reward: 2.5\n  type: 3\n  vdd_size: 1.5\nt_max: 2.0\n"
         want = repr(ContractMenu(2.0, [0.0, 0.0, 1.5, 0.0], [0.0, 0.0, 2.5, 0.0]))
-        assert _read_both(text, 4) == (want, want)
+        assert _read_both(text, 4) == ("None", want)
 
     @pytest.mark.parametrize("order", [(2, 1), (3, 1, 2), (2, 3)])
     def test_items_go_to_their_rows_in_any_order(self, order):
@@ -849,7 +938,7 @@ class TestMenuCodec:
         n = max(order)
         sizes = [float(k) if k in order else 0.0 for k in range(1, n + 1)]
         want = repr(ContractMenu(2.0, sizes, [2.0 * s for s in sizes]))
-        assert _read_both(text, n) == (want, want)
+        assert _read_both(text, n) == ("None", want)
 
     CANONICAL = "items:\n- reward: 2.5\n  type: 1\n  vdd_size: 1.5\nt_max: 2.0\n"
 

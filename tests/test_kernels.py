@@ -8,6 +8,7 @@ compared by ``repr`` (which tells -0.0 from 0.0 and every last bit).
 """
 
 import math
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -22,7 +23,7 @@ from honeygame.model import (
     UavType,
     ContractMenu,
     GcsParams,
-    canonical_population,
+    canonical_columns,
     check_feasibility,
     check_reward_fairness,
     defensive_effectiveness,
@@ -79,7 +80,7 @@ def cases(draw):
 def outputs(rows, params, cfg) -> list[str]:
     """repr of the population ``rows`` make and of every solver, audit and
     utility output on it, and the text of each menu."""
-    pop = canonical_population(rows)
+    pop = canonical_columns(*zip(*rows))
     menus = [solver.solve_complete(pop, params, T_MAX, cfg),
              solver.solve_partial(pop, params, T_MAX, cfg)]
     partial = menus[1]
@@ -102,10 +103,8 @@ def outputs(rows, params, cfg) -> list[str]:
 def test_array_kernels_match_the_loops(case):
     rows, params, cfg = case
     with array_min_types(10**9):
-        assert "types" in vars(canonical_population(rows))
         loops = outputs(rows, params, cfg)
     with array_min_types(1):
-        assert "types" not in vars(canonical_population(rows))
         arrays = outputs(rows, params, cfg)
     assert arrays == loops
 
@@ -178,16 +177,35 @@ def test_breakpoints_sorted_once_per_solve(monkeypatch):
 @pytest.mark.parametrize("row", [(-0.5, 1.0, 1), (0.5, 0.0, 1), (0.5, 1.0, 0), (math.nan, 1.0, 1),
                                  (0.5, math.inf, 1), (1, 1.0, 1), (0.5, 1.0, 2**63)])
 def test_population_columns_refuse_what_the_loop_refuses(row):
-    # a row UavType would refuse (or an int cost, or a count past the int64
-    # column) sends the rows to the loop, which raises or keeps them as given,
-    # and a population whose counts overflow int64 is solved by the loops
-    rows = [(0.01 * k, 0.5 + 0.01 * k, 1) for k in range(1, model.ARRAY_MIN_TYPES + 5)] + [row]
+    # one builder below and above ARRAY_MIN_TYPES rows: a row UavType refuses
+    # raises UavType's error, counts that total 2**63 or more (past the int64
+    # count column) raise, and an int cost is kept as its float
+    try:
+        UavType(1, *row)
+    except ValueError as exc:
+        error = str(exc)
+    else:
+        error = "type counts must total less than 2**63" if row[2] >= 2**63 else None
+    for n in (2, model.ARRAY_MIN_TYPES + 5):
+        rows = [(0.01 * k, 0.5 + 0.01 * k, 1) for k in range(1, n)] + [row]
+        if error is None:
+            costliest = canonical_columns(*zip(*rows)).types[0]
+            assert repr(costliest) == repr(UavType(1, 1.0, 1.0, 1))
+        else:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                canonical_columns(*zip(*rows))
 
-    def run(n):
-        with array_min_types(n):
-            try:
-                return outputs(rows, GcsParams(budget=1e5), SolverConfig())
-            except ValueError as exc:
-                return f"ValueError: {exc}"
 
-    assert run(1) == run(10**9)
+def test_population_build_names_the_first_bad_row():
+    # the first bad row in the order given, not in the canonical order
+    with pytest.raises(ValueError, match=re.escape("marginal_cost must be finite and >= 0, got -0.1")):
+        canonical_columns([0.2, -0.1, 0.4], [1.0, 1.0, 0.0], [1, 1, 1])
+
+
+def test_population_counts_fill_the_int64_column():
+    # twins merge into one type whose count is the int64 maximum; one more UAV
+    # is past it
+    pop = canonical_columns([0.5, 0.5], [1.0, 1.0], [2**62, 2**62 - 1])
+    assert pop.count.tolist() == [2**63 - 1] and pop.types[0].count == 2**63 - 1
+    with pytest.raises(ValueError, match=re.escape(f"less than 2**63, got {2**63}")):
+        canonical_columns([0.5, 0.4], [1.0, 1.0], [2**62, 2**62])

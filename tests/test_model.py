@@ -76,12 +76,9 @@ class TestDomainTypes:
 
     def test_population_rejects_wrong_order(self):
         with pytest.raises(ValueError):
-            Population(
-                types=(
-                    UavType(index=1, marginal_cost=0.1, delay=1.0),
-                    UavType(index=2, marginal_cost=0.9, delay=1.0),
-                )
-            )
+            Population(np.array([0.1, 0.9]), np.array([1.0, 1.0]), np.array([1, 1]))
+        with pytest.raises(ValueError):  # equal costs, larger delay first
+            Population(np.array([0.5, 0.5]), np.array([2.0, 1.0]), np.array([1, 1]))
 
     @pytest.mark.parametrize(
         "kwargs",

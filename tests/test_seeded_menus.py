@@ -33,7 +33,7 @@ from honeygame.model import (
     ContractItem,
     ContractMenu,
     GcsParams,
-    canonical_population,
+    canonical_columns,
     check_feasibility,
     check_reward_fairness,
     defensive_effectiveness,
@@ -140,7 +140,7 @@ def _population_cases():
     for n in SIZES:
         for variant in ("plain", "mixed"):
             rng = np.random.default_rng([n, variant == "mixed"])
-            pop = canonical_population(_rows(variant, n, rng))
+            pop = canonical_columns(*zip(*_rows(variant, n, rng)))
             for kind in BUDGETS:
                 params = _budget(kind, pop, GcsParams())
                 yield f"{variant}-j{n}-{kind}", pop, GcsParams(budget=params), rng
