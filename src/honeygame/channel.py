@@ -60,11 +60,7 @@ class ChannelParams:
                 raise ValueError(f"channel.{key} must be finite and > 0, got {value}")
         for key in ("tx_power_dbm", "noise_dbm"):
             dbm = getattr(self, key)
-            try:
-                watts = dbm_to_watt(dbm)
-            except OverflowError:
-                watts = math.inf
-            if not 0.0 < watts < math.inf:
+            if not 0.0 < dbm_to_watt(dbm) < math.inf:
                 raise ValueError(f"channel.{key} must give a finite power > 0 W, got {dbm} dBm")
 
     @cached_property
@@ -77,7 +73,15 @@ class ChannelParams:
 
 
 def dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return _power_of_ten((dbm - 30.0) / 10.0)
+
+
+def _power_of_ten(exponent: float) -> float:
+    """``10.0 ** exponent``, or inf where that passes the float range."""
+    try:
+        return 10.0 ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def _each(function, *columns) -> np.ndarray:
@@ -96,7 +100,8 @@ _EXP_MAX = math.log(sys.float_info.max)
 # the column functions below run plain arithmetic as numpy ufuncs, in
 # Python's order of evaluation, and keep ``atan2``, ``exp``, ``log10``,
 # ``10.0 **`` and ``log2`` the scalar calls, so that each row has the bits
-# of the one-UAV formula; an overflow gives inf, as it does on Python floats
+# of the one-UAV formula; an overflow gives inf, as it does in Python float
+# arithmetic (and in ``_power_of_ten``)
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -131,7 +136,7 @@ def a2g_rates(altitudes, params: ChannelParams, horiz_dists) -> np.ndarray:
     """Shannon rate of each UAV's uplink to the ground station, bits/s.  Each
     UAV has an orthogonal sub-channel, so there is no inter-UAV interference."""
     pl_db = a2g_pathlosses(altitudes, params, horiz_dists)
-    snr = params.tx_power_w * _each((10.0).__pow__, -pl_db / 10.0) / params.noise_w
+    snr = params.tx_power_w * _each(_power_of_ten, -pl_db / 10.0) / params.noise_w
     return params.bw_a2g * _each(math.log2, 1.0 + snr)
 
 
@@ -150,6 +155,7 @@ def a2g_rate(altitude: float, params: ChannelParams, horiz_dist: float) -> float
     return float(a2g_rates([altitude], params, [horiz_dist])[0])
 
 
+@_quiet
 def transmission_delay(s_bytes: float, rate):
     """Seconds to push ``s_bytes`` over a link of ``rate`` bits/s, or over
     each of a column of rates.  Linear in the payload size."""

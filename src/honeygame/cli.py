@@ -10,8 +10,9 @@ Subcommands:
 
 Menu files (``solve --out``) are written directly as the text ``yaml.dump``
 gives for ``{items: [{reward, type, vdd_size}, ...], t_max}``.  ``validate``
-reads a file in exactly that form column by column and parses any other
-file as YAML, with the same field checks: ``type`` is an integer, the other
+reads a file in exactly that form, every number as the writer writes it,
+column by column, and parses any other file as YAML, with the same field
+checks: ``type`` is an integer, the other
 fields are numbers.  Each item goes to the row of its type among the
 scenario's J types; an index outside 1..J, or one given twice, exits 2, and
 a type the file leaves out gets the zero item.
@@ -34,6 +35,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .channel import _quiet
 from .experiments import EXPERIMENTS, AuditError, run_experiment
 from .model import (
     ContractMenu,
@@ -68,40 +70,24 @@ def _load(args) -> Scenario:
     return dataclasses.replace(sc, **updates) if updates else sc
 
 
-def _yaml_number(x: float) -> str:
-    """``x`` as PyYAML's safe representer writes it: an int with ``str``; a
-    float as ``.nan``, ``.inf`` or ``-.inf``, else as its lower-case
-    ``repr`` with ``.0`` put before an exponent that has no dot
-    (``1e-05`` -> ``1.0e-05``)."""
-    if isinstance(x, int):
-        return str(x)
-    if math.isnan(x):
-        return ".nan"
-    if math.isinf(x):
-        return ".inf" if x > 0 else "-.inf"
-    text = repr(x).lower()
-    if "." not in text and "e" in text:
-        text = text.replace("e", ".0e", 1)
-    return text
-
-
 # in a list's repr: a float repr whose exponent has no dot
 _DOTLESS_EXPONENT = re.compile(r"(?<![\d.])(-?\d+)e")
 
 
 def _float_tokens(values: list[float]) -> list[str]:
-    """``_yaml_number`` of each finite float, formatted at once: the ``repr``
-    of the list, with ``.0`` put before an exponent that has no dot, split."""
+    """Each finite float (or int) as PyYAML's safe representer writes it,
+    formatted at once: the ``repr`` of the list, with ``.0`` put before a
+    float's exponent that has no dot (``1e-05`` -> ``1.0e-05``), split."""
     text = repr(values)[1:-1]
     if "e" in text:
         text = _DOTLESS_EXPONENT.sub(r"\1.0e", text)
-    return text.split(", ")
+    return text.split(", ") if text else []
 
 
 def _number_tokens(column: np.ndarray) -> list[str]:
-    """``_yaml_number`` of each value of a non-empty column of finite floats.
-    Each distinct value (bunched types share sizes and rewards) is formatted
-    once, keyed by its bits so that 0.0 and -0.0 stay apart."""
+    """``_float_tokens`` of a column of finite floats.  Each distinct value
+    (bunched types share sizes and rewards) is formatted once, keyed by its
+    bits so that 0.0 and -0.0 stay apart."""
     bits, at = np.unique(column.view(np.int64), return_inverse=True)
     return np.array(_float_tokens(bits.view(float).tolist()), dtype=object)[at].tolist()
 
@@ -109,8 +95,9 @@ def _number_tokens(column: np.ndarray) -> list[str]:
 def _menu_text(menu: ContractMenu) -> str:
     """The menu file: the bytes ``yaml.dump`` writes for ``{items: [{reward,
     type, vdd_size}, ...], t_max}`` with one item per type in type order,
-    each field's column formatted at once."""
-    t_max = f"t_max: {_yaml_number(menu.t_max)}\n"
+    each field's column formatted at once.  An int ``t_max`` (a scenario's
+    ``t_max: 2``) is written as an int."""
+    t_max = f"t_max: {_float_tokens([menu.t_max])[0]}\n"
     n = len(menu.sizes)
     if not n:
         return "items: []\n" + t_max
@@ -123,25 +110,10 @@ def _menu_text(menu: ContractMenu) -> str:
 _ITEM_LINES = ("- reward: ", "  type: ", "  vdd_size: ")
 
 
-def _number(token: str) -> float | None:
-    """The float ``token`` stands for, if ``_yaml_number`` writes that float,
-    or an int a float can hold, back as ``token``; else None."""
-    try:
-        value = float(token)
-        if _yaml_number(value) == token:
-            return value
-        value = int(token)
-        return float(value) if str(value) == token else None
-    except (ValueError, OverflowError):
-        return None
-
-
 def _float_column(lines: list[str], prefix: str) -> list[float] | None:
     """The floats of one menu field's lines, or None unless every line is
-    ``prefix`` and a token ``_number`` reads.  Each distinct line is read
-    once.  A token that is its float's ``repr`` and holds a dot is what
-    ``_yaml_number`` writes for that float; only the other tokens take
-    ``_number``'s round trip."""
+    ``prefix`` and a token that ``_float_tokens`` writes for a finite float.
+    Each distinct line is read once."""
     distinct = list(dict.fromkeys(lines))
     if not all(map(str.startswith, distinct, itertools.repeat(prefix))):
         return None
@@ -150,22 +122,31 @@ def _float_column(lines: list[str], prefix: str) -> list[float] | None:
         values = list(map(float, tokens))
     except ValueError:
         return None
-    odd = [n for n, (text, token) in enumerate(zip(map(repr, values), tokens))
-           if text != token or "." not in token]
-    for n in odd:
-        values[n] = _number(tokens[n])
-        if values[n] is None:
-            return None
+    if not all(map(math.isfinite, values)) or _float_tokens(values) != tokens:
+        return None
     if len(distinct) == len(lines):
         return values
     return list(map(dict(zip(distinct, values)).__getitem__, lines))
+
+
+def _t_max_value(line: str) -> float | None:
+    """The ``t_max`` of a ``t_max: `` line as ``_menu_text`` writes it: a
+    finite float, or an int a float holds (with ``str``); else None."""
+    token = line[len("t_max: "):]
+    try:
+        value = int(token)
+    except ValueError:  # a float's token
+        values = _float_column([line], "t_max: ")
+        return None if values is None else values[0]
+    return float(value) if str(value) == token and _is_number(value) else None
 
 
 def _canonical_menu(text: str, path: str, n: int) -> ContractMenu | None:
     """Read a menu file of ``n`` types written exactly as ``_menu_text``
     writes one, without a YAML parser: its items in type order 1, 2, ...
     Any other text (comments, flow style, other key orders or type orders,
-    spellings such as ``010`` or ``1e5``) gives None."""
+    numbers the writer does not write, such as ``5``, ``010`` or ``1e5`` in
+    a size or a reward) gives None."""
     lines = text.split("\n")
     body = lines[1:-2]
     indices = range(1, len(body) // 3 + 1)
@@ -176,7 +157,7 @@ def _canonical_menu(text: str, path: str, n: int) -> ContractMenu | None:
         return None
     rewards, sizes = columns = (_float_column(body[0::3], _ITEM_LINES[0]),
                                 _float_column(body[2::3], _ITEM_LINES[2]))
-    t_max = _number(lines[-2][len("t_max: "):])
+    t_max = _t_max_value(lines[-2])
     if None in columns or t_max is None:
         return None
     return _menu_in_rows(path, n, t_max, list(indices), sizes, rewards)
@@ -290,6 +271,7 @@ def _type_lines(menu: ContractMenu, pop: Population) -> str:
     return "".join(map("  type %d: C = %.4g, S = %.6g bytes, R = %.6g\n".__mod__, zip(*columns)))
 
 
+@_quiet  # a degenerate scenario's objectives may pass the float range: inf, no warning
 def _cmd_oracle_check(args) -> int:
     # only this command uses the oracle; the others start without loading it
     from .oracle import GridSpec, grid_search_complete, grid_search_partial
@@ -426,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. an oracle grid or episode count too large
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,14 +1,17 @@
 """Array kernels: the solvers, audits and utilities over numpy columns,
 for populations with at least ``model.ARRAY_MIN_TYPES`` on-time types.
 Below that the per-type loops in ``model`` and ``solver`` run; they are
-also the bitwise reference these kernels reproduce:
+also the bitwise reference these kernels reproduce (``solver._water_level``
+picks the solvers' water level, ``WaterLevel`` or a loop rule):
 
 * a sum a loop takes left to right is a sequential ``np.cumsum`` (never the
   pairwise ``np.sum``), started where the loop starts;
 * a ``math.fsum`` total stays ``math.fsum``, and ``log1p`` stays the scalar
   ``math`` call;
 * Python's ``min``/``max`` tie rules become explicit ``np.where`` choices,
-  and the first of equal minima is the one kept.
+  and the first of equal minima is the one kept;
+* the solvers, audits and utilities run under ``channel._quiet``: an
+  overflow gives inf with no warning, as Python float arithmetic does.
 
 This module is imported on first use, so runs over small populations
 never load it.
@@ -17,19 +20,20 @@ never load it.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
+from .channel import _quiet
 from .model import (
     ContractMenu,
     FeasibilityReport,
     GcsParams,
     Population,
     _hull,
+    payment_sum,
     uav_payoff,
 )
-from .solver import BUDGET_EXACT, _MONO_TOL, SolverConfig, _fit_budget, iron
+from .solver import _MONO_TOL, SolverConfig, _fit_budget, _water_level, iron
 
 
 def _running_total(start: float, terms: np.ndarray) -> float:
@@ -40,6 +44,7 @@ def _running_total(start: float, terms: np.ndarray) -> float:
 
 # -- utilities --------------------------------------------------------------
 
+@_quiet
 def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams, rows: np.ndarray) -> float:
     sizes, rewards = menu.sizes[rows], menu.rewards[rows]
     count = pop.count[rows]
@@ -48,6 +53,7 @@ def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams, rows: np
     return _running_total(0.0, terms)
 
 
+@_quiet
 def uav_total(menu: ContractMenu, pop: Population, params: GcsParams, rows: np.ndarray,
               start: float) -> float:
     """``start`` plus count x utility of each on-time type."""
@@ -55,14 +61,12 @@ def uav_total(menu: ContractMenu, pop: Population, params: GcsParams, rows: np.n
     return _running_total(start, pop.count[rows] * payoff)
 
 
+@_quiet
 def total_payment(menu: ContractMenu, pop: Population, rows: np.ndarray) -> float:
-    return _paid(pop.count[rows], menu.rewards[rows])
+    return payment_sum((pop.count[rows] * menu.rewards[rows]).tolist())
 
 
-def _paid(counts: np.ndarray, rewards: np.ndarray) -> float:
-    return math.fsum((counts * rewards).tolist())
-
-
+@_quiet
 def delivered(menu: ContractMenu, pop: Population, rows: np.ndarray) -> float:
     """The on-time sizes summed as the built-in ``sum`` sums them."""
     return _running_total(0.0, menu.sizes[rows])
@@ -70,6 +74,7 @@ def delivered(menu: ContractMenu, pop: Population, rows: np.ndarray) -> float:
 
 # -- audits -----------------------------------------------------------------
 
+@_quiet
 def check_feasibility(
     menu: ContractMenu,
     pop: Population,
@@ -82,7 +87,7 @@ def check_feasibility(
     ir_ok, ic_ok, worst, worst_pair = _envelope_scan(
         cost, sizes, rewards, rows + 1, params.deploy_cost, tol
     )
-    budget_slack = params.budget - _paid(pop.count[rows], rewards)
+    budget_slack = params.budget - payment_sum((pop.count[rows] * rewards).tolist())
 
     # the compact conditions: late types unpaid, IR binding at the costliest
     # on-time type, then the adjacent monotonicity and cost-sandwich slacks
@@ -109,6 +114,7 @@ def check_feasibility(
     )
 
 
+@_quiet
 def _envelope_scan(
     cost: np.ndarray,
     sizes: np.ndarray,
@@ -238,21 +244,6 @@ class WaterLevel:
         return x, self.sizes_at(x)
 
 
-def water_level(mode: str, unit_costs, weights, fixed_cost: float,
-                s_max: float) -> Callable[[float], tuple[float, np.ndarray]]:
-    """The water level of ``mode`` as a function of the budget."""
-    if mode == BUDGET_EXACT:
-        return WaterLevel(unit_costs, weights, fixed_cost, s_max)
-    a, w = np.asarray(unit_costs, dtype=float), np.asarray(weights, dtype=float)
-    total_a, total_w = _running_total(0.0, a), _running_total(0.0, w)
-
-    def literal(budget: float) -> tuple[float, np.ndarray]:
-        x = (budget + total_a - fixed_cost) / total_w
-        return x, _clamp_sizes(x, w, a, s_max)
-
-    return literal
-
-
 def virtual_costs(cost: np.ndarray, count: np.ndarray) -> np.ndarray:
     """``solver._virtual_costs`` over the on-time cost and count columns."""
     tail = np.concatenate((np.cumsum(count[::-1])[::-1][1:], [0]))
@@ -269,14 +260,15 @@ def _rewards(sizes: np.ndarray, cost: np.ndarray, deploy_cost: float) -> np.ndar
                                      cost[1:] * np.diff(sizes))))
 
 
+@_quiet
 def solve_complete(pop: Population, params: GcsParams, t_max: float, cfg: SolverConfig,
                    rows: np.ndarray) -> ContractMenu:
     cost, count = pop.cost[rows], pop.count[rows]
     fixed = params.deploy_cost * int(count.sum())
     if params.budget < fixed:
         return ContractMenu.zero(pop, t_max)
-    level = water_level(cfg.budget_mode, count * cost, count / pop.delay[rows], fixed,
-                        params.s_max)
+    level = _water_level(cfg.budget_mode, count * cost, count / pop.delay[rows], fixed,
+                         params.s_max)
 
     def menu_at(budget: float) -> ContractMenu:
         _, sizes = level(budget)
@@ -285,6 +277,7 @@ def solve_complete(pop: Population, params: GcsParams, t_max: float, cfg: Solver
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
 
+@_quiet
 def solve_partial(pop: Population, params: GcsParams, t_max: float, cfg: SolverConfig,
                   rows: np.ndarray) -> ContractMenu:
     cost, count = pop.cost[rows], pop.count[rows]
@@ -292,8 +285,8 @@ def solve_partial(pop: Population, params: GcsParams, t_max: float, cfg: SolverC
     if params.budget < fixed:
         return ContractMenu.zero(pop, t_max)
     blocks = iron((count / pop.delay[rows]).tolist(), virtual_costs(cost, count).tolist())
-    level = water_level(cfg.budget_mode, [a for _, a, _ in blocks], [w for w, _, _ in blocks],
-                        fixed, params.s_max)
+    level = _water_level(cfg.budget_mode, [a for _, a, _ in blocks], [w for w, _, _ in blocks],
+                         fixed, params.s_max)
     lengths = [n for _, _, n in blocks]
 
     def menu_at(budget: float) -> ContractMenu:

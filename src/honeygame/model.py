@@ -361,12 +361,20 @@ def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> fl
 
 
 def total_payment(menu: ContractMenu, pop: Population) -> float:
-    """What the GCS pays the on-time UAVs: the ``math.fsum`` of count x reward."""
+    """What the GCS pays the on-time UAVs: :func:`payment_sum` of count x reward."""
     rows = _menu_rows(menu, pop)
     if rows is not None:
         return _kernels().total_payment(menu, pop, rows)
     rewards = menu.rewards.tolist()
-    return math.fsum(t.count * rewards[t.index - 1] for t in participating_set(pop, menu.t_max))
+    return payment_sum(t.count * rewards[t.index - 1] for t in participating_set(pop, menu.t_max))
+
+
+def payment_sum(payments: Iterable[float]) -> float:
+    """``math.fsum`` of payments >= 0; inf once their exact total passes a float."""
+    try:
+        return math.fsum(payments)
+    except OverflowError:
+        return math.inf
 
 
 def check_feasibility(
@@ -392,7 +400,7 @@ def check_feasibility(
         on_time, sizes, rewards, params.deploy_cost, tol
     )
 
-    budget_slack = params.budget - math.fsum(t.count * r for t, r in zip(on_time, rewards))
+    budget_slack = params.budget - payment_sum(t.count * r for t, r in zip(on_time, rewards))
     late = [(s, r) for t, s, r in zip(pop.types, all_sizes, all_rewards) if t.delay > menu.t_max]
     monotone_ok, mono_worst = _compact_conditions(on_time, sizes, rewards, late, params, tol)
 

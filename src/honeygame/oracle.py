@@ -43,8 +43,8 @@ class GridSpec:
     s_max: float
 
     def __post_init__(self) -> None:
-        if self.s_step <= 0:
-            raise ValueError("s_step must be > 0")
+        if not 0 < self.s_step < math.inf:
+            raise ValueError(f"s_step must be finite and > 0, got {self.s_step}")
         ratio = self.s_max / self.s_step
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("s_max must be an integer multiple of s_step")

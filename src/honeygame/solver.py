@@ -19,6 +19,7 @@ breakpoints of the piecewise-linear payment, no iteration error), and a
 menu whose payments, summed as the audit sums them, overshoot the budget by
 more than the audit tolerance is re-solved just below it;
 ``paper-literal`` applies the full-set closed form once and then clamps.
+``_water_level`` alone picks the rule for a mode.
 
 The loops here serve populations with fewer than ``model.ARRAY_MIN_TYPES``
 on-time types; from there on each solver hands over to its column kernel
@@ -28,8 +29,9 @@ in ``kernels``, which gives the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
+from . import model
 from .model import (
     FEASIBILITY_TOL,
     ContractMenu,
@@ -186,7 +188,15 @@ def _literal_water_level(
     return x, [_clamp_size(x, w, a, s_max) for a, w in zip(unit_costs, weights)]
 
 
-_WATER_LEVEL = {BUDGET_EXACT: _solve_water_level, PAPER_LITERAL: _literal_water_level}
+def _water_level(mode: str, unit_costs: Sequence[float], weights: Sequence[float],
+                 fixed_cost: float, s_max: float) -> Callable[[float], tuple]:
+    """The water level of ``mode`` as a function of the budget: the column
+    kernel ``kernels.WaterLevel`` for budget-exact over ``model.ARRAY_MIN_TYPES``
+    inputs or more, else the loop rule (the same bits)."""
+    if mode == BUDGET_EXACT and len(unit_costs) >= model.ARRAY_MIN_TYPES:
+        return _kernels().WaterLevel(unit_costs, weights, fixed_cost, s_max)
+    rule = _solve_water_level if mode == BUDGET_EXACT else _literal_water_level
+    return lambda budget: rule(unit_costs, weights, fixed_cost, budget, s_max)
 
 
 def _fit_budget(
@@ -237,12 +247,12 @@ def solve_complete(
     if params.budget < fixed:
         return ContractMenu.zero(pop, t_max)
 
-    unit = [t.count * t.marginal_cost for t in part]
-    weights = [t.count / t.delay for t in part]
+    level = _water_level(cfg.budget_mode, [t.count * t.marginal_cost for t in part],
+                         [t.count / t.delay for t in part], fixed, params.s_max)
     rows = [t.index - 1 for t in part]
 
     def menu_at(budget: float) -> ContractMenu:
-        _, sizes = _WATER_LEVEL[cfg.budget_mode](unit, weights, fixed, budget, params.s_max)
+        _, sizes = level(budget)
         rewards = [t.marginal_cost * s + params.deploy_cost for t, s in zip(part, sizes)]
         return ContractMenu.placed(len(pop), t_max, rows, sizes, rewards)
 
@@ -291,10 +301,9 @@ def solve_partial_relaxed(
         sizes = [0.0] * len(part)
         scalar = 0.0
     else:
-        scalar, sizes = _WATER_LEVEL[cfg.budget_mode](
-            virtual, weights, fixed, params.budget, params.s_max
-        )
-    return RelaxedSolution(participants=tuple(part), sizes=tuple(sizes), scalar=scalar)
+        scalar, sizes = _water_level(cfg.budget_mode, virtual, weights, fixed,
+                                     params.s_max)(params.budget)
+    return RelaxedSolution(tuple(part), tuple(map(float, sizes)), scalar)
 
 
 def iron(weights: list[float], virtual: list[float]) -> list[tuple[float, float, int]]:
@@ -339,14 +348,12 @@ def solve_partial(
 
     virtual = _virtual_costs(part)
     blocks = iron([t.count / t.delay for t in part], virtual)
-    block_costs = [a for _, a, _ in blocks]
-    block_weights = [w for w, _, _ in blocks]
+    level = _water_level(cfg.budget_mode, [a for _, a, _ in blocks], [w for w, _, _ in blocks],
+                         fixed, params.s_max)
     rows = [t.index - 1 for t in part]
 
     def menu_at(budget: float) -> ContractMenu:
-        _, block_sizes = _WATER_LEVEL[cfg.budget_mode](
-            block_costs, block_weights, fixed, budget, params.s_max
-        )
+        _, block_sizes = level(budget)
         sizes = [s for (_, _, n), s in zip(blocks, block_sizes) for _ in range(n)]
         rewards = optimal_rewards(sizes, part, params)
         return ContractMenu.placed(len(pop), t_max, rows, sizes, rewards)

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from honeygame import cli, experiments, kernels, model, solver
+from honeygame import cli, experiments, kernels, model, oracle, solver
 from honeygame.cli import _canonical_menu, _menu_from_file, _menu_from_yaml, _menu_text, main
 from honeygame.model import ContractMenu, participating_set, uav_utility
 from honeygame.scenario import YAML_DUMPER, Scenario, generate_population, load_scenario
@@ -180,6 +180,36 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("-> ok") == 2
+
+
+    @pytest.mark.parametrize("step", ["inf", "nan", "-inf"])
+    def test_non_finite_step_exits_2(self, small_scenario, capsys, step):
+        rc = main(["oracle-check", "--scenario", str(small_scenario), f"--step={step}"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: s_step must be finite and > 0")
+
+
+class TestOversizedRequests:
+    # a request too large to allocate (an oracle grid of 1e-12-byte steps,
+    # 10**12 learner episodes) ends in numpy's MemoryError; a stub raises it
+    # here, since a real one could be allocated lazily and end in the OOM killer
+    @pytest.mark.parametrize("command, module, name", [
+        (["learn", "--episodes", "1000000000000"], cli, "run_experiment"),
+        (["oracle-check", "--step", "1e-12"], oracle, "grid_search_complete"),
+    ], ids=["learn", "oracle-check"])
+    def test_memory_error_exits_2(self, small_scenario, monkeypatch, capsys, command, module,
+                                  name):
+        def unable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000000,) and data type float64")
+
+        monkeypatch.setattr(module, name, unable)
+        rc = main([*command, "--scenario", str(small_scenario)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: out of memory: Unable to allocate 7.28 TiB")
+        assert "Traceback" not in err
 
 
 class TestReproduce:
@@ -416,21 +446,28 @@ class TestValidate:
 GARBLED = st.sampled_from([
     "0", "-3", "11", "1", "10", "2.7", "true", "'2'", "null", "", "x", "1.5.5", "-1.5", ".nan",
     "-.inf", "1e5", "1.0e+5", "1" + "0" * 400, "[1, 2]", "{a: 1}", "'", ": :", "- 3", "010",
+    "1.0e+308",
 ])
+# finite values at the ends of the float range, as the writer writes them
+EXTREME_TOKENS = st.sampled_from(["1.0e+308", "1.7976931348623157e+308", "1.0e+300", "5.0e-324"])
 
 
 @st.composite
 def mutated_menu_files(draw, texts):
-    """One of ``texts`` with tokens garbled, swapped or repeated, lines
-    reordered, CRLF line ends or a truncated tail."""
+    """One of ``texts`` with tokens garbled, swapped or repeated, a field's
+    every value at an end of the float range, lines reordered, CRLF line
+    ends or a truncated tail."""
     lines = draw(st.sampled_from(texts)).split("\n")
     at = st.integers(0, len(lines) - 1)
     for _ in range(draw(st.integers(1, 3))):
         a, b = draw(at), draw(at)
         (key_a, sep_a, token_a), (key_b, sep_b, token_b) = (lines[a].rpartition(": "),
                                                             lines[b].rpartition(": "))
-        kind = draw(st.sampled_from(["garble", "swap", "copy", "reorder"]))
-        if kind == "garble" and sep_a:
+        kind = draw(st.sampled_from(["garble", "swap", "copy", "extreme", "reorder"]))
+        if kind == "extreme":  # e.g. rewards whose total passes the float range
+            prefix, token = draw(st.sampled_from(cli._ITEM_LINES[::2])), draw(EXTREME_TOKENS)
+            lines = [prefix + token if line.startswith(prefix) else line for line in lines]
+        elif kind == "garble" and sep_a:
             lines[a] = key_a + sep_a + draw(GARBLED)
         elif kind == "swap" and sep_a and sep_b:  # e.g. a size into a type field
             lines[a], lines[b] = key_a + sep_a + token_b, key_b + sep_b + token_a
@@ -494,13 +531,22 @@ EXTREME_NUMBERS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-05, 0.5, 12.0, 
 HUGE_COUNTS = st.sampled_from([0, -1, 2**31, 2**62, 2**63 - 1, 2**63, 2**64, 10**30])
 WRONG_TYPES = st.sampled_from(["abc", "1e5", None, True, [], {}, [1.0], {"a": 1}])
 LOGITS = st.floats(0.0, 1e3) | st.floats(0.0, 1e308)
+# each channel field's usual values; the extremes come from EXTREME_NUMBERS
+CHANNEL_FIELDS = {
+    "atten_los": st.floats(0.0, 30.0), "atten_nlos": st.floats(0.0, 60.0),
+    "logit_a": LOGITS, "logit_b": LOGITS, "carrier_hz": st.floats(1e6, 1e11),
+    "gcs_height": st.floats(0.0, 200.0), "bw_a2g": st.floats(1e3, 1e9),
+    "tx_power_dbm": st.floats(-60.0, 60.0), "noise_dbm": st.floats(-150.0, -30.0),
+}
 
 
 @st.composite
 def scenario_dicts(draw):
     """Scenarios of 1 to 4 types: generated, explicit or late-only
-    populations, extreme line-of-sight logistics and other extreme values,
-    huge and zero counts, and at times one field of the wrong type."""
+    populations, extreme values in every channel field (carrier frequencies
+    and bandwidths whose rates or delays pass the float range among them) and
+    elsewhere, huge and zero counts, a short learner run, and at times one
+    field of the wrong type."""
 
     def pick(usual, odd):  # the odd value about one time in five
         return draw(odd if draw(st.integers(0, 4)) == 0 else usual)
@@ -522,14 +568,18 @@ def scenario_dicts(draw):
         population = {"distribution": kind, "count": n,
                       "delay": draw(st.sampled_from(["channel", number(), [number() for _ in types]])),
                       "counts": draw(st.none() | st.just([t["count"] for t in types]))}
-    channel = {"logit_a": pick(LOGITS, EXTREME_NUMBERS), "logit_b": pick(LOGITS, EXTREME_NUMBERS)}
+    channel = {key: pick(usual, EXTREME_NUMBERS) for key, usual in CHANNEL_FIELDS.items()
+               if draw(st.booleans())}
     gcs = {"budget": pick(st.floats(0.0, 1000.0), EXTREME_NUMBERS)}
+    learner = {"episodes": draw(st.integers(0, 5)), "hotboot_runs": draw(st.integers(0, 2)),
+               "hotboot_length": draw(st.integers(1, 5))}
     scenario = {"seed": pick(st.integers(0, 2**32 - 1), HUGE_COUNTS),
                 "t_max": 2.0 if kind == "late-only" else pick(st.just(2.0), EXTREME_NUMBERS),
-                "population": population, "channel": channel, "gcs": gcs}
+                "population": population, "channel": channel, "gcs": gcs, "learner": learner}
     if draw(st.integers(0, 3)) == 0:
         places = [(scenario, "seed"), (scenario, "t_max")] + [
-            (section, key) for section in (population, channel, gcs, *types) for key in section]
+            (section, key) for section in (population, channel, gcs, learner, *types)
+            for key in section]
         section, key = draw(st.sampled_from(places))
         section[key] = draw(WRONG_TYPES)
     return scenario
@@ -540,19 +590,42 @@ def scenario_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzzed")
 
 
+def _runs_without_a_traceback(scenario: dict, where: Path, commands: list[list[str]]) -> None:
+    """Run each command on the scenario: exit 0, 1 or 2, with an ``error:``
+    line exactly when it is not 0 (``oracle-check`` reports a failed
+    comparison on stdout), and no traceback."""
+    path = where / "scenario.yaml"
+    path.write_text(yaml.dump(scenario, Dumper=YAML_DUMPER))
+    for command in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([*command, "--scenario", str(path)])
+        assert rc in (0, 1, 2), command
+        compared = command[0] == "oracle-check" and rc == 1
+        assert (rc != 0 and not compared) == err.getvalue().startswith("error:"), command
+        assert "Traceback" not in err.getvalue()
+
+
+# coarse oracle grids over the default s_max of 300 bytes, and steps it refuses
+ORACLE_STEPS = st.sampled_from(["100", "150", "300", "7", "0", "-1", "inf", "nan"])
+
+
 class TestScenarioFuzz:
     @given(scenario=scenario_dicts())
     @settings(max_examples=150, deadline=None)
     def test_solve_and_fig7_never_end_in_a_traceback(self, scenario_dir, scenario):
-        path = scenario_dir / "scenario.yaml"
-        path.write_text(yaml.dump(scenario, Dumper=YAML_DUMPER))
-        for command in (["solve"], ["reproduce", "fig7", "--out", str(scenario_dir)]):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                rc = main([*command, "--scenario", str(path)])
-            assert rc in (0, 1, 2)
-            assert (rc != 0) == err.getvalue().startswith("error:")
-            assert "Traceback" not in err.getvalue()
+        _runs_without_a_traceback(scenario, scenario_dir,
+                                  [["solve"], ["reproduce", "fig7", "--out", str(scenario_dir)]])
+
+    @given(scenario=scenario_dicts(), step=ORACLE_STEPS, episodes=st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_other_commands_never_end_in_a_traceback(self, scenario_dir, scenario, step,
+                                                      episodes):
+        out = ["--out", str(scenario_dir)]
+        _runs_without_a_traceback(scenario, scenario_dir, [
+            ["learn", "--episodes", str(episodes), *out], ["oracle-check", f"--step={step}"],
+            *(["reproduce", fig, *out] for fig in ("fig1", "fig3", "fig4", "fig5", "fig6")),
+        ])
 
     def test_extreme_line_of_sight_logistic(self, tmp_path, capsys):
         # exp(-logit_b (theta - logit_a)) overflows below about 29 degrees of
@@ -651,6 +724,41 @@ class TestOneScanPerMenu:
         assert scans == [items["partial"], items["complete"]]
 
 
+def _extreme_menu(kind: str, n: int) -> ContractMenu:
+    """A menu of ``n`` types with values near the float range: rewards of
+    1.0e+308 for types 1 and 2, whose total passes it, or the largest float
+    as the size of every type but the first, which gets a 1.0e+308 reward, so
+    that the IC slacks pass it."""
+    sizes, rewards = np.zeros(n), np.zeros(n)
+    if kind == "rewards":
+        rewards[:2] = 1e308
+    else:
+        sizes[1:], rewards[0] = sys.float_info.max, 1e308
+    return ContractMenu(2.0, sizes, rewards)
+
+
+class TestExtremeMenus:
+    """validate of menus whose audit sums or slacks pass the float range,
+    through the loops (the default 10 types) and through the kernels (100
+    on-time types): the audit fails (exit 1), with no traceback and no
+    warning."""
+
+    @pytest.mark.parametrize("kind", ["rewards", "sizes"])
+    @pytest.mark.parametrize("types", [10, 100])
+    def test_validate_fails_quietly(self, tmp_path, capsys, recwarn, kind, types):
+        scenario = []
+        if types == 100:
+            (tmp_path / "many.yaml").write_text(MANY_TYPES_SCENARIO)
+            scenario = ["--scenario", str(tmp_path / "many.yaml")]
+        menu = tmp_path / "menu.yaml"
+        menu.write_text(_menu_text(_extreme_menu(kind, types)))
+        assert main(["validate", "--menu", str(menu), *scenario]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "budget ok    : False" in out and "worst slack  : -inf" in out
+        assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
 class TestScenarioErrors:
     @pytest.mark.parametrize(
         "text, message",
@@ -706,6 +814,11 @@ class TestScenarioErrors:
             ("population: {distribution: explicit, types: [{cost: -0.5, delay: 1.0}]}",
              "marginal_cost must be finite and >= 0, got -0.5"),
             ("gcs: {budget: 1" + "0" * 400 + "}", "gcs.budget must be a number"),
+            # the free-space loss is so negative that the SNR passes the
+            # float range: an infinite rate, a zero delay
+            ("channel: {carrier_hz: 1.0e-300}", "delay must be finite and > 0, got 0.0"),
+            # a rate so small that the delay passes the float range
+            ("channel: {bw_a2g: 5.0e-324}", "delay must be finite and > 0, got inf"),
         ],
         ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max",
              "mobility", "light-speed", "per-side-learn-rate", "type-without-delay",
@@ -717,7 +830,7 @@ class TestScenarioErrors:
              "infinite-bandwidth", "infinite-area", "negative-height", "inverted-height-range",
              "zero-count", "negative-count", "zero-count-type-merging-into-twin",
              "negative-type-count", "counts-past-int64", "twins-past-int64",
-             "negative-type-cost", "int-past-float"],
+             "negative-type-cost", "int-past-float", "tiny-carrier", "tiny-bandwidth"],
     )
     def test_bad_scenario_exits_2(self, tmp_path, capsys, text, message):
         # rejected at load, so learn fails before it plays an episode
@@ -824,33 +937,66 @@ def float_columns(draw):
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
 
 
+def _yaml_tokens(values: list) -> list[str]:
+    """The token PyYAML's safe dumper writes for each of the numbers."""
+    return [line[2:] for line in yaml.dump(values, Dumper=YAML_DUMPER).splitlines()]
+
+
+def _written_float(token: str) -> bool:
+    """Whether PyYAML writes ``token`` for a finite float."""
+    try:
+        value = float(token)
+    except ValueError:
+        return False
+    return math.isfinite(value) and _yaml_tokens([value]) == [token]
+
+
 # tokens a hand-edited field may hold: written floats and ints, other
 # spellings of numbers (which only the YAML reader may take) and junk
 TOKENS = st.one_of(
-    VALID_FLOATS.map(cli._yaml_number),
+    VALID_FLOATS.map(lambda value: _yaml_tokens([value])[0]),
     st.integers(-10**20, 10**20).map(str),
     st.sampled_from(["1e5", "1e-05", "1.0e+5", "1.0e-05", "010", "-0", "+1.5", "1_0", " 1.5",
-                     "1.5 ", "inf", ".inf", "-.inf", ".nan", "nan", "0x10", "1.", ".5", "",
-                     "x", "-0.0", "0.0", "1" + "0" * 400, "1e400"]),
+                     "1.5 ", "1.5\r", "inf", ".inf", "-.inf", ".nan", "nan", "0x10", "1.", ".5",
+                     "", "x", "-0.0", "0.0", "0", "5", "1.0E+16", "1" + "0" * 400, "1e400",
+                     "1.0e+308", str(int(sys.float_info.max)), str(int(sys.float_info.max) + 1)]),
 )
 
 
 class TestColumnCodec:
     @given(values=float_columns())
     @settings(max_examples=300, deadline=None)
-    def test_writer_tokens_are_each_values_yaml_number(self, values):
-        assert cli._number_tokens(np.array(values)) == list(map(cli._yaml_number, values))
+    def test_writer_tokens_are_what_yaml_writes(self, values):
+        assert cli._number_tokens(np.array(values)) == _yaml_tokens(values)
 
     @given(pool=st.lists(TOKENS, min_size=1, max_size=6), data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_reader_takes_exactly_what_number_takes(self, pool, data):
+    def test_reader_takes_exactly_the_writers_tokens(self, pool, data):
+        # the fast reader takes a field column exactly when every token is
+        # one the writer writes for a finite float; any other column goes on
+        # (None) to the YAML reader, whose outcome validate then reports
         tokens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40)
                            | st.permutations(pool))
-        lines = [cli._ITEM_LINES[2] + token for token in tokens]
-        want = list(map(cli._number, tokens))
-        got = cli._float_column(lines, cli._ITEM_LINES[2])
+        written = all(map(_written_float, tokens))
+        got = cli._float_column([cli._ITEM_LINES[2] + token for token in tokens],
+                                cli._ITEM_LINES[2])
         # repr tells -0.0 from 0.0
-        assert repr(got) == repr(None if None in want else want)
+        assert repr(got) == repr(list(map(float, tokens)) if written else None)
+        text = "items:\n" + "".join(f"- reward: 1.0\n  type: {k}\n  vdd_size: {token}\n"
+                                    for k, token in enumerate(tokens, 1)) + "t_max: 2.0\n"
+        fast, slow = _read_both(text, len(tokens))
+        assert fast == (slow if written else "None")
+
+    @given(token=TOKENS)
+    @settings(max_examples=200, deadline=None)
+    def test_t_max_takes_the_writers_float_and_int_tokens(self, token):
+        # an int t_max (a scenario's ``t_max: 2``) is written with str
+        try:
+            written_int = str(int(token)) == token and abs(int(token)) <= sys.float_info.max
+        except ValueError:
+            written_int = False
+        fast, slow = _read_both(f"items: []\nt_max: {token}\n", 0)
+        assert fast == (slow if _written_float(token) or written_int else "None")
 
     @given(values=float_columns())
     @settings(max_examples=100, deadline=None)
@@ -886,12 +1032,13 @@ class TestMenuCodec:
         if fast != "None":
             assert fast == slow
 
-    @given(menu=menus())
+    @given(menu=menus(t_max=T_MAXES | st.integers(1, 10**30)))
     @settings(max_examples=200, deadline=None)
     def test_fast_reader_reads_every_written_menu(self, menu):
+        # an int t_max reads back as its float
         text = _menu_text(menu)
         fast, slow = _read_both(text, len(menu.sizes))
-        assert fast == slow == repr(menu)
+        assert fast == slow == repr(ContractMenu(float(menu.t_max), menu.sizes, menu.rewards))
 
     @given(menu=menus(min_size=model.ARRAY_MIN_TYPES))
     @settings(max_examples=30, deadline=None)

@@ -9,6 +9,7 @@ compared by ``repr`` (which tells -0.0 from 0.0 and every last bit).
 
 import math
 import re
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -144,8 +145,11 @@ def test_envelope_break_points_are_sorted(items, data):
                                min_size=len(items), max_size=len(items)))
     on_time = [UavType(k, c, 1.0) for k, c in enumerate(costs, start=1)]
     loop = model._incentive_scan(on_time, sizes, rewards, 1.0, model.FEASIBILITY_TOL)
-    array = kernels._envelope_scan(np.array(costs), np.array(sizes), np.array(rewards),
-                                   np.arange(1, len(items) + 1), 1.0, model.FEASIBILITY_TOL)
+    with warnings.catch_warnings():
+        # products past the float range give inf quietly, as on Python floats
+        warnings.simplefilter("error", RuntimeWarning)
+        array = kernels._envelope_scan(np.array(costs), np.array(sizes), np.array(rewards),
+                                       np.arange(1, len(items) + 1), 1.0, model.FEASIBILITY_TOL)
     assert repr(array) == repr(loop)
 
 
