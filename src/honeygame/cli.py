@@ -44,7 +44,6 @@ from .model import (
     check_reward_fairness,
     defensive_effectiveness,
     gcs_utility,
-    participating_set,
     social_surplus,
 )
 from .scenario import (
@@ -274,14 +273,11 @@ def _type_lines(menu: ContractMenu, pop: Population) -> str:
 @_quiet  # a degenerate scenario's objectives may pass the float range: inf, no warning
 def _cmd_oracle_check(args) -> int:
     # only this command uses the oracle; the others start without loading it
-    from .oracle import GridSpec, grid_search_complete, grid_search_partial
+    from .oracle import GridSpec, grid_search_complete, grid_search_partial, oracle_types
 
     sc = _load(args)
     pop = generate_population(sc)
-    part = participating_set(pop, sc.t_max)
-    if len(part) > 3:
-        print("error: oracle check needs at most 3 participating types", file=sys.stderr)
-        return 2
+    part = oracle_types(pop, sc.t_max)  # too many: exit 2 before any solve
     grid = GridSpec(s_step=args.step, s_max=sc.gcs.s_max)
     slack = _grid_slack(part, sc, args.step)
     ok = True

@@ -114,11 +114,11 @@ def _contract_tables(sc: Scenario, which: str) -> dict[str, str]:
 
     value_fn = {
         "fig4": lambda t, item: uav_utility(t, item, sc.t_max, params),
-        "fig5": lambda t, item: gcs_term(t, item.vdd_size, item.reward, params),
+        "fig5": lambda t, item: gcs_term(t.count, t.delay, item.vdd_size, item.reward, params),
         # social surplus of a type: the GCS term with the UAV paid its cost
-        "fig6": lambda t, item: gcs_term(
-            t, item.vdd_size, t.marginal_cost * item.vdd_size + params.deploy_cost, params
-        ),
+        "fig6": lambda t, item: gcs_term(t.count, t.delay, item.vdd_size,
+                                         t.marginal_cost * item.vdd_size + params.deploy_cost,
+                                         params),
     }[which]
     rows = []
     for scheme in SCHEMES:

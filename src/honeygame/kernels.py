@@ -4,10 +4,12 @@ Below that the per-type loops in ``model`` and ``solver`` run; they are
 also the bitwise reference these kernels reproduce (``solver._water_level``
 picks the solvers' water level, ``WaterLevel`` or a loop rule):
 
-* a sum a loop takes left to right is a sequential ``np.cumsum`` (never the
-  pairwise ``np.sum``), started where the loop starts;
-* a ``math.fsum`` total stays ``math.fsum``, and ``log1p`` stays the scalar
-  ``math`` call;
+* a running total is ``model.left_sum`` on both sides: the loop's fold,
+  the column's sequential ``np.cumsum`` (never the pairwise ``np.sum``),
+  started where the loop starts;
+* the GCS term is ``model.gcs_term`` on both sides, element-wise here, with
+  ``log1p`` the scalar ``math`` call; a ``math.fsum`` total stays
+  ``math.fsum``;
 * Python's ``min``/``max`` tie rules become explicit ``np.where`` choices,
   and the first of equal minima is the one kept;
 * the solvers, audits and utilities run under ``channel._quiet``: an
@@ -19,8 +21,6 @@ never load it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .channel import _quiet
@@ -30,27 +30,20 @@ from .model import (
     GcsParams,
     Population,
     _hull,
+    gcs_term,
+    left_sum,
     payment_sum,
     uav_payoff,
 )
 from .solver import _MONO_TOL, SolverConfig, _fit_budget, _water_level, iron
 
 
-def _running_total(start: float, terms: np.ndarray) -> float:
-    """``start`` plus the terms, added one at a time from the left (as a
-    Python loop, or the built-in ``sum`` from 0, adds them)."""
-    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
-
-
 # -- utilities --------------------------------------------------------------
 
 @_quiet
 def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams, rows: np.ndarray) -> float:
-    sizes, rewards = menu.sizes[rows], menu.rewards[rows]
-    count = pop.count[rows]
-    log = np.array(list(map(math.log1p, sizes.tolist())))
-    terms = params.satisfaction * (count / pop.delay[rows]) * log - count * rewards
-    return _running_total(0.0, terms)
+    return left_sum(gcs_term(pop.count[rows], pop.delay[rows], menu.sizes[rows],
+                             menu.rewards[rows], params))
 
 
 @_quiet
@@ -58,18 +51,12 @@ def uav_total(menu: ContractMenu, pop: Population, params: GcsParams, rows: np.n
               start: float) -> float:
     """``start`` plus count x utility of each on-time type."""
     payoff = uav_payoff(pop.cost[rows], menu.sizes[rows], menu.rewards[rows], params.deploy_cost)
-    return _running_total(start, pop.count[rows] * payoff)
+    return left_sum(pop.count[rows] * payoff, start)
 
 
 @_quiet
 def total_payment(menu: ContractMenu, pop: Population, rows: np.ndarray) -> float:
     return payment_sum((pop.count[rows] * menu.rewards[rows]).tolist())
-
-
-@_quiet
-def delivered(menu: ContractMenu, pop: Population, rows: np.ndarray) -> float:
-    """The on-time sizes summed as the built-in ``sum`` sums them."""
-    return _running_total(0.0, menu.sizes[rows])
 
 
 # -- audits -----------------------------------------------------------------
@@ -218,7 +205,7 @@ class WaterLevel:
         return _clamp_sizes(x, self.w, self.a, self.s_max)
 
     def payment(self, x: float) -> float:
-        return self.fixed + _running_total(0.0, self.a * self.sizes_at(x))
+        return self.fixed + left_sum(self.a * self.sizes_at(x))
 
     def __call__(self, budget: float) -> tuple[float, np.ndarray]:
         points = self.points
@@ -236,11 +223,11 @@ class WaterLevel:
         a, w = self.a, self.w
         inside = (a > 0.0) & (a / w < mid) & (mid < a * (1.0 + self.s_max) / w)
         a, w = a[inside], w[inside]
-        base = self.payment(lo) - _running_total(0.0, a * (lo * w / a - 1.0))
-        slope = _running_total(0.0, w)
+        base = self.payment(lo) - left_sum(a * (lo * w / a - 1.0))
+        slope = left_sum(w)
         if slope <= 0.0:
             return lo, self.sizes_at(lo)
-        x = (budget - base + _running_total(0.0, a)) / slope
+        x = (budget - base + left_sum(a)) / slope
         return x, self.sizes_at(x)
 
 

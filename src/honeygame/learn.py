@@ -13,9 +13,10 @@ the scenario.
 The pairs are independent, so one episode loop advances all of them at
 once: each side's Q and policy tables are stacked as (pairs x states,
 actions) arrays, every step gathers one row per pair, and payoffs are read
-from per-pair (reward level, size level) tables filled by ``gcs_term`` and
-``uav_payoff``.  Hotboot runs share tables, so they play in sequence, each
-advancing every pair.
+from per-pair (reward level, size level) tables, each built by one
+broadcast of ``model.gcs_term`` or ``uav_payoff`` over the on-time cost,
+count and delay columns.  Hotboot runs share tables, so they play in
+sequence, each advancing every pair on a jittered cost column.
 
 Each learner draws from its own named random stream derived from the master
 seed and its type's rank, drawn up front one uniform per episode, so adding
@@ -25,12 +26,12 @@ bitwise-identical logs.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GcsParams, Population, UavType, gcs_term, participating_set, uav_payoff
+from .channel import _quiet
+from .model import GcsParams, Population, gcs_term, uav_payoff
 
 __all__ = [
     "ActionGrid",
@@ -217,16 +218,16 @@ def _uniforms(seed: int, ranks: range, keys: tuple[int, ...], n: int) -> tuple[n
     return draws[_GCS_STREAM], draws[_UAV_STREAM]
 
 
-def _payoffs(types: list[UavType], params: GcsParams, gcs: LearnerState,
-             uav: LearnerState) -> tuple[np.ndarray, np.ndarray]:
-    """Flat GCS and UAV payoff tables: entry (b * rewards + r) * sizes + s is
+@_quiet  # payoffs past the float range are inf, as on Python floats
+def _payoffs(cost: np.ndarray, count: np.ndarray, delay: np.ndarray, params: GcsParams,
+             gcs: LearnerState, uav: LearnerState) -> tuple[np.ndarray, np.ndarray]:
+    """Flat GCS and UAV payoff tables of the pairs whose types have the given
+    cost, count and delay columns: entry (b * rewards + r) * sizes + s is
     pair b's payoff at reward level r and size level s."""
-    rewards, sizes = gcs.grid.values.tolist(), uav.grid.values.tolist()
-    n = len(types) * len(rewards) * len(sizes)
-    g = (gcs_term(t, s, r, params) for t in types for r in rewards for s in sizes)
-    u = (uav_payoff(t.marginal_cost, s, r, params.deploy_cost)
-         for t in types for r in rewards for s in sizes)
-    return np.fromiter(g, float, n), np.fromiter(u, float, n)
+    rewards, sizes = gcs.grid.values[:, None], uav.grid.values
+    g = gcs_term(count[:, None, None], delay[:, None, None], sizes, rewards, params)
+    u = uav_payoff(cost[:, None, None], sizes, rewards, params.deploy_cost)
+    return g.ravel(), u.ravel()
 
 
 def _play(
@@ -290,23 +291,23 @@ def hotboot(
     accumulating Q and policy tables keyed by rank, as ``run_dynamic_game``
     keys its logs.  The runs share tables, so they play in sequence, each
     advancing every type at once.  With zero runs this returns cold tables
-    (all-zero Q, uniform policies)."""
-    part = participating_set(pop, t_max)
-    if not part:
+    (all-zero Q, uniform policies).  A cost jittered past the float range
+    raises ValueError."""
+    rows = np.flatnonzero(pop.delay <= t_max)
+    if not len(rows):
         return {}
-    ranks = range(1, len(part) + 1)
-    gcs, uav = _new_pairs(len(part), params, cfg)
-    jitter = [_rng_for(seed, rank, _HOTBOOT_STREAM).random(cfg.hotboot_runs).tolist()
-              for rank in ranks]
-    for run in range(cfg.hotboot_runs):
-        jittered = [
-            dataclasses.replace(
-                t, marginal_cost=t.marginal_cost * (1.0 + cfg.hotboot_jitter * (2.0 * u[run] - 1.0))
-            )
-            for t, u in zip(part, jitter)
-        ]
-        draws = _uniforms(seed, ranks, (_HOTBOOT_STREAM, run), cfg.hotboot_length)
-        _play(gcs, uav, _payoffs(jittered, params, gcs, uav), *draws)
+    ranks = range(1, len(rows) + 1)
+    gcs, uav = _new_pairs(len(rows), params, cfg)
+    # row ``run``: each rank's uniform for that run, then its jittered cost
+    jitter = np.array([_rng_for(seed, rank, _HOTBOOT_STREAM).random(cfg.hotboot_runs)
+                       for rank in ranks]).T
+    with np.errstate(over="ignore"):
+        costs = pop.cost[rows] * (1.0 + cfg.hotboot_jitter * (2.0 * jitter - 1.0))
+    if not np.isfinite(costs).all():
+        raise ValueError("hotboot_jitter takes a marginal cost past the float range")
+    for run, cost in enumerate(costs):
+        _play(gcs, uav, _payoffs(cost, pop.count[rows], pop.delay[rows], params, gcs, uav),
+              *_uniforms(seed, ranks, (_HOTBOOT_STREAM, run), cfg.hotboot_length))
     return {rank: _pair(gcs, uav, rank - 1) for rank in ranks}
 
 
@@ -324,17 +325,18 @@ def run_dynamic_game(
     types.  Warm tables start the ranks they name and are updated in place;
     the other ranks start cold.  Total work is linear in types times
     episodes."""
-    part = participating_set(pop, t_max)
-    if not part:
+    rows = np.flatnonzero(pop.delay <= t_max)
+    if not len(rows):
         return {}
-    ranks = range(1, len(part) + 1)
-    gcs, uav = _new_pairs(len(part), params, cfg)
+    ranks = range(1, len(rows) + 1)
+    gcs, uav = _new_pairs(len(rows), params, cfg)
     # (the caller's tables, the rank's view of the stacked ones)
     warm = [(warm_tables[rank], _pair(gcs, uav, rank - 1))
             for rank in ranks if warm_tables and rank in warm_tables]
     for given, stacked in warm:
         _copy_pair(given, stacked)
-    gcs_pay, uav_pay = _payoffs(part, params, gcs, uav)
+    gcs_pay, uav_pay = _payoffs(pop.cost[rows], pop.count[rows], pop.delay[rows], params,
+                                gcs, uav)
     played_r, played_s = _play(gcs, uav, (gcs_pay, uav_pay), *_uniforms(seed, ranks, (), episodes))
     for given, stacked in warm:
         _copy_pair(stacked, given)

@@ -6,6 +6,11 @@ count.  The GCS posts a contract menu: a delivery deadline ``t_max`` and one
 (VDD size, reward) item per type.  All solvers and tests share the utility
 functions and predicates defined here; everything in this module is a pure
 function of its inputs.
+
+``gcs_term`` is the one GCS per-type objective outside the oracle, and
+``left_sum`` the one running float total: no float total goes through the
+built-in ``sum``, whose rounding changed in Python 3.12, so the outputs do
+not depend on the interpreter (the fixtures are checked on 3.11.7).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable
 
 import numpy as np
@@ -32,6 +37,7 @@ __all__ = [
     "participating_set",
     "uav_payoff",
     "gcs_term",
+    "left_sum",
     "uav_utility",
     "gcs_utility",
     "social_surplus",
@@ -321,10 +327,25 @@ def uav_payoff(cost, size, reward, deploy_cost: float):
     return reward - (cost * size + deploy_cost)
 
 
-def gcs_term(t: UavType, size: float, reward: float, params: GcsParams) -> float:
-    """The GCS's log-satisfaction from type t delivering ``size`` bytes each,
-    minus the ``reward`` it pays each of the type's UAVs."""
-    return params.satisfaction * (t.count / t.delay) * math.log1p(size) - t.count * reward
+def gcs_term(count, delay, size, reward, params: GcsParams):
+    """The GCS's log-satisfaction from a type of ``count`` UAVs with delay
+    ``delay`` delivering ``size`` bytes each, minus the ``reward`` it pays
+    each; element-wise on arrays, mapping the scalar ``math.log1p`` over the
+    sizes.  The one GCS per-type objective outside the oracle."""
+    log = (np.frompyfunc(math.log1p, 1, 1)(size).astype(float)
+           if isinstance(size, np.ndarray) else math.log1p(size))
+    return params.satisfaction * (count / delay) * log - count * reward
+
+
+def left_sum(terms, start: float = 0.0) -> float:
+    """``start`` plus the terms added one at a time from the left, on every
+    Python (the built-in ``sum`` compensates rounding from 3.12 on): a fold
+    with ``+``, or for an array its sequential ``np.cumsum``, overflowing to
+    inf quietly as Python floats do."""
+    if isinstance(terms, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.cumsum(np.concatenate(([start], terms)))[-1])
+    return reduce(operator.add, terms, start)
 
 
 def uav_utility(t: UavType, item: ContractItem, t_max: float, params: GcsParams) -> float:
@@ -341,10 +362,8 @@ def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float
     if rows is not None:
         return _kernels().gcs_utility(menu, pop, params, rows)
     sizes, rewards = menu.sizes.tolist(), menu.rewards.tolist()
-    total = 0.0
-    for t in participating_set(pop, menu.t_max):
-        total += gcs_term(t, sizes[t.index - 1], rewards[t.index - 1], params)
-    return total
+    return left_sum(gcs_term(t.count, t.delay, sizes[t.index - 1], rewards[t.index - 1], params)
+                    for t in participating_set(pop, menu.t_max))
 
 
 def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
@@ -354,10 +373,9 @@ def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> fl
     if rows is not None:
         return _kernels().uav_total(menu, pop, params, rows, total)
     sizes, rewards = menu.sizes.tolist(), menu.rewards.tolist()
-    for t in participating_set(pop, menu.t_max):
-        k = t.index - 1
-        total += t.count * uav_payoff(t.marginal_cost, sizes[k], rewards[k], params.deploy_cost)
-    return total
+    return left_sum((t.count * uav_payoff(t.marginal_cost, sizes[t.index - 1],
+                                          rewards[t.index - 1], params.deploy_cost)
+                     for t in participating_set(pop, menu.t_max)), total)
 
 
 def total_payment(menu: ContractMenu, pop: Population) -> float:
@@ -565,8 +583,8 @@ def defensive_effectiveness(menu: ContractMenu, pop: Population, params: GcsPara
     """Total on-time VDD per type divided by the GCS requirement."""
     rows = _menu_rows(menu, pop)
     if rows is not None:
-        contributed = _kernels().delivered(menu, pop, rows)
+        contributed = left_sum(menu.sizes[rows])
     else:
         sizes = menu.sizes.tolist()
-        contributed = sum(sizes[t.index - 1] for t in participating_set(pop, menu.t_max))
+        contributed = left_sum(sizes[t.index - 1] for t in participating_set(pop, menu.t_max))
     return contributed / params.vdd_requirement

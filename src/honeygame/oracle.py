@@ -21,11 +21,13 @@ from .model import (
     GcsParams,
     Population,
     gcs_utility,
+    left_sum,
     participating_set,
 )
 
 __all__ = [
     "GridSpec",
+    "oracle_types",
     "grid_search_complete",
     "grid_search_partial",
     "enumerate_incentives",
@@ -33,6 +35,16 @@ __all__ = [
 ]
 
 MAX_ORACLE_TYPES = 3
+
+
+def oracle_types(pop: Population, t_max: float) -> list:
+    """The on-time types, which the grid searches enumerate; more than
+    ``MAX_ORACLE_TYPES`` of them raise."""
+    part = participating_set(pop, t_max)
+    if len(part) > MAX_ORACLE_TYPES:
+        raise ValueError(f"the oracle takes at most {MAX_ORACLE_TYPES} on-time types, "
+                         f"got {len(part)}")
+    return part
 
 
 @dataclass(frozen=True)
@@ -62,9 +74,7 @@ def grid_search_complete(
 ) -> tuple[ContractMenu, float]:
     """Exhaustive cost-priced search: every size combination on the grid,
     rewards equal to cost, budget-feasible argmax of the GCS objective."""
-    part = participating_set(pop, t_max)
-    if len(part) > MAX_ORACLE_TYPES:
-        raise ValueError(f"oracle limited to {MAX_ORACLE_TYPES} types, got {len(part)}")
+    part = oracle_types(pop, t_max)
     pts = grid.points
     best_obj = -math.inf
     best: tuple | None = None
@@ -104,9 +114,7 @@ def grid_search_partial(
 ) -> tuple[ContractMenu, float]:
     """Exhaustive search over non-decreasing size tuples with recursion-priced
     rewards, retained only if the full IR/IC/budget enumeration passes."""
-    part = participating_set(pop, t_max)
-    if len(part) > MAX_ORACLE_TYPES:
-        raise ValueError(f"oracle limited to {MAX_ORACLE_TYPES} types, got {len(part)}")
+    part = oracle_types(pop, t_max)
     if not part:
         menu = ContractMenu.zero(pop, t_max)
         return menu, gcs_utility(menu, pop, params)
@@ -124,13 +132,13 @@ def grid_search_partial(
         rewards = [costs[0] * sizes[0] + params.deploy_cost]
         for j in range(1, n):
             rewards.append(rewards[-1] + costs[j] * (sizes[j] - sizes[j - 1]))
-        paid = sum(c * r for c, r in zip(counts, rewards))
+        paid = left_sum(c * r for c, r in zip(counts, rewards))
         if paid > params.budget + 1e-9:
             continue
         ir_ok, ic_ok, _, _ = enumerate_incentives(sizes, rewards, costs, params.deploy_cost)
         if not (ir_ok and ic_ok):
             continue
-        obj = sum(
+        obj = left_sum(
             params.satisfaction * (counts[j] / delays[j]) * math.log1p(sizes[j])
             - counts[j] * rewards[j]
             for j in range(n)

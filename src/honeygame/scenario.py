@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import ChannelParams, a2g_rates, transmission_delay
+from .channel import ChannelParams, _quiet, a2g_rates, transmission_delay
 from .learn import LearnerConfig
 from .model import GcsParams, Population, canonical_columns
 from .solver import SolverConfig
@@ -277,8 +277,9 @@ def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
         if count is not None:
             raise ValueError("population.distribution: explicit types cannot be swept over UAV counts")
         assert spec.types is not None
-        return canonical_columns([t["cost"] for t in spec.types], [t["delay"] for t in spec.types],
-                                 [t.get("count", 1) for t in spec.types])
+        return _finite(canonical_columns([t["cost"] for t in spec.types],
+                                         [t["delay"] for t in spec.types],
+                                         [t.get("count", 1) for t in spec.types]), sc.gcs)
 
     n = count if count is not None else spec.count
     lo, hi = spec.cost_range
@@ -300,4 +301,23 @@ def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
     counts = list(spec.counts) if spec.counts else [1] * n
     if len(counts) != n:
         raise ValueError(f"counts list has {len(counts)} entries for {n} types")
-    return canonical_columns(cost, delay, counts)
+    return _finite(canonical_columns(cost, delay, counts), sc.gcs)
+
+
+@_quiet
+def _finite(pop: Population, gcs: GcsParams) -> Population:
+    """``pop``, once each product the objectives are built from is a finite
+    float: per type count / delay, count x cost and satisfaction x count /
+    delay x log1p(s_max), and deploy_cost x the UAV count."""
+    weight = pop.count / pop.delay
+    for name, column in (("count / delay", weight), ("count x cost", pop.count * pop.cost),
+                         ("satisfaction x count / delay x log1p(s_max)",
+                          gcs.satisfaction * weight * math.log1p(gcs.s_max))):
+        # each product is >= 0 and not nan; argmax finds the first inf
+        if not np.maximum.reduce(column, initial=0.0) < math.inf:
+            t = pop.types[int(np.argmax(column))]
+            raise ValueError(f"type {t.index} (cost {t.marginal_cost!r}, delay {t.delay!r}, "
+                             f"count {t.count}): {name} passes the float range")
+    if not gcs.deploy_cost * int(np.add.reduce(pop.count)) < math.inf:
+        raise ValueError("gcs.deploy_cost x the UAV count passes the float range")
+    return pop

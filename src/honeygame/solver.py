@@ -28,6 +28,7 @@ in ``kernels``, which gives the same bits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,6 +40,7 @@ from .model import (
     Population,
     UavType,
     _kernels,
+    left_sum,
     on_time_rows,
     participating_set,
     total_payment,
@@ -130,7 +132,7 @@ def _solve_water_level(
         return [_clamp_size(x, w, a, s_max) for a, w in zip(unit_costs, weights)]
 
     def payment(x: float) -> float:
-        return fixed_cost + sum(a * s for a, s in zip(unit_costs, sizes_at(x)))
+        return fixed_cost + left_sum(map(operator.mul, unit_costs, sizes_at(x)))
 
     if not priced:
         return 0.0, sizes_at(0.0)
@@ -166,13 +168,12 @@ def _solve_water_level(
         for j in priced
         if unit_costs[j] / weights[j] < mid < unit_costs[j] * (1.0 + s_max) / weights[j]
     ]
-    base = payment(lo) - sum(
-        unit_costs[j] * (lo * weights[j] / unit_costs[j] - 1.0) for j in interior
-    )
-    slope = sum(weights[j] for j in interior)
+    base = payment(lo) - left_sum(unit_costs[j] * (lo * weights[j] / unit_costs[j] - 1.0)
+                                  for j in interior)
+    slope = left_sum(weights[j] for j in interior)
     if slope <= 0.0:  # flat segment already at the budget
         return lo, sizes_at(lo)
-    x = (budget - base + sum(unit_costs[j] for j in interior)) / slope
+    x = (budget - base + left_sum(unit_costs[j] for j in interior)) / slope
     return x, sizes_at(x)
 
 
@@ -184,7 +185,7 @@ def _literal_water_level(
     s_max: float,
 ) -> tuple[float, list[float]]:
     """One-shot closed form over the full set, then clamp."""
-    x = (budget + sum(unit_costs) - fixed_cost) / sum(weights)
+    x = (budget + left_sum(unit_costs) - fixed_cost) / left_sum(weights)
     return x, [_clamp_size(x, w, a, s_max) for a, w in zip(unit_costs, weights)]
 
 
@@ -375,7 +376,7 @@ def linear_contract(
         return ContractMenu.zero(pop, t_max)
     price = max(t.marginal_cost for t in part)
     sizes = [params.s_max if t.marginal_cost < price else 0.0 for t in part]
-    paid = sum(t.count * price * s for t, s in zip(part, sizes))
+    paid = left_sum(t.count * price * s for t, s in zip(part, sizes))
     if paid > params.budget and paid > 0:
         scale = params.budget / paid
         sizes = [s * scale for s in sizes]

@@ -169,9 +169,15 @@ class TestOracleCheck:
         assert rc == 0
         assert "-> ok" in out
 
-    def test_large_instance_refused(self, capsys):
+    def test_large_instance_refused(self, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(cli, "solve_complete", lambda *args: solved.append(args))
         rc = main(["oracle-check"])  # default scenario has 10 types
         assert rc == 2
+        limit = oracle.MAX_ORACLE_TYPES
+        assert capsys.readouterr().err == (f"error: the oracle takes at most {limit} on-time "
+                                           f"types, got 10\n")
+        assert not solved
 
     def test_no_on_time_type_compares_zero_menus(self, tmp_path, capsys):
         path = tmp_path / "late.yaml"
@@ -593,17 +599,24 @@ def scenario_dir(tmp_path_factory):
 def _runs_without_a_traceback(scenario: dict, where: Path, commands: list[list[str]]) -> None:
     """Run each command on the scenario: exit 0, 1 or 2, with an ``error:``
     line exactly when it is not 0 (``oracle-check`` reports a failed
-    comparison on stdout), and no traceback."""
+    comparison on stdout), no traceback, and only finite objectives."""
     path = where / "scenario.yaml"
     path.write_text(yaml.dump(scenario, Dumper=YAML_DUMPER))
     for command in commands:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main([*command, "--scenario", str(path)])
         assert rc in (0, 1, 2), command
         compared = command[0] == "oracle-check" and rc == 1
         assert (rc != 0 and not compared) == err.getvalue().startswith("error:"), command
         assert "Traceback" not in err.getvalue()
+        objectives = OBJECTIVES.findall(out.getvalue())
+        assert all(math.isfinite(float(v)) for v in objectives), (command, objectives)
+
+
+# the objectives ``solve`` and ``oracle-check`` print
+OBJECTIVES = re.compile(r"(?:GCS utility +: |social surplus +: |solver objective |, oracle )"
+                        r"([^,\s]+)")
 
 
 # coarse oracle grids over the default s_max of 300 bytes, and steps it refuses
@@ -819,6 +832,14 @@ class TestScenarioErrors:
             ("channel: {carrier_hz: 1.0e-300}", "delay must be finite and > 0, got 0.0"),
             # a rate so small that the delay passes the float range
             ("channel: {bw_a2g: 5.0e-324}", "delay must be finite and > 0, got inf"),
+            # each product an objective is built from must be a finite float
+            ("population: {distribution: even, count: 4, delay: [5.0e-324, 1.0, 1.0, 3.0]}",
+             "type 4 (cost 0.01, delay 5e-324, count 1): count / delay passes the float range"),
+            ("population: {distribution: explicit, types: [{cost: 1.0e+300, delay: 1.0, "
+             "count: 10000000000}]}",
+             "type 1 (cost 1e+300, delay 1.0, count 10000000000): count x cost passes"),
+            ("gcs: {satisfaction: 1.0e+308}", "satisfaction x count / delay x log1p(s_max) passes"),
+            ("gcs: {deploy_cost: 1.0e+308}", "gcs.deploy_cost x the UAV count passes the float"),
         ],
         ids=["long-text", "string-number", "string-budget", "string-in-pair", "string-t-max",
              "mobility", "light-speed", "per-side-learn-rate", "type-without-delay",
@@ -830,7 +851,8 @@ class TestScenarioErrors:
              "infinite-bandwidth", "infinite-area", "negative-height", "inverted-height-range",
              "zero-count", "negative-count", "zero-count-type-merging-into-twin",
              "negative-type-count", "counts-past-int64", "twins-past-int64",
-             "negative-type-cost", "int-past-float", "tiny-carrier", "tiny-bandwidth"],
+             "negative-type-cost", "int-past-float", "tiny-carrier", "tiny-bandwidth",
+             "tiny-delay", "huge-count-x-cost", "huge-satisfaction", "huge-deploy-cost"],
     )
     def test_bad_scenario_exits_2(self, tmp_path, capsys, text, message):
         # rejected at load, so learn fails before it plays an episode

@@ -109,14 +109,18 @@ def test_output_bytes_unchanged(name, frozen, tmp_path, capsys):
     assert output_hashes(*CASES[name], tmp_path) == frozen[name]
 
 
-@pytest.fixture(scope="module")
-def many_types_menus(tmp_path_factory) -> Path:
-    """The directory of ``solve --out`` on the 1 000-type scenario, seed 0."""
-    work = tmp_path_factory.mktemp("many-types")
+def solve_many_types(work: Path) -> Path:
+    """``work``, holding ``solve --out`` of the 1 000-type scenario, seed 0."""
     (work / "scenario.yaml").write_text(MANY_TYPES)
     assert main(["solve", "--seed", "0", "--scenario", str(work / "scenario.yaml"),
                  "--out", str(work)]) == 0
     return work
+
+
+@pytest.fixture(scope="module")
+def many_types_menus(tmp_path_factory) -> Path:
+    """The directory of ``solve --out`` on the 1 000-type scenario, seed 0."""
+    return solve_many_types(tmp_path_factory.mktemp("many-types"))
 
 
 def _reindented(text: str) -> str:
@@ -126,15 +130,21 @@ def _reindented(text: str) -> str:
     return "\n".join([head, *("  " + line for line in body.splitlines())]) + "\nt_max: " + t_max
 
 
-@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
-def test_validate_stdout_unchanged(name, frozen, many_types_menus, tmp_path, capsys):
+def validate_hash(name: str, menus: Path, tmp_path: Path, capsys) -> dict[str, str]:
+    """The hash of what validate case ``name`` prints, reading the menus that
+    ``solve_many_types`` wrote into ``menus``."""
     menu_name, reindent = VALIDATE_CASES[name]
-    menu = many_types_menus / menu_name
+    menu = menus / menu_name
     if reindent:
         menu = tmp_path / menu_name
-        menu.write_text(_reindented((many_types_menus / menu_name).read_text()))
+        menu.write_text(_reindented((menus / menu_name).read_text()))
     capsys.readouterr()
-    main(["validate", "--seed", "0", "--scenario", str(many_types_menus / "scenario.yaml"),
+    main(["validate", "--seed", "0", "--scenario", str(menus / "scenario.yaml"),
           "--menu", str(menu)])
     stdout = capsys.readouterr().out
-    assert {"stdout": hashlib.sha256(stdout.encode()).hexdigest()} == frozen[name]
+    return {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
+def test_validate_stdout_unchanged(name, frozen, many_types_menus, tmp_path, capsys):
+    assert validate_hash(name, many_types_menus, tmp_path, capsys) == frozen[name]

@@ -156,7 +156,8 @@ class TestDynamicGame:
         from honeygame.learn import _new_pairs, _payoffs, _play, _uniforms
 
         gcs, uav = _new_pairs(1, PARAMS, cfg)
-        _play(gcs, uav, _payoffs([t], PARAMS, gcs, uav), *_uniforms(0, range(1, 2), (), 2000))
+        _play(gcs, uav, _payoffs(pop.cost, pop.count, pop.delay, PARAMS, gcs, uav),
+              *_uniforms(0, range(1, 2), (), 2000))
         u_max_gcs = PARAMS.satisfaction * (t.count / t.delay) * np.log1p(PARAMS.s_max)
         u_max_uav = PARAMS.r_max
         assert np.abs(gcs.q).max() <= u_max_gcs / (1 - DISCOUNT) + 1e-6
@@ -269,6 +270,13 @@ class TestHotboot:
         tables = hotboot(late, PARAMS, T_MAX, cfg, seed=0)
         assert tables == {}
         assert run_dynamic_game(late, PARAMS, T_MAX, cfg, 50, seed=0, warm_tables=tables) == {}
+
+    def test_jitter_past_the_float_range_raises(self):
+        # a cost a float holds, jittered up past the float range
+        huge = canonicalize([UavType(index=1, marginal_cost=1.7976931348623157e308, delay=1.0)])
+        cfg = LearnerConfig(hotboot_runs=20, hotboot_length=1)
+        with pytest.raises(ValueError, match="hotboot_jitter takes a marginal cost past the float"):
+            hotboot(huge, PARAMS, T_MAX, cfg, seed=0)
 
     def test_hotboot_deterministic(self):
         cfg = LearnerConfig(hotboot_runs=2, hotboot_length=100)

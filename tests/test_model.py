@@ -24,6 +24,7 @@ from honeygame.model import (
     defensive_effectiveness,
     gcs_term,
     gcs_utility,
+    left_sum,
     participating_set,
     social_surplus,
     total_payment,
@@ -197,6 +198,33 @@ class TestUtilities:
         )
         total = social_surplus(menu, pop, params)
         assert total == pytest.approx(closed, rel=1e-12, abs=1e-9)
+
+    @given(terms=st.lists(st.floats(allow_nan=False), max_size=8),
+           start=st.sampled_from([0.0, -0.0, 1.5, -1e308]))
+    @settings(max_examples=300, deadline=None)
+    def test_left_sum_forms_agree(self, terms, start):
+        # the list and array forms give the same bits, infinities included
+        total = left_sum(terms, start)
+        assert repr(left_sum(np.array(terms, dtype=float), start)) == repr(total)
+        assert repr(left_sum(iter(terms), start)) == repr(total)
+
+    @pytest.mark.parametrize("terms, start, total", [
+        ([], -0.0, "-0.0"), ([-0.0], -0.0, "-0.0"), ([-0.0], 0.0, "0.0"),
+        ([1e308, 1e308, -1e308], 0.0, "inf"), ([-1e308], -1e308, "-inf"),
+        ([1e16, 1.0, -1e16], 0.0, "0.0"),  # left to right, uncompensated
+    ])
+    def test_left_sum_adds_from_the_left(self, terms, start, total):
+        assert repr(left_sum(terms, start)) == total
+        assert repr(left_sum(np.array(terms, dtype=float), start)) == total
+
+    def test_gcs_term_on_columns(self):
+        # element-wise on arrays, each element the scalar's bits
+        params = GcsParams()
+        count, delay = np.array([1, 3, 2**40]), np.array([0.5, 2.0, 1e-3])
+        size, reward = np.array([0.0, 10.0, 300.0]), np.array([1.0, 4.0, 480.0])
+        scalars = [gcs_term(*row, params) for row in zip(count.tolist(), delay.tolist(),
+                                                          size.tolist(), reward.tolist())]
+        assert gcs_term(count, delay, size, reward, params).tolist() == scalars
 
     def test_uav_utility_decreasing_in_cost(self):
         params = GcsParams()
@@ -498,7 +526,8 @@ class TestParticipatingSet:
         params = GcsParams()
         part = participating_set(pop, T_MAX)
         terms = [
-            gcs_term(t, menu.item(t.index).vdd_size, menu.item(t.index).reward, params)
+            gcs_term(t.count, t.delay, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+                     params)
             for t in part
         ]
         assert gcs_utility(menu, pop, params) == sum(terms)

@@ -38,6 +38,7 @@ from honeygame.model import (
     check_reward_fairness,
     defensive_effectiveness,
     gcs_utility,
+    left_sum,
     participating_set,
     social_surplus,
 )
@@ -79,12 +80,12 @@ def _rows(variant: str, n: int, rng: np.random.Generator) -> list[tuple[float, f
 def _budget(kind: str, pop, params: GcsParams) -> float:
     part = participating_set(pop, T_MAX)
     fixed = params.deploy_cost * sum(t.count for t in part)
-    unit = sum(t.count * t.marginal_cost for t in part)
+    unit = left_sum(t.count * t.marginal_cost for t in part)
     return {
         "starved": 0.5 * fixed,
         "below": fixed + 0.3 * params.s_max * unit,
         "at-complete": fixed + params.s_max * unit,
-        "at-partial": fixed + params.s_max * sum(_virtual_costs(part)),
+        "at-partial": fixed + params.s_max * left_sum(_virtual_costs(part)),
         "above": fixed + 2.0 * params.s_max * unit + 1.0,
     }[kind]
 
@@ -136,23 +137,26 @@ def _perturbed(menu: ContractMenu, pop, rng: np.random.Generator) -> dict[str, C
             for name, m in out.items()}
 
 
-def _population_cases():
-    for n in SIZES:
+def _population_cases(sizes):
+    for n in sizes:
         for variant in ("plain", "mixed"):
             rng = np.random.default_rng([n, variant == "mixed"])
             pop = canonical_columns(*zip(*_rows(variant, n, rng)))
             for kind in BUDGETS:
                 params = _budget(kind, pop, GcsParams())
                 yield f"{variant}-j{n}-{kind}", pop, GcsParams(budget=params), rng
+    if 10_000 not in sizes:
+        return
     sc = load_scenario({"seed": 0, "population": {"count": 10_000, "distribution": "uniform",
                                                   "delay": "channel"},
                         "gcs": {"budget": 46.0 * 10_000}})
     yield "channel-j10000", generate_population(sc), sc.gcs, np.random.default_rng(7)
 
 
-def build_cases() -> dict[str, dict]:
+def build_cases(sizes=SIZES) -> dict[str, dict]:
+    """The records of every case of ``sizes`` types."""
     cases = {}
-    for name, pop, params, rng in _population_cases():
+    for name, pop, params, rng in _population_cases(sizes):
         for mode, cfg in MODES.items():
             complete = solve_complete(pop, params, T_MAX, cfg)
             partial = solve_partial(pop, params, T_MAX, cfg)
