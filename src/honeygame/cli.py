@@ -30,6 +30,7 @@ import itertools
 import math
 import re
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -306,13 +307,14 @@ def _grid_slack(part, sc: Scenario, step: float) -> float:
     return worst * step * len(part)
 
 
-def _write_tables(tables: dict[str, str], out_dir: str | None) -> None:
-    """Write each CSV table into ``out_dir`` (default: the working directory)
-    and print the paths."""
+def _write_tables(tables: dict[str, Iterable[str]], out_dir: str | None) -> None:
+    """Write each CSV table, piece by piece, into ``out_dir`` (default: the
+    working directory) and print the paths."""
     out = Path(out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    for fname, text in tables.items():
-        (out / fname).write_text(text)
+    for fname, pieces in tables.items():
+        with (out / fname).open("w") as f:
+            f.writelines(pieces)
         print(out / fname)
 
 

@@ -1,7 +1,13 @@
 """Experiment runners: each named experiment sweeps one comparison and
-returns its plottable CSV table as text, keyed by file name.  Output is
-deterministic byte-for-byte for a fixed scenario and seed; numbers are
-printed with 9 significant digits.
+returns its plottable CSV table as an iterable of text pieces, keyed by file
+name; the pieces joined are the file.  Output is deterministic byte-for-byte
+for a fixed scenario and seed; numbers are printed with 9 significant
+digits.
+
+The contract tables are lists of lines.  fig8, the learner's trajectory,
+grows as types x episodes, so its table is a generator of one piece per
+type, formatted as the file is written, after the learner has played every
+episode.
 
 Each comparison menu is solved once per population; the uniform baseline is
 read off the asymmetric-information menu.  That menu must pass the full
@@ -14,10 +20,11 @@ would self-select truthfully, are checked by their payment total alone.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .learn import hotboot, run_dynamic_game
+from .learn import EpisodeLog, hotboot, run_dynamic_game
 from .model import (
     FEASIBILITY_TOL,
     ContractMenu,
@@ -55,11 +62,11 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
+def _csv(header: list[str], rows: list[list]) -> list[str]:
+    lines = [",".join(header) + "\n"]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    return lines
 
 
 def _solve_all(pop: Population, params: GcsParams, t_max: float, cfg) -> dict[str, ContractMenu]:
@@ -88,7 +95,7 @@ def _audit(menus: dict[str, ContractMenu], pop: Population, params: GcsParams) -
             raise AuditError(f"{name} baseline exceeded the budget")
 
 
-def _contract_tables(sc: Scenario, which: str) -> dict[str, str]:
+def _contract_tables(sc: Scenario, which: str) -> dict[str, Iterable[str]]:
     pop = generate_population(sc)
     params = sc.gcs
     menus = _solve_all(pop, params, sc.t_max, sc.solver)
@@ -128,7 +135,7 @@ def _contract_tables(sc: Scenario, which: str) -> dict[str, str]:
     return {f"{which}.csv": _csv(["marginal_cost", "scheme", "value"], rows)}
 
 
-def _sweep_tables(sc: Scenario, metric: str) -> dict[str, str]:
+def _sweep_tables(sc: Scenario, metric: str) -> dict[str, Iterable[str]]:
     """Defensive-effectiveness (or GCS-utility) sweep over UAV counts under
     the paired high/low budget schedules."""
     # one population draw per count, shared by both budget schedules, so
@@ -157,28 +164,40 @@ def _sweep_tables(sc: Scenario, metric: str) -> dict[str, str]:
     return {f"{name}.csv": _csv(["uav_count", "budget_tag", "scheme", column], rows)}
 
 
-def _learning_tables(sc: Scenario) -> dict[str, str]:
+def _learning_tables(sc: Scenario) -> dict[str, Iterable[str]]:
     pop = generate_population(sc)
     cfg = sc.learner
     tables = hotboot(pop, sc.gcs, sc.t_max, cfg, sc.seed) if cfg.hotboot_runs else None
     logs = run_dynamic_game(
         pop, sc.gcs, sc.t_max, cfg, cfg.episodes, sc.seed, warm_tables=tables
     )
-    header = "episode,type_index,S_bytes,R,uav_utility,gcs_utility"
-    rows = [header]
-    for idx in sorted(logs):
-        log = logs[idx]
-        row = f"%d,{log.type_index},%.9g,%.9g,%.9g,%.9g".__mod__
-        columns = (log.vdd_size, log.reward, log.uav_utility, log.gcs_utility)
-        rows += map(row, zip(range(len(log)), *(c.tolist() for c in columns)))
-    return {"fig8.csv": "\n".join(rows) + "\n"}
+    return {"fig8.csv": _fig8_pieces(logs)}
+
+
+def _fig8_pieces(logs: dict[int, EpisodeLog]) -> Iterator[str]:
+    """The header, then each type's rows as one piece: the text of each
+    payoff cell the pair visited, "S,R,uav_utility,gcs_utility", is
+    formatted once and gathered per episode."""
+    yield "episode,type_index,S_bytes,R,uav_utility,gcs_utility\n"
+    for rank in sorted(logs):
+        log = logs[rank]
+        sizes = list(map(_fmt, log.size_grid.values.tolist()))
+        rewards = list(map(_fmt, log.reward_grid.values.tolist()))
+        visited, per_episode = np.unique(log.cells, return_inverse=True)
+        r, s = np.divmod(visited, log.size_grid.levels)
+        cell_text = [f"{sizes[j]},{rewards[i]},{u:.9g},{g:.9g}" for i, j, u, g in zip(
+            r.tolist(), s.tolist(), log.uav_payoffs[visited].tolist(),
+            log.gcs_payoffs[visited].tolist())]
+        row = f"%d,{log.type_index},%s\n".__mod__
+        yield "".join(map(row, enumerate(map(cell_text.__getitem__, per_episode.tolist()))))
 
 
 EXPERIMENTS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "sweep")
 
 
-def run_experiment(name: str, sc: Scenario) -> dict[str, str]:
-    """Run one named experiment and return its CSV tables keyed by file name."""
+def run_experiment(name: str, sc: Scenario) -> dict[str, Iterable[str]]:
+    """Run one named experiment and return its CSV tables, each an iterable
+    of text pieces, keyed by file name."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     if name == "fig7":

@@ -18,6 +18,12 @@ broadcast of ``model.gcs_term`` or ``uav_payoff`` over the on-time cost,
 count and delay columns.  Hotboot runs share tables, so they play in
 sequence, each advancing every pair on a jittered cost column.
 
+A pair's episode log keeps the trajectory as the game played it: two level
+indices per episode, views into the played arrays, plus references to the
+action grids and the pair's slice of the payoff tables.  Rewards, sizes and
+utilities are gathered from these when read, so a run of J types and E
+episodes holds 2 J E integers rather than six float columns.
+
 Each learner draws from its own named random stream derived from the master
 seed and its type's rank, drawn up front one uniform per episode, so adding
 learners never perturbs the others' draws and identical seeds give
@@ -162,20 +168,55 @@ class LearnerConfig:
             raise ValueError(f"hotboot_jitter must be in [0, 1), got {self.hotboot_jitter}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeLog:
-    """Per-episode trajectory of one learner pair."""
+    """Per-episode trajectory of one learner pair, held as what the game
+    played: the reward and size level index of each episode, the two action
+    grids and the pair's (reward level, size level) payoff tables, flat.
+    The per-episode columns are computed from these on each read."""
 
     type_index: int
-    episode: np.ndarray
-    gcs_state: np.ndarray
-    reward: np.ndarray
-    vdd_size: np.ndarray
-    gcs_utility: np.ndarray
-    uav_utility: np.ndarray
+    reward_level: np.ndarray = field(repr=False)
+    size_level: np.ndarray = field(repr=False)
+    reward_grid: ActionGrid
+    size_grid: ActionGrid
+    gcs_payoffs: np.ndarray = field(repr=False)
+    uav_payoffs: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.episode)
+        return len(self.reward_level)
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Each episode's entry in the flat payoff tables."""
+        return self.reward_level * self.size_grid.levels + self.size_level
+
+    @property
+    def episode(self) -> np.ndarray:
+        return np.arange(len(self))
+
+    @property
+    def gcs_state(self) -> np.ndarray:
+        """The size level the GCS observed: the previous episode's, 0 first."""
+        state = np.zeros(len(self), dtype=int)
+        state[1:] = self.size_level[:-1]
+        return state
+
+    @property
+    def reward(self) -> np.ndarray:
+        return self.reward_grid.values[self.reward_level]
+
+    @property
+    def vdd_size(self) -> np.ndarray:
+        return self.size_grid.values[self.size_level]
+
+    @property
+    def gcs_utility(self) -> np.ndarray:
+        return self.gcs_payoffs[self.cells]
+
+    @property
+    def uav_utility(self) -> np.ndarray:
+        return self.uav_payoffs[self.cells]
 
 
 def _rng_for(seed: int, *keys: int) -> np.random.Generator:
@@ -340,19 +381,10 @@ def run_dynamic_game(
     played_r, played_s = _play(gcs, uav, (gcs_pay, uav_pay), *_uniforms(seed, ranks, (), episodes))
     for given, stacked in warm:
         _copy_pair(stacked, given)
-    logs = {}
-    for b, rank in enumerate(ranks):
-        r, s = played_r[:, b], played_s[:, b]
-        cells = (b * gcs.grid.levels + r) * uav.grid.levels + s
-        gcs_state = np.zeros(episodes, dtype=int)
-        gcs_state[1:] = s[:-1]
-        logs[rank] = EpisodeLog(
-            type_index=rank,
-            episode=np.arange(episodes),
-            gcs_state=gcs_state,
-            reward=gcs.grid.values[r],
-            vdd_size=uav.grid.values[s],
-            gcs_utility=gcs_pay[cells],
-            uav_utility=uav_pay[cells],
-        )
-    return logs
+    n_cells = gcs.grid.levels * uav.grid.levels
+    return {rank: EpisodeLog(type_index=rank, reward_level=played_r[:, b],
+                             size_level=played_s[:, b], reward_grid=gcs.grid,
+                             size_grid=uav.grid,
+                             gcs_payoffs=gcs_pay[b * n_cells:(b + 1) * n_cells],
+                             uav_payoffs=uav_pay[b * n_cells:(b + 1) * n_cells])
+            for b, rank in enumerate(ranks)}

@@ -22,7 +22,7 @@ import yaml
 
 from .channel import ChannelParams, _quiet, a2g_rates, transmission_delay
 from .learn import LearnerConfig
-from .model import GcsParams, Population, canonical_columns
+from .model import GcsParams, Population, canonical_columns, left_sum
 from .solver import SolverConfig
 
 __all__ = [
@@ -308,11 +308,13 @@ def generate_population(sc: Scenario, rng: np.random.Generator | None = None,
 def _finite(pop: Population, gcs: GcsParams) -> Population:
     """``pop``, once each product the objectives are built from is a finite
     float: per type count / delay, count x cost and satisfaction x count /
-    delay x log1p(s_max), and deploy_cost x the UAV count."""
+    delay x log1p(s_max), and deploy_cost x the UAV count; and once the
+    totals over types of the satisfaction products and of count x cost x
+    s_max are finite, so that no objective summed from them overflows."""
     weight = pop.count / pop.delay
+    satisfaction = gcs.satisfaction * weight * math.log1p(gcs.s_max)
     for name, column in (("count / delay", weight), ("count x cost", pop.count * pop.cost),
-                         ("satisfaction x count / delay x log1p(s_max)",
-                          gcs.satisfaction * weight * math.log1p(gcs.s_max))):
+                         ("satisfaction x count / delay x log1p(s_max)", satisfaction)):
         # each product is >= 0 and not nan; argmax finds the first inf
         if not np.maximum.reduce(column, initial=0.0) < math.inf:
             t = pop.types[int(np.argmax(column))]
@@ -320,4 +322,8 @@ def _finite(pop: Population, gcs: GcsParams) -> Population:
                              f"count {t.count}): {name} passes the float range")
     if not gcs.deploy_cost * int(np.add.reduce(pop.count)) < math.inf:
         raise ValueError("gcs.deploy_cost x the UAV count passes the float range")
+    for name, column in (("satisfaction x count / delay x log1p(s_max)", satisfaction),
+                         ("count x cost x s_max", pop.count * pop.cost * gcs.s_max)):
+        if not left_sum(column) < math.inf:
+            raise ValueError(f"the sum over types of {name} passes the float range")
     return pop

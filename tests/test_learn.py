@@ -15,7 +15,14 @@ from honeygame.learn import (
     run_dynamic_game,
     sample_action,
 )
-from honeygame.model import GcsParams, UavType, canonicalize, participating_set
+from honeygame.model import (
+    GcsParams,
+    UavType,
+    canonicalize,
+    gcs_term,
+    participating_set,
+    uav_payoff,
+)
 from honeygame.solver import solve_complete
 
 T_MAX = 2.0
@@ -127,13 +134,27 @@ class TestDynamicGame:
 
     def test_log_shapes_and_grids(self):
         cfg = LearnerConfig(hotboot_runs=0)
-        logs = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, 100, seed=0)
-        log = logs[1]
-        assert len(log) == 100
+        two = canonicalize([UavType(index=1, marginal_cost=0.5, delay=0.001),
+                            UavType(index=2, marginal_cost=0.25, delay=0.5, count=3)])
+        logs = run_dynamic_game(two, PARAMS, T_MAX, cfg, 100, seed=0)
         r_grid = np.linspace(0.0, PARAMS.r_max, cfg.gcs_levels)
         s_grid = np.linspace(0.0, PARAMS.s_max, cfg.uav_levels)
-        assert np.isin(log.reward, r_grid).all()
-        assert np.isin(log.vdd_size, s_grid).all()
+        for rank, t in enumerate(two.types, start=1):
+            log = logs[rank]
+            assert len(log) == 100 and log.type_index == rank
+            assert np.isin(log.reward, r_grid).all()
+            assert np.isin(log.vdd_size, s_grid).all()
+            # every column is recomputed from the two level indices played
+            reward = ActionGrid(cfg.gcs_levels, PARAMS.r_max).values[log.reward_level]
+            size = ActionGrid(cfg.uav_levels, PARAMS.s_max).values[log.size_level]
+            assert np.array_equal(log.episode, np.arange(100))
+            assert log.gcs_state[0] == 0
+            assert np.array_equal(log.gcs_state[1:], log.size_level[:-1])
+            assert np.array_equal(log.reward, reward)
+            assert np.array_equal(log.vdd_size, size)
+            assert np.array_equal(log.gcs_utility, gcs_term(t.count, t.delay, size, reward, PARAMS))
+            assert np.array_equal(log.uav_utility,
+                                  uav_payoff(t.marginal_cost, size, reward, PARAMS.deploy_cost))
 
     def test_bitwise_determinism(self):
         cfg = LearnerConfig(hotboot_runs=0)
