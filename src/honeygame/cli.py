@@ -48,13 +48,13 @@ from .model import (
     social_surplus,
 )
 from .scenario import (
-    YAML_LOADER,
     Scenario,
     _is_integer,
     _is_number,
     dump_scenario,
     generate_population,
     load_scenario,
+    load_yaml,
 )
 from .solver import BUDGET_EXACT, PAPER_LITERAL, solve_complete, solve_partial
 
@@ -62,7 +62,7 @@ from .solver import BUDGET_EXACT, PAPER_LITERAL, solve_complete, solve_partial
 def _load(args) -> Scenario:
     sc = load_scenario(Path(args.scenario)) if args.scenario else Scenario()
     updates = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
     if getattr(args, "budget_mode", None):
         mode = BUDGET_EXACT if args.budget_mode == "exact" else PAPER_LITERAL
@@ -171,7 +171,7 @@ def _menu_from_file(path: str, n: int) -> ContractMenu:
 
 
 def _menu_from_yaml(text: str, path: str, n: int) -> ContractMenu:
-    data = yaml.load(text, Loader=YAML_LOADER)
+    data = load_yaml(text, f"menu file {path}")
     if not isinstance(data, dict):
         raise ValueError(f"menu file {path} must be a mapping")
     entries = _menu_field(data, "items", path)
@@ -357,36 +357,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="honeygame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out: bool, budget_mode: bool):
         p.add_argument("--scenario", help="scenario YAML path (defaults built in)")
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument(
-            "--budget-mode", choices=("exact", "paper"), dest="budget_mode",
-            help="budget handling: exact re-solve vs one-shot closed form",
-        )
+        if out:
+            p.add_argument("--out", help="output directory")
+        if budget_mode:
+            p.add_argument(
+                "--budget-mode", choices=("exact", "paper"), dest="budget_mode",
+                help="budget handling: exact re-solve vs one-shot closed form",
+            )
 
     p = sub.add_parser("solve", help="solve one scenario and print the menus")
-    common(p)
+    common(p, out=True, budget_mode=True)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle-check", help="compare solvers against the grid oracle")
-    common(p)
+    common(p, out=False, budget_mode=True)
     p.add_argument("--step", type=float, default=1.0, help="oracle grid step, bytes")
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("learn", help="run the two-tier PHC game")
-    common(p)
+    common(p, out=True, budget_mode=False)
     p.add_argument("--episodes", type=int, help="override the episode count")
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("reproduce", help="regenerate a named experiment CSV")
     p.add_argument("experiment", choices=EXPERIMENTS)
-    common(p)
+    common(p, out=True, budget_mode=True)
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("validate", help="audit a menu file against a scenario")
-    common(p)
+    common(p, out=False, budget_mode=False)
     p.add_argument("--menu", required=True, help="menu YAML path")
     p.set_defaults(func=_cmd_validate)
 

@@ -166,11 +166,8 @@ def _sweep_tables(sc: Scenario, metric: str) -> dict[str, Iterable[str]]:
 
 def _learning_tables(sc: Scenario) -> dict[str, Iterable[str]]:
     pop = generate_population(sc)
-    cfg = sc.learner
-    tables = hotboot(pop, sc.gcs, sc.t_max, cfg, sc.seed) if cfg.hotboot_runs else None
-    logs = run_dynamic_game(
-        pop, sc.gcs, sc.t_max, cfg, cfg.episodes, sc.seed, warm_tables=tables
-    )
+    tables = hotboot(pop, sc.gcs, sc.t_max, sc.learner, sc.seed)
+    logs = run_dynamic_game(pop, sc.gcs, sc.t_max, sc.learner, sc.seed, tables)
     return {"fig8.csv": _fig8_pieces(logs)}
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .channel import _quiet
 from .model import (
+    FEASIBILITY_TOL,
     ContractMenu,
     FeasibilityReport,
     GcsParams,
@@ -66,14 +67,12 @@ def check_feasibility(
     menu: ContractMenu,
     pop: Population,
     params: GcsParams,
-    tol: float,
     rows: np.ndarray,
 ) -> FeasibilityReport:
     """``model.check_feasibility`` over the columns, for the on-time ``rows``."""
     cost, sizes, rewards = pop.cost[rows], menu.sizes[rows], menu.rewards[rows]
-    ir_ok, ic_ok, worst, worst_pair = _envelope_scan(
-        cost, sizes, rewards, rows + 1, params.deploy_cost, tol
-    )
+    ir_ok, ic_ok, worst, worst_pair = _envelope_scan(cost, sizes, rewards, rows + 1,
+                                                     params.deploy_cost)
     budget_slack = params.budget - payment_sum((pop.count[rows] * rewards).tolist())
 
     # the compact conditions: late types unpaid, IR binding at the costliest
@@ -88,13 +87,13 @@ def check_feasibility(
         uav_payoff(cost[:1], sizes[:1], rewards[:1], params.deploy_cost),
         ds, dr, dr - cost[1:] * ds, cost[:-1] * ds - dr,
     ))
-    monotone_ok = not paid_late.any() and not (slacks < -tol).any()
+    monotone_ok = not paid_late.any() and not (slacks < -FEASIBILITY_TOL).any()
     mono_worst = min(0.0, float(slacks.min()))
 
     return FeasibilityReport(
         ir_ok=ir_ok,
         ic_ok=ic_ok,
-        budget_ok=bool(budget_slack >= -tol),
+        budget_ok=bool(budget_slack >= -FEASIBILITY_TOL),
         monotone_ok=monotone_ok,
         worst_violation=float(min(0.0, worst, budget_slack, mono_worst)),
         worst_pair=worst_pair,
@@ -108,7 +107,6 @@ def _envelope_scan(
     rewards: np.ndarray,
     index: np.ndarray,
     deploy_cost: float,
-    tol: float,
 ) -> tuple[bool, bool, float, tuple[int, int]]:
     """``model._incentive_scan`` over the on-time columns (``index`` holds
     the population indices).  Each type's own payoff and its slacks against
@@ -136,20 +134,20 @@ def _envelope_scan(
 
     j, col = divmod(int(np.argmin(table)), 4)
     partner = j if col == 0 else int(k[j, col - 1])
-    return (bool((own >= -tol).all()), bool((slack >= -tol).all()),
+    return (bool((own >= -FEASIBILITY_TOL).all()), bool((slack >= -FEASIBILITY_TOL).all()),
             float(table[j, col]), (int(index[j]), int(index[partner])))
 
 
-def reward_fair(menu: ContractMenu, pop: Population, t_max: float, tol: float) -> bool:
+def reward_fair(menu: ContractMenu, pop: Population) -> bool:
     """``model.check_reward_fairness`` over the columns: a stable sort by
     size, a running maximum of rewards and one binary search per item."""
     sizes, rewards = menu.sizes, menu.rewards
-    if ((pop.delay > t_max) & (rewards > tol)).any():
+    if ((pop.delay > menu.t_max) & (rewards > FEASIBILITY_TOL)).any():
         return False
     order = np.argsort(sizes, kind="stable")
     best = np.maximum.accumulate(rewards[order])
-    below = np.searchsorted(sizes[order], sizes - tol, side="left")
-    return not ((below > 0) & (best[below - 1] > rewards + tol)).any()
+    below = np.searchsorted(sizes[order], sizes - FEASIBILITY_TOL, side="left")
+    return not ((below > 0) & (best[below - 1] > rewards + FEASIBILITY_TOL)).any()
 
 
 # -- solvers ----------------------------------------------------------------

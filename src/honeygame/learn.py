@@ -16,7 +16,8 @@ actions) arrays, every step gathers one row per pair, and payoffs are read
 from per-pair (reward level, size level) tables, each built by one
 broadcast of ``model.gcs_term`` or ``uav_payoff`` over the on-time cost,
 count and delay columns.  Hotboot runs share tables, so they play in
-sequence, each advancing every pair on a jittered cost column.
+sequence, each advancing every pair on a jittered cost column; the game
+then continues the same stacked tables (``Learners``) in place.
 
 A pair's episode log keeps the trajectory as the game played it: two level
 indices per episode, views into the played arrays, plus references to the
@@ -42,6 +43,7 @@ from .model import GcsParams, Population, gcs_term, uav_payoff
 __all__ = [
     "ActionGrid",
     "LearnerState",
+    "Learners",
     "LearnerConfig",
     "EpisodeLog",
     "q_update",
@@ -96,8 +98,8 @@ class LearnerState:
 
     grid: ActionGrid
     n_states: int
-    q: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    policy: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    q: np.ndarray = field(init=False, repr=False)
+    policy: np.ndarray = field(init=False, repr=False)
     # a policy step takes ``drop`` from every action, then adds row g of
     # ``bump`` for greedy action g
     drop: np.ndarray = field(init=False, repr=False)
@@ -105,10 +107,8 @@ class LearnerState:
 
     def __post_init__(self) -> None:
         levels = self.grid.levels
-        if self.q is None:
-            self.q = np.zeros((self.n_states, levels))
-        if self.policy is None:
-            self.policy = np.full((self.n_states, levels), 1.0 / levels)
+        self.q = np.zeros((self.n_states, levels))
+        self.policy = np.full((self.n_states, levels), 1.0 / levels)
         self.drop = np.array(STEP / levels)
         self.bump = np.eye(levels) * (STEP + STEP / levels)
 
@@ -224,28 +224,25 @@ def _rng_for(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *keys]))
 
 
-def _new_pairs(n_pairs: int, params: GcsParams, cfg: LearnerConfig) -> tuple[LearnerState, LearnerState]:
+@dataclass(frozen=True)
+class Learners:
+    """The GCS and UAV learners of every on-time type's pair, stacked: pair b
+    (the type of rank b + 1) owns the block of rows starting at b times the
+    pair's state count on each side.  ``len`` is the number of pairs."""
+
+    gcs: LearnerState
+    uav: LearnerState
+
+    def __len__(self) -> int:
+        return self.uav.n_states // self.gcs.grid.levels
+
+
+def _new_pairs(n_pairs: int, params: GcsParams, cfg: LearnerConfig) -> Learners:
     """Cold GCS and UAV learners for ``n_pairs`` stacked pairs."""
     reward_grid = ActionGrid(cfg.gcs_levels, params.r_max)
     size_grid = ActionGrid(cfg.uav_levels, params.s_max)
-    return (LearnerState(grid=reward_grid, n_states=n_pairs * size_grid.levels),
-            LearnerState(grid=size_grid, n_states=n_pairs * reward_grid.levels))
-
-
-def _pair(gcs: LearnerState, uav: LearnerState, b: int) -> tuple[LearnerState, LearnerState]:
-    """Pair b's GCS and UAV learners as views into the stacked tables."""
-    def view(ls: LearnerState, n: int) -> LearnerState:
-        rows = slice(b * n, (b + 1) * n)
-        return LearnerState(grid=ls.grid, n_states=n, q=ls.q[rows], policy=ls.policy[rows])
-
-    return view(gcs, uav.grid.levels), view(uav, gcs.grid.levels)
-
-
-def _copy_pair(src: tuple[LearnerState, ...], dst: tuple[LearnerState, ...]) -> None:
-    """Copy the Q and policy tables of each learner in ``src`` into ``dst``."""
-    for s, d in zip(src, dst):
-        d.q[...] = s.q
-        d.policy[...] = s.policy
+    return Learners(LearnerState(grid=reward_grid, n_states=n_pairs * size_grid.levels),
+                    LearnerState(grid=size_grid, n_states=n_pairs * reward_grid.levels))
 
 
 def _uniforms(seed: int, ranks: range, keys: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,19 +258,18 @@ def _uniforms(seed: int, ranks: range, keys: tuple[int, ...], n: int) -> tuple[n
 
 @_quiet  # payoffs past the float range are inf, as on Python floats
 def _payoffs(cost: np.ndarray, count: np.ndarray, delay: np.ndarray, params: GcsParams,
-             gcs: LearnerState, uav: LearnerState) -> tuple[np.ndarray, np.ndarray]:
+             tables: Learners) -> tuple[np.ndarray, np.ndarray]:
     """Flat GCS and UAV payoff tables of the pairs whose types have the given
     cost, count and delay columns: entry (b * rewards + r) * sizes + s is
     pair b's payoff at reward level r and size level s."""
-    rewards, sizes = gcs.grid.values[:, None], uav.grid.values
+    rewards, sizes = tables.gcs.grid.values[:, None], tables.uav.grid.values
     g = gcs_term(count[:, None, None], delay[:, None, None], sizes, rewards, params)
     u = uav_payoff(cost[:, None, None], sizes, rewards, params.deploy_cost)
     return g.ravel(), u.ravel()
 
 
 def _play(
-    gcs: LearnerState,
-    uav: LearnerState,
+    tables: Learners,
     payoffs: tuple[np.ndarray, np.ndarray],
     gcs_draws: np.ndarray,
     uav_draws: np.ndarray,
@@ -289,6 +285,7 @@ def _play(
     is deferred one episode.
     """
     episodes, n_pairs, _ = gcs_draws.shape
+    gcs, uav = tables.gcs, tables.uav
     gcs_pay, uav_pay = payoffs
     n_sizes = np.array(uav.grid.levels)
     gcs_base = np.arange(n_pairs) * n_sizes
@@ -326,19 +323,17 @@ def hotboot(
     t_max: float,
     cfg: LearnerConfig,
     seed: int,
-) -> dict[int, tuple[LearnerState, LearnerState]]:
-    """Offline warm start: play ``hotboot_runs`` short games per type on
-    scenarios whose marginal costs are jittered by +-hotboot_jitter,
-    accumulating Q and policy tables keyed by rank, as ``run_dynamic_game``
-    keys its logs.  The runs share tables, so they play in sequence, each
-    advancing every type at once.  With zero runs this returns cold tables
-    (all-zero Q, uniform policies).  A cost jittered past the float range
-    raises ValueError."""
+) -> Learners:
+    """Offline warm start: play ``hotboot_runs`` short games per on-time type
+    on scenarios whose marginal costs are jittered by +-hotboot_jitter, and
+    return the stacked tables they leave, one pair per type in rank order,
+    for ``run_dynamic_game`` to continue.  The runs share tables, so they
+    play in sequence, each advancing every pair at once.  With zero runs the
+    tables are cold (all-zero Q, uniform policies).  A cost jittered past
+    the float range raises ValueError."""
     rows = np.flatnonzero(pop.delay <= t_max)
-    if not len(rows):
-        return {}
     ranks = range(1, len(rows) + 1)
-    gcs, uav = _new_pairs(len(rows), params, cfg)
+    tables = _new_pairs(len(rows), params, cfg)
     # row ``run``: each rank's uniform for that run, then its jittered cost
     jitter = np.array([_rng_for(seed, rank, _HOTBOOT_STREAM).random(cfg.hotboot_runs)
                        for rank in ranks]).T
@@ -347,9 +342,9 @@ def hotboot(
     if not np.isfinite(costs).all():
         raise ValueError("hotboot_jitter takes a marginal cost past the float range")
     for run, cost in enumerate(costs):
-        _play(gcs, uav, _payoffs(cost, pop.count[rows], pop.delay[rows], params, gcs, uav),
+        _play(tables, _payoffs(cost, pop.count[rows], pop.delay[rows], params, tables),
               *_uniforms(seed, ranks, (_HOTBOOT_STREAM, run), cfg.hotboot_length))
-    return {rank: _pair(gcs, uav, rank - 1) for rank in ranks}
+    return tables
 
 
 def run_dynamic_game(
@@ -357,34 +352,28 @@ def run_dynamic_game(
     params: GcsParams,
     t_max: float,
     cfg: LearnerConfig,
-    episodes: int,
     seed: int,
-    warm_tables: dict[int, tuple[LearnerState, LearnerState]] | None = None,
+    learners: Learners | None = None,
 ) -> dict[int, EpisodeLog]:
-    """Play the full two-tier game for every participating type and return
-    per-type episode logs keyed by the type's rank 1..J' among the on-time
-    types.  Warm tables start the ranks they name and are updated in place;
-    the other ranks start cold.  Total work is linear in types times
-    episodes."""
+    """Play ``cfg.episodes`` episodes of the two-tier game for every
+    participating type and return per-type episode logs keyed by the type's
+    rank 1..J' among the on-time types.  The pairs continue ``learners``
+    (``hotboot``'s tables), updating them in place, or start cold.  Total
+    work is linear in types times episodes."""
     rows = np.flatnonzero(pop.delay <= t_max)
     if not len(rows):
         return {}
     ranks = range(1, len(rows) + 1)
-    gcs, uav = _new_pairs(len(rows), params, cfg)
-    # (the caller's tables, the rank's view of the stacked ones)
-    warm = [(warm_tables[rank], _pair(gcs, uav, rank - 1))
-            for rank in ranks if warm_tables and rank in warm_tables]
-    for given, stacked in warm:
-        _copy_pair(given, stacked)
+    tables = learners if learners is not None else _new_pairs(len(rows), params, cfg)
     gcs_pay, uav_pay = _payoffs(pop.cost[rows], pop.count[rows], pop.delay[rows], params,
-                                gcs, uav)
-    played_r, played_s = _play(gcs, uav, (gcs_pay, uav_pay), *_uniforms(seed, ranks, (), episodes))
-    for given, stacked in warm:
-        _copy_pair(stacked, given)
-    n_cells = gcs.grid.levels * uav.grid.levels
+                                tables)
+    played_r, played_s = _play(tables, (gcs_pay, uav_pay),
+                               *_uniforms(seed, ranks, (), cfg.episodes))
+    reward_grid, size_grid = tables.gcs.grid, tables.uav.grid
+    n_cells = reward_grid.levels * size_grid.levels
     return {rank: EpisodeLog(type_index=rank, reward_level=played_r[:, b],
-                             size_level=played_s[:, b], reward_grid=gcs.grid,
-                             size_grid=uav.grid,
+                             size_level=played_s[:, b], reward_grid=reward_grid,
+                             size_grid=size_grid,
                              gcs_payoffs=gcs_pay[b * n_cells:(b + 1) * n_cells],
                              uav_payoffs=uav_pay[b * n_cells:(b + 1) * n_cells])
             for b, rank in enumerate(ranks)}

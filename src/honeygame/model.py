@@ -7,10 +7,12 @@ count.  The GCS posts a contract menu: a delivery deadline ``t_max`` and one
 functions and predicates defined here; everything in this module is a pure
 function of its inputs.
 
-``gcs_term`` is the one GCS per-type objective outside the oracle, and
-``left_sum`` the one running float total: no float total goes through the
-built-in ``sum``, whose rounding changed in Python 3.12, so the outputs do
-not depend on the interpreter (the fixtures are checked on 3.11.7).
+``FEASIBILITY_TOL`` is the one audit tolerance, read by every audit here,
+in ``kernels`` and in ``oracle``.  ``gcs_term`` is the one GCS per-type
+objective outside the oracle, and ``left_sum`` the one running float total:
+no float total goes through the built-in ``sum``, whose rounding changed in
+Python 3.12, so the outputs do not depend on the interpreter (the fixtures
+are checked on 3.11.7).
 """
 
 from __future__ import annotations
@@ -399,33 +401,31 @@ def check_feasibility(
     menu: ContractMenu,
     pop: Population,
     params: GcsParams,
-    tol: float = FEASIBILITY_TOL,
 ) -> FeasibilityReport:
     """Evaluate IR per type, IC per ordered pair, budget feasibility, and the
     compact monotonicity characterization over the on-time types.
 
-    Violations are data, not errors: slacks within ``tol`` of zero count as
-    satisfied and ``worst_violation`` carries the raw minimum slack.
+    Violations are data, not errors: slacks within ``FEASIBILITY_TOL`` of
+    zero count as satisfied and ``worst_violation`` carries the raw minimum
+    slack.
     """
     rows = _menu_rows(menu, pop)
     if rows is not None:
-        return _kernels().check_feasibility(menu, pop, params, tol, rows)
+        return _kernels().check_feasibility(menu, pop, params, rows)
     on_time = participating_set(pop, menu.t_max)
     all_sizes, all_rewards = menu.sizes.tolist(), menu.rewards.tolist()
     sizes = [all_sizes[t.index - 1] for t in on_time]
     rewards = [all_rewards[t.index - 1] for t in on_time]
-    ir_ok, ic_ok, worst, worst_pair = _incentive_scan(
-        on_time, sizes, rewards, params.deploy_cost, tol
-    )
+    ir_ok, ic_ok, worst, worst_pair = _incentive_scan(on_time, sizes, rewards, params.deploy_cost)
 
     budget_slack = params.budget - payment_sum(t.count * r for t, r in zip(on_time, rewards))
     late = [(s, r) for t, s, r in zip(pop.types, all_sizes, all_rewards) if t.delay > menu.t_max]
-    monotone_ok, mono_worst = _compact_conditions(on_time, sizes, rewards, late, params, tol)
+    monotone_ok, mono_worst = _compact_conditions(on_time, sizes, rewards, late, params)
 
     return FeasibilityReport(
         ir_ok=ir_ok,
         ic_ok=ic_ok,
-        budget_ok=bool(budget_slack >= -tol),
+        budget_ok=bool(budget_slack >= -FEASIBILITY_TOL),
         monotone_ok=monotone_ok,
         worst_violation=float(min(0.0, worst, budget_slack, mono_worst)),
         worst_pair=worst_pair,
@@ -437,7 +437,6 @@ def _incentive_scan(
     sizes: list[float],
     rewards: list[float],
     deploy_cost: float,
-    tol: float,
 ) -> tuple[bool, bool, float, tuple[int, int] | None]:
     """IR for every on-time type and IC for every ordered pair, in O(J log J).
 
@@ -459,7 +458,7 @@ def _incentive_scan(
     worst, worst_pair = math.inf, None
     for pos, (t, s, r) in enumerate(zip(on_time, sizes, rewards)):
         own = uav_payoff(t.marginal_cost, s, r, deploy_cost)
-        ir_ok = ir_ok and own >= -tol
+        ir_ok = ir_ok and own >= -FEASIBILITY_TOL
         if own < worst:
             worst, worst_pair = own, (t.index, t.index)
         h = bisect.bisect_left(breaks, t.marginal_cost)
@@ -467,7 +466,7 @@ def _incentive_scan(
             if k == pos:
                 continue
             slack = own - uav_payoff(t.marginal_cost, sizes[k], rewards[k], deploy_cost)
-            ic_ok = ic_ok and slack >= -tol
+            ic_ok = ic_ok and slack >= -FEASIBILITY_TOL
             if slack < worst:
                 worst, worst_pair = slack, (t.index, on_time[k].index)
     return bool(ir_ok), bool(ic_ok), worst, worst_pair
@@ -506,7 +505,6 @@ def _compact_conditions(
     rewards: list[float],
     late: list[tuple[float, float]],
     params: GcsParams,
-    tol: float,
 ) -> tuple[bool, float]:
     """The if-and-only-if feasibility characterization: zero items for
     non-participants (``late`` holds their (size, reward) pairs), joint
@@ -524,7 +522,7 @@ def _compact_conditions(
 
     first = uav_payoff(on_time[0].marginal_cost, sizes[0], rewards[0], params.deploy_cost)
     worst = min(worst, first)
-    if first < -tol:
+    if first < -FEASIBILITY_TOL:
         ok = False
     for j in range(1, len(on_time)):
         ds = sizes[j] - sizes[j - 1]
@@ -533,17 +531,12 @@ def _compact_conditions(
         hi = on_time[j - 1].marginal_cost * ds
         for slack in (ds, dr, dr - lo, hi - dr):
             worst = min(worst, slack)
-            if slack < -tol:
+            if slack < -FEASIBILITY_TOL:
                 ok = False
     return ok, worst
 
 
-def check_fairness(
-    menu: ContractMenu,
-    pop: Population,
-    params: GcsParams,
-    tol: float = FEASIBILITY_TOL,
-) -> tuple[bool, bool]:
+def check_fairness(menu: ContractMenu, pop: Population, params: GcsParams) -> tuple[bool, bool]:
     """(participation fairness, reward fairness).
 
     Participation fairness: every participating type weakly prefers its own
@@ -551,30 +544,31 @@ def check_fairness(
     report's ``participation_fair``.  Reward fairness: see
     :func:`check_reward_fairness`.
     """
-    report = check_feasibility(menu, pop, params, tol)
-    return report.participation_fair, check_reward_fairness(menu, pop, tol)
+    report = check_feasibility(menu, pop, params)
+    return report.participation_fair, check_reward_fairness(menu, pop)
 
 
-def check_reward_fairness(menu: ContractMenu, pop: Population, tol: float = FEASIBILITY_TOL) -> bool:
+def check_reward_fairness(menu: ContractMenu, pop: Population) -> bool:
     """Larger VDD contributions never earn smaller rewards, and types that
     cannot deliver on time are paid nothing."""
     if _menu_rows(menu, pop) is not None:
-        return _kernels().reward_fair(menu, pop, menu.t_max, tol)
+        return _kernels().reward_fair(menu, pop)
     rewards = menu.rewards.tolist()
-    if any(t.delay > menu.t_max and r > tol for t, r in zip(pop.types, rewards)):
+    if any(t.delay > menu.t_max and r > FEASIBILITY_TOL for t, r in zip(pop.types, rewards)):
         return False
-    return _reward_ordered(menu.sizes.tolist(), rewards, tol)
+    return _reward_ordered(menu.sizes.tolist(), rewards)
 
 
-def _reward_ordered(sizes: list[float], rewards: list[float], tol: float) -> bool:
-    """No item a with S_a < S_b - tol and R_a > R_b + tol, for any b: a sort
-    by size, a prefix maximum of rewards, and one bisection per item."""
+def _reward_ordered(sizes: list[float], rewards: list[float]) -> bool:
+    """No item a with S_a < S_b - tol and R_a > R_b + tol (tol the audit
+    tolerance), for any b: a sort by size, a prefix maximum of rewards, and
+    one bisection per item."""
     items = sorted(zip(sizes, rewards), key=operator.itemgetter(0))
     ordered = [s for s, _ in items]
     best = list(itertools.accumulate((r for _, r in items), max))
     for s, r in items:
-        n = bisect.bisect_left(ordered, s - tol)
-        if n and best[n - 1] > r + tol:
+        n = bisect.bisect_left(ordered, s - FEASIBILITY_TOL)
+        if n and best[n - 1] > r + FEASIBILITY_TOL:
             return False
     return True
 

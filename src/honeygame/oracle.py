@@ -153,7 +153,7 @@ def grid_search_partial(
     return menu, best_obj
 
 
-def enumerate_incentives(sizes, rewards, costs, deploy_cost, tol=FEASIBILITY_TOL):
+def enumerate_incentives(sizes, rewards, costs, deploy_cost):
     """Every IR and ordered-pair IC slack, pair by pair, with the same float
     expressions as the audits in ``model``.
 
@@ -165,23 +165,24 @@ def enumerate_incentives(sizes, rewards, costs, deploy_cost, tol=FEASIBILITY_TOL
     worst, pair = math.inf, None
     for j in range(n):
         own = rewards[j] - (costs[j] * sizes[j] + deploy_cost)
-        ir_ok = ir_ok and own >= -tol
+        ir_ok = ir_ok and own >= -FEASIBILITY_TOL
         if own < worst:
             worst, pair = own, (j, j)
         for k in range(n):
             if k == j:
                 continue
             slack = own - (rewards[k] - (costs[j] * sizes[k] + deploy_cost))
-            ic_ok = ic_ok and slack >= -tol
+            ic_ok = ic_ok and slack >= -FEASIBILITY_TOL
             if slack < worst:
                 worst, pair = slack, (j, k)
     return bool(ir_ok), bool(ic_ok), worst, pair
 
 
-def enumerate_reward_fairness(sizes, rewards, tol=FEASIBILITY_TOL) -> bool:
-    """No pair with S_a < S_b - tol and R_a > R_b + tol, checked pair by pair."""
+def enumerate_reward_fairness(sizes, rewards) -> bool:
+    """No pair with S_a < S_b - tol and R_a > R_b + tol (tol the audit
+    tolerance), checked pair by pair."""
     return not any(
-        sa < sb - tol and ra > rb + tol
+        sa < sb - FEASIBILITY_TOL and ra > rb + FEASIBILITY_TOL
         for sa, ra in zip(sizes, rewards)
         for sb, rb in zip(sizes, rewards)
     )

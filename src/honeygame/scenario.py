@@ -40,6 +40,28 @@ DISTRIBUTIONS = ("even", "uniform", "explicit")
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
+# far above the four levels a scenario uses
+MAX_YAML_DEPTH = 1000
+
+
+def load_yaml(text: str, where: str):
+    """``yaml.load`` of ``text`` with ``YAML_LOADER``, once its collections
+    nest at most ``MAX_YAML_DEPTH`` deep, else ValueError naming ``where``:
+    libyaml composes nodes recursively in C, so a deep enough document
+    overflows the C stack.  The check walks the parse events, which needs
+    no recursion; a text nests at most one level per character, so a short
+    one skips it."""
+    if len(text) > MAX_YAML_DEPTH:
+        depth = 0
+        for event in yaml.parse(text, Loader=YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_YAML_DEPTH:
+                    raise ValueError(f"{where} nests deeper than {MAX_YAML_DEPTH} levels")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    return yaml.load(text, Loader=YAML_LOADER)
+
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -210,7 +232,8 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         data = dict(source)
     else:
         text = source.read_text() if isinstance(source, Path) else _source_text(source)
-        data = yaml.load(text, Loader=YAML_LOADER) or {}
+        name = "text" if text is source else str(source)
+        data = load_yaml(text, f"scenario {name}") or {}
         if not isinstance(data, dict):
             raise ValueError("scenario document must be a mapping")
     allowed = {f.name for f in dataclasses.fields(Scenario)}

@@ -253,10 +253,8 @@ def test_08_learning_convergence():
     faster = 0
     for seed in seeds:
         tables = hotboot(pop, params, T_MAX, cfg, seed)
-        hot = run_dynamic_game(
-            pop, params, T_MAX, cfg, cfg.episodes, seed, warm_tables=tables
-        )[1]
-        cold = run_dynamic_game(pop, params, T_MAX, cfg, cfg.episodes, seed)[1]
+        hot = run_dynamic_game(pop, params, T_MAX, cfg, seed, tables)[1]
+        cold = run_dynamic_game(pop, params, T_MAX, cfg, seed)[1]
         window = cfg.episodes // 10
         s_std = hot.vdd_size[-window:].std()
         r_std = hot.reward[-window:].std()

@@ -162,6 +162,24 @@ class TestParser:
         assert len(built) == 1
         assert capsys.readouterr().out.count("== partial information menu") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--menu", "menu.yaml", "--out", "out"],
+        ["oracle-check", "--out", "out"],
+        ["validate", "--menu", "menu.yaml", "--budget-mode", "exact"],
+        ["learn", "--budget-mode", "exact"],
+    ], ids=["validate-out", "oracle-check-out", "validate-budget-mode", "learn-budget-mode"])
+    def test_option_the_command_ignores_exits_2(self, tmp_path, capsys, argv):
+        # an option is registered only on the commands that read it
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scenario", str(tmp_path / "scenario.yaml")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_oracle_check_takes_the_budget_mode(self):
+        args = cli.build_parser().parse_args(["oracle-check", "--budget-mode", "paper"])
+        assert args.budget_mode == "paper"
+
 
 class TestOracleCheck:
     def test_small_instance_passes(self, small_scenario, capsys):
@@ -907,6 +925,23 @@ class TestScenarioErrors:
             assert err.startswith("error:") and message in err
             assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, option, text", [
+        ("solve", "--scenario", "population: {nest}\n"),
+        ("validate", "--menu", "items: {nest}\nt_max: 2.0\n"),
+    ], ids=["scenario", "menu"])
+    def test_deep_nesting_exits_2(self, tmp_path, command, option, text):
+        # libyaml composes nodes recursively in C: 30 000 nested lists
+        # overflow its stack (the interpreter dies with SIGSEGV) unless the
+        # file is refused before it is composed
+        path = tmp_path / "deep.yaml"
+        path.write_text(text.format(nest="[" * 30_000 + "]" * 30_000))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "honeygame.cli", command, option, str(path)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert f"{path} nests deeper than 1000 levels" in result.stderr
 
     @pytest.mark.parametrize("command", ["solve", "reproduce fig1", "learn"])
     def test_missing_scenario_file_named(self, tmp_path, capsys, command):

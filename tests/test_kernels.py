@@ -144,12 +144,12 @@ def test_envelope_break_points_are_sorted(items, data):
     costs = data.draw(st.lists(st.sampled_from([c for c in near if math.isfinite(c)]),
                                min_size=len(items), max_size=len(items)))
     on_time = [UavType(k, c, 1.0) for k, c in enumerate(costs, start=1)]
-    loop = model._incentive_scan(on_time, sizes, rewards, 1.0, model.FEASIBILITY_TOL)
+    loop = model._incentive_scan(on_time, sizes, rewards, 1.0)
     with warnings.catch_warnings():
         # products past the float range give inf quietly, as on Python floats
         warnings.simplefilter("error", RuntimeWarning)
         array = kernels._envelope_scan(np.array(costs), np.array(sizes), np.array(rewards),
-                                       np.arange(1, len(items) + 1), 1.0, model.FEASIBILITY_TOL)
+                                       np.arange(1, len(items) + 1), 1.0)
     assert repr(array) == repr(loop)
 
 

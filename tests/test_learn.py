@@ -34,6 +34,16 @@ def make_learner(levels=5, n_states=5):
     return LearnerState(grid=ActionGrid(levels, 100.0), n_states=n_states)
 
 
+def pair_blocks(tables, rank):
+    """The GCS Q and policy, then the UAV Q and policy, of the pair of
+    ``rank``: its blocks of rows in the stacked tables."""
+    blocks = []
+    for ls, other in ((tables.gcs, tables.uav), (tables.uav, tables.gcs)):
+        rows = slice((rank - 1) * other.grid.levels, rank * other.grid.levels)
+        blocks += [ls.q[rows], ls.policy[rows]]
+    return blocks
+
+
 class TestActionGrid:
     def test_endpoints_and_spacing(self):
         grid = ActionGrid(21, 480.0)
@@ -128,15 +138,15 @@ class TestSampling:
 
 class TestDynamicGame:
     def test_zero_episodes_empty_log(self):
-        cfg = LearnerConfig(hotboot_runs=0)
-        logs = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, 0, seed=0)
+        cfg = LearnerConfig(hotboot_runs=0, episodes=0)
+        logs = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, seed=0)
         assert len(logs[1]) == 0
 
     def test_log_shapes_and_grids(self):
-        cfg = LearnerConfig(hotboot_runs=0)
+        cfg = LearnerConfig(hotboot_runs=0, episodes=100)
         two = canonicalize([UavType(index=1, marginal_cost=0.5, delay=0.001),
                             UavType(index=2, marginal_cost=0.25, delay=0.5, count=3)])
-        logs = run_dynamic_game(two, PARAMS, T_MAX, cfg, 100, seed=0)
+        logs = run_dynamic_game(two, PARAMS, T_MAX, cfg, seed=0)
         r_grid = np.linspace(0.0, PARAMS.r_max, cfg.gcs_levels)
         s_grid = np.linspace(0.0, PARAMS.s_max, cfg.uav_levels)
         for rank, t in enumerate(two.types, start=1):
@@ -157,28 +167,28 @@ class TestDynamicGame:
                                   uav_payoff(t.marginal_cost, size, reward, PARAMS.deploy_cost))
 
     def test_bitwise_determinism(self):
-        cfg = LearnerConfig(hotboot_runs=0)
-        a = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, 300, seed=5)[1]
-        b = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, 300, seed=5)[1]
+        cfg = LearnerConfig(hotboot_runs=0, episodes=300)
+        a = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, seed=5)[1]
+        b = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, seed=5)[1]
         for field in ("reward", "vdd_size", "gcs_utility", "uav_utility"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_seed_changes_trajectory(self):
-        cfg = LearnerConfig(hotboot_runs=0)
-        a = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, 300, seed=5)[1]
-        b = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, 300, seed=6)[1]
+        cfg = LearnerConfig(hotboot_runs=0, episodes=300)
+        a = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, seed=5)[1]
+        b = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, seed=6)[1]
         assert not np.array_equal(a.reward, b.reward)
 
     def test_q_values_bounded(self):
         cfg = LearnerConfig(hotboot_runs=0)
         pop = SINGLE
         t = pop.types[0]
-        tables = {}
         from honeygame.learn import _new_pairs, _payoffs, _play, _uniforms
 
-        gcs, uav = _new_pairs(1, PARAMS, cfg)
-        _play(gcs, uav, _payoffs(pop.cost, pop.count, pop.delay, PARAMS, gcs, uav),
+        tables = _new_pairs(1, PARAMS, cfg)
+        _play(tables, _payoffs(pop.cost, pop.count, pop.delay, PARAMS, tables),
               *_uniforms(0, range(1, 2), (), 2000))
+        gcs, uav = tables.gcs, tables.uav
         u_max_gcs = PARAMS.satisfaction * (t.count / t.delay) * np.log1p(PARAMS.s_max)
         u_max_uav = PARAMS.r_max
         assert np.abs(gcs.q).max() <= u_max_gcs / (1 - DISCOUNT) + 1e-6
@@ -193,14 +203,14 @@ class TestDynamicGame:
             UavType(index=4, marginal_cost=0.2, delay=0.5, count=2),
         ])
         on_time = canonicalize(participating_set(with_late, T_MAX))
-        cfg = LearnerConfig(hotboot_runs=2, hotboot_length=50)
+        cfg = LearnerConfig(hotboot_runs=2, hotboot_length=50, episodes=200)
         runs = []
         for pop in (with_late, on_time):
             tables = hotboot(pop, PARAMS, T_MAX, cfg, seed=4)
-            logs = run_dynamic_game(pop, PARAMS, T_MAX, cfg, 200, seed=4, warm_tables=tables)
+            logs = run_dynamic_game(pop, PARAMS, T_MAX, cfg, seed=4, learners=tables)
             runs.append((tables, logs))
         (tables, logs), (_, reference) = runs
-        assert sorted(tables) == sorted(logs) == [1, 2]
+        assert len(tables) == 2 and sorted(logs) == [1, 2]
         for rank, t in enumerate(participating_set(with_late, T_MAX), start=1):
             log = logs[rank]
             assert log.type_index == rank
@@ -212,23 +222,24 @@ class TestDynamicGame:
 
     def test_multiple_types_independent_streams(self):
         # adding a second type must not perturb the first type's trajectory
-        cfg = LearnerConfig(hotboot_runs=0)
+        cfg = LearnerConfig(hotboot_runs=0, episodes=200)
         two = canonicalize(
             [
                 UavType(index=1, marginal_cost=0.5, delay=0.001),
                 UavType(index=2, marginal_cost=0.25, delay=0.001),
             ]
         )
-        solo = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, 200, seed=3)[1]
-        both = run_dynamic_game(two, PARAMS, T_MAX, cfg, 200, seed=3)[1]
+        solo = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, seed=3)[1]
+        both = run_dynamic_game(two, PARAMS, T_MAX, cfg, seed=3)[1]
         assert np.array_equal(solo.reward, both.reward)
         assert np.array_equal(solo.vdd_size, both.vdd_size)
 
         # three stacked pairs through jittered hotboot and the game: each rank
-        # ends with the tables and log it gets when the other on-time types
-        # are swapped for different ones and the late ones dropped (rank 1
-        # also when it plays alone)
-        cfg = LearnerConfig(hotboot_runs=3, hotboot_length=100, hotboot_jitter=0.1)
+        # ends with the tables (its row blocks of the stacked ones) and log it
+        # gets when the other on-time types are swapped for different ones
+        # and the late ones dropped (rank 1 also when it plays alone)
+        cfg = LearnerConfig(hotboot_runs=3, hotboot_length=100, hotboot_jitter=0.1,
+                            episodes=150)
         on_time = [
             UavType(index=1, marginal_cost=0.8, delay=1.0),
             UavType(index=2, marginal_cost=0.5, delay=0.4, count=3),
@@ -247,11 +258,10 @@ class TestDynamicGame:
         def play(types):
             pop = canonicalize(types)
             tables = hotboot(pop, PARAMS, T_MAX, cfg, seed=7)
-            warm = {rank: [a.copy() for ls in pair for a in (ls.q, ls.policy)]
-                    for rank, pair in tables.items()}
-            logs = run_dynamic_game(pop, PARAMS, T_MAX, cfg, 150, seed=7, warm_tables=tables)
-            final = {rank: [a for ls in pair for a in (ls.q, ls.policy)]
-                     for rank, pair in tables.items()}
+            ranks = range(1, len(tables) + 1)
+            warm = {rank: [a.copy() for a in pair_blocks(tables, rank)] for rank in ranks}
+            logs = run_dynamic_game(pop, PARAMS, T_MAX, cfg, seed=7, learners=tables)
+            final = {rank: pair_blocks(tables, rank) for rank in ranks}
             return warm, final, logs
 
         stacked = play(on_time + late)
@@ -272,25 +282,25 @@ class TestHotboot:
     def test_zero_runs_cold_tables(self):
         cfg = LearnerConfig(hotboot_runs=0)
         tables = hotboot(SINGLE, PARAMS, T_MAX, cfg, seed=0)
-        gcs, uav = tables[1]
-        assert not gcs.q.any() and not uav.q.any()
-        assert np.allclose(gcs.policy, 1.0 / cfg.gcs_levels)
+        assert len(tables) == 1
+        assert not tables.gcs.q.any() and not tables.uav.q.any()
+        assert np.allclose(tables.gcs.policy, 1.0 / cfg.gcs_levels)
+        assert np.allclose(tables.uav.policy, 1.0 / cfg.uav_levels)
 
     def test_warm_tables_are_distributions(self):
         cfg = LearnerConfig(hotboot_runs=3, hotboot_length=200)
         tables = hotboot(SINGLE, PARAMS, T_MAX, cfg, seed=0)
-        for gcs, uav in tables.values():
-            for ls in (gcs, uav):
-                sums = ls.policy.sum(axis=1)
-                assert np.allclose(sums, 1.0, atol=1e-12)
-                assert (ls.policy >= 0).all()
+        for ls in (tables.gcs, tables.uav):
+            sums = ls.policy.sum(axis=1)
+            assert np.allclose(sums, 1.0, atol=1e-12)
+            assert (ls.policy >= 0).all()
 
     def test_no_on_time_type_no_tables(self):
         late = canonicalize([UavType(index=1, marginal_cost=0.5, delay=3.0)])
-        cfg = LearnerConfig(hotboot_runs=2, hotboot_length=50)
+        cfg = LearnerConfig(hotboot_runs=2, hotboot_length=50, episodes=50)
         tables = hotboot(late, PARAMS, T_MAX, cfg, seed=0)
-        assert tables == {}
-        assert run_dynamic_game(late, PARAMS, T_MAX, cfg, 50, seed=0, warm_tables=tables) == {}
+        assert len(tables) == 0
+        assert run_dynamic_game(late, PARAMS, T_MAX, cfg, seed=0, learners=tables) == {}
 
     def test_jitter_past_the_float_range_raises(self):
         # a cost a float holds, jittered up past the float range
@@ -301,10 +311,10 @@ class TestHotboot:
 
     def test_hotboot_deterministic(self):
         cfg = LearnerConfig(hotboot_runs=2, hotboot_length=100)
-        a = hotboot(SINGLE, PARAMS, T_MAX, cfg, seed=4)[1]
-        b = hotboot(SINGLE, PARAMS, T_MAX, cfg, seed=4)[1]
-        assert np.array_equal(a[0].q, b[0].q)
-        assert np.array_equal(a[1].policy, b[1].policy)
+        a = hotboot(SINGLE, PARAMS, T_MAX, cfg, seed=4)
+        b = hotboot(SINGLE, PARAMS, T_MAX, cfg, seed=4)
+        assert np.array_equal(a.gcs.q, b.gcs.q)
+        assert np.array_equal(a.uav.policy, b.uav.policy)
 
 
 class TestConvergenceSanity:
@@ -328,10 +338,7 @@ class TestConvergenceSanity:
         hits = 0
         for seed in seeds:
             tables = hotboot(SINGLE, PARAMS, T_MAX, cfg, seed)
-            log = run_dynamic_game(
-                SINGLE, PARAMS, T_MAX, cfg, cfg.episodes, seed, warm_tables=tables
-            )[1]
-            gcs, _ = tables[1]
-            greedy = int(gcs.q[int(log.gcs_state[-1])].argmax())
+            log = run_dynamic_game(SINGLE, PARAMS, T_MAX, cfg, seed, tables)[1]
+            greedy = int(tables.gcs.q[int(log.gcs_state[-1])].argmax())
             hits += abs(greedy - target) <= tolerance
         assert hits >= 0.8 * len(seeds)
