@@ -265,7 +265,7 @@ def _cmd_solve(args) -> int:
 
 def _type_lines(menu: ContractMenu, pop: Population) -> str:
     """One line per on-time type: index, cost, size and reward."""
-    rows = np.flatnonzero(pop.delay <= menu.t_max)
+    rows = pop.on_time(menu.t_max).rows
     columns = ((rows + 1).tolist(), pop.cost[rows].tolist(), menu.sizes[rows].tolist(),
                menu.rewards[rows].tolist())
     return "".join(map("  type %d: C = %.4g, S = %.6g bytes, R = %.6g\n".__mod__, zip(*columns)))

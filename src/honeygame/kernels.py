@@ -1,19 +1,21 @@
-"""Array kernels: the solvers, audits and utilities over numpy columns,
-for populations with at least ``model.ARRAY_MIN_TYPES`` on-time types.
-Below that the per-type loops in ``model`` and ``solver`` run; they are
-also the bitwise reference these kernels reproduce (``solver._water_level``
-picks the solvers' water level, ``WaterLevel`` or a loop rule):
+"""Array kernels: the parts of the solvers and audits whose algorithm
+differs between numpy columns and per-type loops, for the on-time views
+that choose the arrays (``model.OnTime.arrays``, from
+``model.ARRAY_MIN_TYPES`` on-time types): the IR/IC envelope scan, the
+compact conditions, reward fairness, the budget-exact water level
+``WaterLevel`` and the partial-information solver.  Everything else, the
+utilities and the complete-information solver among it, is written once
+over the view's columns (``OnTime.apply``).  The loops in ``model`` and
+``solver`` are the bitwise reference these kernels reproduce:
 
 * a running total is ``model.left_sum`` on both sides: the loop's fold,
   the column's sequential ``np.cumsum`` (never the pairwise ``np.sum``),
-  started where the loop starts;
-* the GCS term is ``model.gcs_term`` on both sides, element-wise here, with
-  ``log1p`` the scalar ``math`` call; a ``math.fsum`` total stays
+  started where the loop starts; a ``math.fsum`` total stays
   ``math.fsum``;
 * Python's ``min``/``max`` tie rules become explicit ``np.where`` choices,
   and the first of equal minima is the one kept;
-* the solvers, audits and utilities run under ``channel._quiet``: an
-  overflow gives inf with no warning, as Python float arithmetic does.
+* the kernels run under ``channel._quiet``: an overflow gives inf with no
+  warning, as Python float arithmetic does.
 
 This module is imported on first use, so runs over small populations
 never load it.
@@ -27,89 +29,28 @@ from .channel import _quiet
 from .model import (
     FEASIBILITY_TOL,
     ContractMenu,
-    FeasibilityReport,
     GcsParams,
+    OnTime,
     Population,
     _hull,
-    gcs_term,
     left_sum,
-    payment_sum,
     uav_payoff,
 )
-from .solver import _MONO_TOL, SolverConfig, _fit_budget, _water_level, iron
-
-
-# -- utilities --------------------------------------------------------------
-
-@_quiet
-def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams, rows: np.ndarray) -> float:
-    return left_sum(gcs_term(pop.count[rows], pop.delay[rows], menu.sizes[rows],
-                             menu.rewards[rows], params))
-
-
-@_quiet
-def uav_total(menu: ContractMenu, pop: Population, params: GcsParams, rows: np.ndarray,
-              start: float) -> float:
-    """``start`` plus count x utility of each on-time type."""
-    payoff = uav_payoff(pop.cost[rows], menu.sizes[rows], menu.rewards[rows], params.deploy_cost)
-    return left_sum(pop.count[rows] * payoff, start)
-
-
-@_quiet
-def total_payment(menu: ContractMenu, pop: Population, rows: np.ndarray) -> float:
-    return payment_sum((pop.count[rows] * menu.rewards[rows]).tolist())
+from .solver import SolverConfig, _fit_budget, _water_level, iron
 
 
 # -- audits -----------------------------------------------------------------
-
-@_quiet
-def check_feasibility(
-    menu: ContractMenu,
-    pop: Population,
-    params: GcsParams,
-    rows: np.ndarray,
-) -> FeasibilityReport:
-    """``model.check_feasibility`` over the columns, for the on-time ``rows``."""
-    cost, sizes, rewards = pop.cost[rows], menu.sizes[rows], menu.rewards[rows]
-    ir_ok, ic_ok, worst, worst_pair = _envelope_scan(cost, sizes, rewards, rows + 1,
-                                                     params.deploy_cost)
-    budget_slack = params.budget - payment_sum((pop.count[rows] * rewards).tolist())
-
-    # the compact conditions: late types unpaid, IR binding at the costliest
-    # on-time type, then the adjacent monotonicity and cost-sandwich slacks
-    late = np.ones(len(pop), dtype=bool)
-    late[rows] = False
-    late_sizes, late_rewards = menu.sizes[late], menu.rewards[late]
-    paid_late = (late_sizes != 0.0) | (late_rewards != 0.0)
-    ds, dr = np.diff(sizes), np.diff(rewards)
-    slacks = np.concatenate((
-        -np.where(late_sizes >= late_rewards, late_sizes, late_rewards)[paid_late],
-        uav_payoff(cost[:1], sizes[:1], rewards[:1], params.deploy_cost),
-        ds, dr, dr - cost[1:] * ds, cost[:-1] * ds - dr,
-    ))
-    monotone_ok = not paid_late.any() and not (slacks < -FEASIBILITY_TOL).any()
-    mono_worst = min(0.0, float(slacks.min()))
-
-    return FeasibilityReport(
-        ir_ok=ir_ok,
-        ic_ok=ic_ok,
-        budget_ok=bool(budget_slack >= -FEASIBILITY_TOL),
-        monotone_ok=monotone_ok,
-        worst_violation=float(min(0.0, worst, budget_slack, mono_worst)),
-        worst_pair=worst_pair,
-    )
-
 
 @_quiet
 def _envelope_scan(
     cost: np.ndarray,
     sizes: np.ndarray,
     rewards: np.ndarray,
-    index: np.ndarray,
+    rows: np.ndarray,
     deploy_cost: float,
 ) -> tuple[bool, bool, float, tuple[int, int]]:
-    """``model._incentive_scan`` over the on-time columns (``index`` holds
-    the population indices).  Each type's own payoff and its slacks against
+    """``model._incentive_scan`` over the on-time columns (``rows`` holds
+    the types' row positions).  Each type's own payoff and its slacks against
     the envelope line at its cost and that line's two neighbours form one
     row; the first minimum in row order is the one the loop keeps."""
     n = len(cost)
@@ -135,15 +76,24 @@ def _envelope_scan(
     j, col = divmod(int(np.argmin(table)), 4)
     partner = j if col == 0 else int(k[j, col - 1])
     return (bool((own >= -FEASIBILITY_TOL).all()), bool((slack >= -FEASIBILITY_TOL).all()),
-            float(table[j, col]), (int(index[j]), int(index[partner])))
+            float(table[j, col]), (int(rows[j]) + 1, int(rows[partner]) + 1))
 
 
-def reward_fair(menu: ContractMenu, pop: Population) -> bool:
-    """``model.check_reward_fairness`` over the columns: a stable sort by
-    size, a running maximum of rewards and one binary search per item."""
-    sizes, rewards = menu.sizes, menu.rewards
-    if ((pop.delay > menu.t_max) & (rewards > FEASIBILITY_TOL)).any():
-        return False
+@_quiet
+def compact_conditions(cost: np.ndarray, sizes: np.ndarray, rewards: np.ndarray,
+                       deploy_cost: float) -> tuple[bool, float]:
+    """``model._compact_conditions`` over the on-time columns: IR binding at
+    the costliest on-time type, then the adjacent monotonicity and
+    cost-sandwich slacks."""
+    ds, dr = np.diff(sizes), np.diff(rewards)
+    slacks = np.concatenate((uav_payoff(cost[:1], sizes[:1], rewards[:1], deploy_cost),
+                             ds, dr, dr - cost[1:] * ds, cost[:-1] * ds - dr))
+    return not (slacks < -FEASIBILITY_TOL).any(), min(0.0, float(slacks.min()))
+
+
+def reward_ordered(sizes: np.ndarray, rewards: np.ndarray) -> bool:
+    """``model._reward_ordered`` over the columns: a stable sort by size, a
+    running maximum of rewards and one binary search per item."""
     order = np.argsort(sizes, kind="stable")
     best = np.maximum.accumulate(rewards[order])
     below = np.searchsorted(sizes[order], sizes - FEASIBILITY_TOL, side="left")
@@ -183,6 +133,7 @@ class WaterLevel:
     its segment (the rounded payments need not be sorted, so no bisection)
     and one pass over the sizes."""
 
+    @_quiet
     def __init__(self, unit_costs, weights, fixed_cost: float, s_max: float) -> None:
         self.a = np.asarray(unit_costs, dtype=float)
         self.w = np.asarray(weights, dtype=float)
@@ -205,6 +156,7 @@ class WaterLevel:
     def payment(self, x: float) -> float:
         return self.fixed + left_sum(self.a * self.sizes_at(x))
 
+    @_quiet
     def __call__(self, budget: float) -> tuple[float, np.ndarray]:
         points = self.points
         if not len(points):
@@ -239,45 +191,26 @@ def virtual_costs(cost: np.ndarray, count: np.ndarray) -> np.ndarray:
 def _rewards(sizes: np.ndarray, cost: np.ndarray, deploy_cost: float) -> np.ndarray:
     """``solver.optimal_rewards``: the recursion's increments added by
     sequential ``np.cumsum``."""
-    if (sizes[:-1] > sizes[1:] + _MONO_TOL).any():
+    if (sizes[:-1] > sizes[1:] + FEASIBILITY_TOL).any():
         raise ValueError("sizes must be non-decreasing; iron first")
     return np.cumsum(np.concatenate((cost[:1] * sizes[:1] + deploy_cost,
                                      cost[1:] * np.diff(sizes))))
 
 
 @_quiet
-def solve_complete(pop: Population, params: GcsParams, t_max: float, cfg: SolverConfig,
-                   rows: np.ndarray) -> ContractMenu:
-    cost, count = pop.cost[rows], pop.count[rows]
-    fixed = params.deploy_cost * int(count.sum())
-    if params.budget < fixed:
-        return ContractMenu.zero(pop, t_max)
-    level = _water_level(cfg.budget_mode, count * cost, count / pop.delay[rows], fixed,
-                         params.s_max)
-
-    def menu_at(budget: float) -> ContractMenu:
-        _, sizes = level(budget)
-        return ContractMenu.placed(len(pop), t_max, rows, sizes, cost * sizes + params.deploy_cost)
-
-    return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
-
-
-@_quiet
 def solve_partial(pop: Population, params: GcsParams, t_max: float, cfg: SolverConfig,
-                  rows: np.ndarray) -> ContractMenu:
-    cost, count = pop.cost[rows], pop.count[rows]
-    fixed = params.deploy_cost * int(count.sum())
-    if params.budget < fixed:
-        return ContractMenu.zero(pop, t_max)
-    blocks = iron((count / pop.delay[rows]).tolist(), virtual_costs(cost, count).tolist())
+                  view: OnTime, fixed: float) -> ContractMenu:
+    """``solver.solve_partial`` over the view's columns, once the view has
+    types and the budget covers their ``fixed`` deployment cost."""
+    cost = view.cost
+    blocks = iron((view.count / view.delay).tolist(), virtual_costs(cost, view.count).tolist())
     level = _water_level(cfg.budget_mode, [a for _, a, _ in blocks], [w for w, _, _ in blocks],
-                         fixed, params.s_max)
+                         fixed, params.s_max, view.arrays)
     lengths = [n for _, _, n in blocks]
 
     def menu_at(budget: float) -> ContractMenu:
         sizes = np.repeat(level(budget)[1], lengths)
-        return ContractMenu.placed(len(pop), t_max, rows, sizes,
+        return ContractMenu.placed(len(pop), t_max, view.rows, sizes,
                                    _rewards(sizes, cost, params.deploy_cost))
 
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
-

@@ -331,7 +331,7 @@ def hotboot(
     play in sequence, each advancing every pair at once.  With zero runs the
     tables are cold (all-zero Q, uniform policies).  A cost jittered past
     the float range raises ValueError."""
-    rows = np.flatnonzero(pop.delay <= t_max)
+    rows = pop.on_time(t_max).rows
     ranks = range(1, len(rows) + 1)
     tables = _new_pairs(len(rows), params, cfg)
     # row ``run``: each rank's uniform for that run, then its jittered cost
@@ -360,7 +360,7 @@ def run_dynamic_game(
     rank 1..J' among the on-time types.  The pairs continue ``learners``
     (``hotboot``'s tables), updating them in place, or start cold.  Total
     work is linear in types times episodes."""
-    rows = np.flatnonzero(pop.delay <= t_max)
+    rows = pop.on_time(t_max).rows
     if not len(rows):
         return {}
     ranks = range(1, len(rows) + 1)

@@ -7,12 +7,19 @@ count.  The GCS posts a contract menu: a delivery deadline ``t_max`` and one
 functions and predicates defined here; everything in this module is a pure
 function of its inputs.
 
+``Population.on_time`` is the one participating-set view: each population
+splits its types at a deadline once, there, and there alone chooses
+between the per-type loops and the array kernels (``OnTime.arrays``).
+Every solver, audit and utility reads the view; the utilities and the
+complete-information solver are written once for both paths, through
+``OnTime.apply``.
+
 ``FEASIBILITY_TOL`` is the one audit tolerance, read by every audit here,
-in ``kernels`` and in ``oracle``.  ``gcs_term`` is the one GCS per-type
-objective outside the oracle, and ``left_sum`` the one running float total:
-no float total goes through the built-in ``sum``, whose rounding changed in
-Python 3.12, so the outputs do not depend on the interpreter (the fixtures
-are checked on 3.11.7).
+in ``kernels`` and in ``oracle``, and by the solvers' monotonicity checks.
+``gcs_term`` is the one GCS per-type objective outside the oracle, and
+``left_sum`` the one running float total: no float total goes through the
+built-in ``sum``, whose rounding changed in Python 3.12, so the outputs do
+not depend on the interpreter (the fixtures are checked on 3.11.7).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import numpy as np
 __all__ = [
     "UavType",
     "Population",
+    "OnTime",
     "ContractItem",
     "ContractMenu",
     "GcsParams",
@@ -53,9 +61,10 @@ __all__ = [
 # Slack threshold below which an IR/IC/budget violation is reported as real.
 FEASIBILITY_TOL = 1e-9
 
-# On-time types from which the solvers, audits and utilities run as the
-# numpy kernels of ``kernels``; below it the per-type loops here and in
-# ``solver`` run.  Both give the same bits.
+# On-time types from which a view's columns are numpy arrays and the forked
+# solvers and audits run as the kernels of ``kernels``; below it they are
+# lists and the per-type loops here and in ``solver`` run.  Both give the
+# same bits.  Read by ``OnTime`` alone.
 # Set above the measured crossover of the two paths (README, "Performance").
 ARRAY_MIN_TYPES = 64
 
@@ -92,11 +101,19 @@ class Population:
     def __init__(self, cost: np.ndarray, delay: np.ndarray, count: np.ndarray) -> None:
         if ((cost[1:] > cost[:-1]) | ((cost[1:] == cost[:-1]) & (delay[1:] < delay[:-1]))).any():
             raise ValueError("types must be ordered by descending cost, then ascending delay")
-        self.__dict__.update(cost=cost, delay=delay, count=count)
+        self.__dict__.update(cost=cost, delay=delay, count=count, _views={})
 
     @cached_property
     def types(self) -> tuple[UavType, ...]:
         return tuple(map(UavType, range(1, len(self) + 1), *self._values()))
+
+    def on_time(self, t_max: float) -> OnTime:
+        """The view of the types that meet the deadline ``t_max``, built on
+        first use and kept."""
+        view = self._views.get(t_max)
+        if view is None:
+            view = self._views[t_max] = OnTime(self, t_max)
+        return view
 
     def _values(self) -> tuple[list[float], list[float], list[int]]:
         return self.cost.tolist(), self.delay.tolist(), self.count.tolist()
@@ -120,30 +137,59 @@ class Population:
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
+class OnTime:
+    """The types of a population that meet a deadline ``t_max``: the
+    participating set, built once per population and deadline by
+    :meth:`Population.on_time`.
+
+    ``rows`` and ``late`` hold the row positions of the on-time and of the
+    late types, ``heads`` the on-time head count.  ``arrays`` is the one
+    choice between the per-type loops and the array kernels of ``kernels``:
+    true from ``ARRAY_MIN_TYPES`` on-time types on.  The on-time ``cost``,
+    ``delay`` and ``count`` columns, and each column :meth:`take` returns,
+    are numpy arrays then and Python lists otherwise; :meth:`apply` maps a
+    function over them in either form."""
+
+    def __init__(self, pop: Population, t_max: float) -> None:
+        on_time = pop.delay <= t_max
+        self.rows = np.flatnonzero(on_time)
+        self.arrays = len(self.rows) >= ARRAY_MIN_TYPES
+        if len(self.rows) < len(pop):
+            self.late, self._pick = np.flatnonzero(~on_time), self.rows
+        else:  # every row: a slice, no copy
+            self.late, self._pick = self.rows[:0], slice(None)
+        self.cost, self.delay, self.count = map(self.take, (pop.cost, pop.delay, pop.count))
+        self.heads = int(self.count.sum()) if self.arrays else sum(self.count)
+
+    def take(self, column: np.ndarray):
+        """The on-time entries of a population-length column."""
+        part = column[self._pick]
+        return part if self.arrays else part.tolist()
+
+    def apply(self, f, columns, *scalars):
+        """``f`` of the on-time columns and the scalars: once over the
+        columns, quietly (an overflow gives inf, as on Python floats), or
+        per type over lists."""
+        if self.arrays:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return f(*columns, *scalars)
+        return list(map(f, *columns, *map(itertools.repeat, scalars)))
+
+
 def _kernels():
-    """The array kernels, imported on first use (see ``ARRAY_MIN_TYPES``)."""
+    """The array kernels, imported on first use (see ``OnTime.arrays``)."""
     from . import kernels
 
     return kernels
 
 
-def on_time_rows(pop: Population, t_max: float) -> np.ndarray | None:
-    """Row positions of the types that meet the deadline when there are at
-    least ``ARRAY_MIN_TYPES`` of them, so that the array kernels run; None
-    when the per-type loops run instead."""
-    if len(pop.cost) < ARRAY_MIN_TYPES:
-        return None
-    rows = np.flatnonzero(pop.delay <= t_max)
-    return rows if len(rows) >= ARRAY_MIN_TYPES else None
-
-
-def _menu_rows(menu: ContractMenu, pop: Population) -> np.ndarray | None:
-    """:func:`on_time_rows` at the menu's deadline, once the menu is checked
-    to hold one row per population type."""
+def _menu_view(menu: ContractMenu, pop: Population) -> OnTime:
+    """The population's view at the menu's deadline, once the menu is
+    checked to hold one row per population type."""
     if len(menu.sizes) != len(pop):
         raise ValueError(f"a menu of {len(menu.sizes)} rows cannot serve a population of "
                          f"{len(pop)} types")
-    return on_time_rows(pop, menu.t_max)
+    return pop.on_time(menu.t_max)
 
 
 def canonicalize(types: Iterable[UavType]) -> Population:
@@ -318,15 +364,21 @@ class FeasibilityReport:
 
 def participating_set(pop: Population, t_max: float) -> list[UavType]:
     """The population's own types that can deliver within the deadline, in
-    canonical order and keeping their population indices.  Where a rank
-    1..J' is needed, it is the position in this list (counting from 1)."""
-    return [t for t in pop.types if t.delay <= t_max]
+    canonical order and keeping their population indices: its ``UavType``s
+    at the rows of :meth:`Population.on_time`.  Where a rank 1..J' is
+    needed, it is the position in this list (counting from 1)."""
+    return list(map(pop.types.__getitem__, pop.on_time(t_max).rows.tolist()))
 
 
 def uav_payoff(cost, size, reward, deploy_cost: float):
     """What a UAV of marginal cost ``cost`` earns from delivering ``size``
     bytes for ``reward``; element-wise on arrays."""
     return reward - (cost * size + deploy_cost)
+
+
+def _uav_total(count, cost, size, reward, deploy_cost: float):
+    """What the ``count`` UAVs of a type earn together."""
+    return count * uav_payoff(cost, size, reward, deploy_cost)
 
 
 def gcs_term(count, delay, size, reward, params: GcsParams):
@@ -360,33 +412,23 @@ def uav_utility(t: UavType, item: ContractItem, t_max: float, params: GcsParams)
 def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """Log-satisfaction over delivered VDD minus total payments (natural log).
     Non-delivering types contribute no satisfaction and receive no payment."""
-    rows = _menu_rows(menu, pop)
-    if rows is not None:
-        return _kernels().gcs_utility(menu, pop, params, rows)
-    sizes, rewards = menu.sizes.tolist(), menu.rewards.tolist()
-    return left_sum(gcs_term(t.count, t.delay, sizes[t.index - 1], rewards[t.index - 1], params)
-                    for t in participating_set(pop, menu.t_max))
+    view = _menu_view(menu, pop)
+    return left_sum(view.apply(gcs_term, (view.count, view.delay, view.take(menu.sizes),
+                                          view.take(menu.rewards)), params))
 
 
 def social_surplus(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """GCS utility plus the utilities of all on-time UAVs (rewards cancel)."""
-    total = gcs_utility(menu, pop, params)
-    rows = _menu_rows(menu, pop)
-    if rows is not None:
-        return _kernels().uav_total(menu, pop, params, rows, total)
-    sizes, rewards = menu.sizes.tolist(), menu.rewards.tolist()
-    return left_sum((t.count * uav_payoff(t.marginal_cost, sizes[t.index - 1],
-                                          rewards[t.index - 1], params.deploy_cost)
-                     for t in participating_set(pop, menu.t_max)), total)
+    view = _menu_view(menu, pop)
+    return left_sum(view.apply(_uav_total, (view.count, view.cost, view.take(menu.sizes),
+                                            view.take(menu.rewards)), params.deploy_cost),
+                    gcs_utility(menu, pop, params))
 
 
 def total_payment(menu: ContractMenu, pop: Population) -> float:
     """What the GCS pays the on-time UAVs: :func:`payment_sum` of count x reward."""
-    rows = _menu_rows(menu, pop)
-    if rows is not None:
-        return _kernels().total_payment(menu, pop, rows)
-    rewards = menu.rewards.tolist()
-    return payment_sum(t.count * rewards[t.index - 1] for t in participating_set(pop, menu.t_max))
+    view = _menu_view(menu, pop)
+    return payment_sum(view.apply(operator.mul, (view.count, view.take(menu.rewards))))
 
 
 def payment_sum(payments: Iterable[float]) -> float:
@@ -409,18 +451,21 @@ def check_feasibility(
     zero count as satisfied and ``worst_violation`` carries the raw minimum
     slack.
     """
-    rows = _menu_rows(menu, pop)
-    if rows is not None:
-        return _kernels().check_feasibility(menu, pop, params, rows)
-    on_time = participating_set(pop, menu.t_max)
-    all_sizes, all_rewards = menu.sizes.tolist(), menu.rewards.tolist()
-    sizes = [all_sizes[t.index - 1] for t in on_time]
-    rewards = [all_rewards[t.index - 1] for t in on_time]
-    ir_ok, ic_ok, worst, worst_pair = _incentive_scan(on_time, sizes, rewards, params.deploy_cost)
-
-    budget_slack = params.budget - payment_sum(t.count * r for t, r in zip(on_time, rewards))
-    late = [(s, r) for t, s, r in zip(pop.types, all_sizes, all_rewards) if t.delay > menu.t_max]
-    monotone_ok, mono_worst = _compact_conditions(on_time, sizes, rewards, late, params)
+    view = _menu_view(menu, pop)
+    sizes, rewards = view.take(menu.sizes), view.take(menu.rewards)
+    if view.arrays:
+        scan, compact = _kernels()._envelope_scan, _kernels().compact_conditions
+    else:
+        scan, compact = _incentive_scan, _compact_conditions
+    ir_ok, ic_ok, worst, worst_pair = scan(view.cost, sizes, rewards, view.rows,
+                                           params.deploy_cost)
+    monotone_ok, mono_worst = compact(view.cost, sizes, rewards, params.deploy_cost)
+    if len(view.late):
+        # a late type's item must be the zero item
+        paid_late = max(menu.sizes[view.late].max(), menu.rewards[view.late].max())
+        monotone_ok = monotone_ok and bool(paid_late == 0.0)
+        mono_worst = min(mono_worst, -float(paid_late))
+    budget_slack = params.budget - payment_sum(view.apply(operator.mul, (view.count, rewards)))
 
     return FeasibilityReport(
         ir_ok=ir_ok,
@@ -433,12 +478,14 @@ def check_feasibility(
 
 
 def _incentive_scan(
-    on_time: list[UavType],
+    cost: list[float],
     sizes: list[float],
     rewards: list[float],
+    rows,
     deploy_cost: float,
 ) -> tuple[bool, bool, float, tuple[int, int] | None]:
-    """IR for every on-time type and IC for every ordered pair, in O(J log J).
+    """IR for every on-time type and IC for every ordered pair, in O(J log J),
+    over the on-time columns (``rows`` holds the types' row positions).
 
     A type's payoff from item k is linear in its cost, R_k - C S_k, so its
     best deviation lies on the upper envelope of those lines.  Each type's
@@ -455,20 +502,21 @@ def _incentive_scan(
     hull = _upper_envelope(sizes, rewards)
     breaks = [(ra - rb) / (sa - sb) for (sa, ra, _), (sb, rb, _) in zip(hull, hull[1:])]
     ir_ok = ic_ok = True
-    worst, worst_pair = math.inf, None
-    for pos, (t, s, r) in enumerate(zip(on_time, sizes, rewards)):
-        own = uav_payoff(t.marginal_cost, s, r, deploy_cost)
+    worst, at = math.inf, None
+    for pos, (c, s, r) in enumerate(zip(cost, sizes, rewards)):
+        own = uav_payoff(c, s, r, deploy_cost)
         ir_ok = ir_ok and own >= -FEASIBILITY_TOL
         if own < worst:
-            worst, worst_pair = own, (t.index, t.index)
-        h = bisect.bisect_left(breaks, t.marginal_cost)
+            worst, at = own, (pos, pos)
+        h = bisect.bisect_left(breaks, c)
         for _, _, k in hull[max(h - 1, 0):h + 2]:
             if k == pos:
                 continue
-            slack = own - uav_payoff(t.marginal_cost, sizes[k], rewards[k], deploy_cost)
+            slack = own - uav_payoff(c, sizes[k], rewards[k], deploy_cost)
             ic_ok = ic_ok and slack >= -FEASIBILITY_TOL
             if slack < worst:
-                worst, worst_pair = slack, (t.index, on_time[k].index)
+                worst, at = slack, (pos, k)
+    worst_pair = None if at is None else (int(rows[at[0]]) + 1, int(rows[at[1]]) + 1)
     return bool(ir_ok), bool(ic_ok), worst, worst_pair
 
 
@@ -500,40 +548,26 @@ def _hull(lines: Iterable[tuple[float, float, int]]) -> list[tuple[float, float,
 
 
 def _compact_conditions(
-    on_time: list[UavType],
+    cost: list[float],
     sizes: list[float],
     rewards: list[float],
-    late: list[tuple[float, float]],
-    params: GcsParams,
+    deploy_cost: float,
 ) -> tuple[bool, float]:
-    """The if-and-only-if feasibility characterization: zero items for
-    non-participants (``late`` holds their (size, reward) pairs), joint
-    monotonicity of sizes and rewards, IR binding at the costliest
-    participating type, and the adjacent cost sandwich
+    """The if-and-only-if feasibility characterization over the on-time
+    columns (with zero items for the late types, which
+    :func:`check_feasibility` checks): joint monotonicity of sizes and
+    rewards, IR binding at the costliest participating type, and the
+    adjacent cost sandwich
     C_j (S_j - S_{j-1}) <= R_j - R_{j-1} <= C_{j-1} (S_j - S_{j-1})."""
-    worst = 0.0
-    ok = True
-    for s, r in late:
-        if s != 0.0 or r != 0.0:
-            ok = False
-            worst = min(worst, -max(s, r))
-    if not on_time:
-        return ok, worst
-
-    first = uav_payoff(on_time[0].marginal_cost, sizes[0], rewards[0], params.deploy_cost)
-    worst = min(worst, first)
-    if first < -FEASIBILITY_TOL:
-        ok = False
-    for j in range(1, len(on_time)):
+    if not cost:
+        return True, 0.0
+    worst = min(0.0, uav_payoff(cost[0], sizes[0], rewards[0], deploy_cost))
+    for j in range(1, len(cost)):
         ds = sizes[j] - sizes[j - 1]
         dr = rewards[j] - rewards[j - 1]
-        lo = on_time[j].marginal_cost * ds
-        hi = on_time[j - 1].marginal_cost * ds
-        for slack in (ds, dr, dr - lo, hi - dr):
+        for slack in (ds, dr, dr - cost[j] * ds, cost[j - 1] * ds - dr):
             worst = min(worst, slack)
-            if slack < -FEASIBILITY_TOL:
-                ok = False
-    return ok, worst
+    return worst >= -FEASIBILITY_TOL, worst
 
 
 def check_fairness(menu: ContractMenu, pop: Population, params: GcsParams) -> tuple[bool, bool]:
@@ -551,12 +585,12 @@ def check_fairness(menu: ContractMenu, pop: Population, params: GcsParams) -> tu
 def check_reward_fairness(menu: ContractMenu, pop: Population) -> bool:
     """Larger VDD contributions never earn smaller rewards, and types that
     cannot deliver on time are paid nothing."""
-    if _menu_rows(menu, pop) is not None:
-        return _kernels().reward_fair(menu, pop)
-    rewards = menu.rewards.tolist()
-    if any(t.delay > menu.t_max and r > FEASIBILITY_TOL for t, r in zip(pop.types, rewards)):
+    view = _menu_view(menu, pop)
+    if len(view.late) and (menu.rewards[view.late] > FEASIBILITY_TOL).any():
         return False
-    return _reward_ordered(menu.sizes.tolist(), rewards)
+    if view.arrays:
+        return _kernels().reward_ordered(menu.sizes, menu.rewards)
+    return _reward_ordered(menu.sizes.tolist(), menu.rewards.tolist())
 
 
 def _reward_ordered(sizes: list[float], rewards: list[float]) -> bool:
@@ -575,10 +609,4 @@ def _reward_ordered(sizes: list[float], rewards: list[float]) -> bool:
 
 def defensive_effectiveness(menu: ContractMenu, pop: Population, params: GcsParams) -> float:
     """Total on-time VDD per type divided by the GCS requirement."""
-    rows = _menu_rows(menu, pop)
-    if rows is not None:
-        contributed = left_sum(menu.sizes[rows])
-    else:
-        sizes = menu.sizes.tolist()
-        contributed = left_sum(sizes[t.index - 1] for t in participating_set(pop, menu.t_max))
-    return contributed / params.vdd_requirement
+    return left_sum(_menu_view(menu, pop).take(menu.sizes)) / params.vdd_requirement

@@ -21,9 +21,11 @@ more than the audit tolerance is re-solved just below it;
 ``paper-literal`` applies the full-set closed form once and then clamps.
 ``_water_level`` alone picks the rule for a mode.
 
-The loops here serve populations with fewer than ``model.ARRAY_MIN_TYPES``
-on-time types; from there on each solver hands over to its column kernel
-in ``kernels``, which gives the same bits.
+Each solver reads the population's on-time view (``Population.on_time``):
+its rows, head count and columns, and its choice of path.  The
+complete-information solver is written once over the view's columns; the
+partial solver's loop here serves views of lists, and ``kernels``
+serves views of arrays, with the same bits.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import model
+from .channel import _quiet
 from .model import (
     FEASIBILITY_TOL,
     ContractMenu,
@@ -41,7 +43,6 @@ from .model import (
     UavType,
     _kernels,
     left_sum,
-    on_time_rows,
     participating_set,
     total_payment,
 )
@@ -60,8 +61,6 @@ __all__ = [
 
 BUDGET_EXACT = "budget-exact"
 PAPER_LITERAL = "paper-literal"
-
-_MONO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -190,14 +189,20 @@ def _literal_water_level(
 
 
 def _water_level(mode: str, unit_costs: Sequence[float], weights: Sequence[float],
-                 fixed_cost: float, s_max: float) -> Callable[[float], tuple]:
-    """The water level of ``mode`` as a function of the budget: the column
-    kernel ``kernels.WaterLevel`` for budget-exact over ``model.ARRAY_MIN_TYPES``
-    inputs or more, else the loop rule (the same bits)."""
-    if mode == BUDGET_EXACT and len(unit_costs) >= model.ARRAY_MIN_TYPES:
+                 fixed_cost: float, s_max: float, arrays: bool) -> Callable[[float], tuple]:
+    """The water level of ``mode`` as a function of the budget: for a view
+    the array kernels serve (``OnTime.arrays``), the column kernel
+    ``kernels.WaterLevel`` in budget-exact mode, else the loop rule (the
+    same bits)."""
+    if arrays and mode == BUDGET_EXACT:
         return _kernels().WaterLevel(unit_costs, weights, fixed_cost, s_max)
     rule = _solve_water_level if mode == BUDGET_EXACT else _literal_water_level
-    return lambda budget: rule(unit_costs, weights, fixed_cost, budget, s_max)
+
+    def level(budget: float) -> tuple:
+        return rule(unit_costs, weights, fixed_cost, budget, s_max)
+
+    # over columns the rule's float64 scalars overflow to inf quietly, as floats do
+    return _quiet(level) if arrays else level
 
 
 def _fit_budget(
@@ -229,6 +234,11 @@ def _fit_budget(
         g *= 2.0
 
 
+def _cost_reward(cost, size, deploy_cost: float):
+    """The reward that pays a UAV exactly its cost for ``size`` bytes."""
+    return cost * size + deploy_cost
+
+
 def solve_complete(
     pop: Population,
     params: GcsParams,
@@ -238,24 +248,18 @@ def solve_complete(
     """Optimal menu when the GCS observes every type: rewards equal costs
     (zero rent), sizes water-fill the budget."""
     cfg = cfg or SolverConfig()
-    rows = on_time_rows(pop, t_max)
-    if rows is not None:
-        return _kernels().solve_complete(pop, params, t_max, cfg, rows)
-    part = participating_set(pop, t_max)
-    if not part:
+    view = pop.on_time(t_max)
+    fixed = params.deploy_cost * view.heads
+    if not len(view.rows) or params.budget < fixed:
         return ContractMenu.zero(pop, t_max)
-    fixed = params.deploy_cost * sum(t.count for t in part)
-    if params.budget < fixed:
-        return ContractMenu.zero(pop, t_max)
-
-    level = _water_level(cfg.budget_mode, [t.count * t.marginal_cost for t in part],
-                         [t.count / t.delay for t in part], fixed, params.s_max)
-    rows = [t.index - 1 for t in part]
+    level = _water_level(cfg.budget_mode, view.apply(operator.mul, (view.count, view.cost)),
+                         view.apply(operator.truediv, (view.count, view.delay)), fixed,
+                         params.s_max, view.arrays)
 
     def menu_at(budget: float) -> ContractMenu:
         _, sizes = level(budget)
-        rewards = [t.marginal_cost * s + params.deploy_cost for t, s in zip(part, sizes)]
-        return ContractMenu.placed(len(pop), t_max, rows, sizes, rewards)
+        rewards = view.apply(_cost_reward, (view.cost, sizes), params.deploy_cost)
+        return ContractMenu.placed(len(pop), t_max, view.rows, sizes, rewards)
 
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
@@ -271,7 +275,7 @@ def optimal_rewards(
     if len(sizes) != len(part):
         raise ValueError("sizes must align with participating types")
     for a, b in zip(sizes, sizes[1:]):
-        if a > b + _MONO_TOL:
+        if a > b + FEASIBILITY_TOL:
             raise ValueError("sizes must be non-decreasing; iron first")
     rewards: list[float] = []
     for j, (t, s) in enumerate(zip(part, sizes)):
@@ -292,18 +296,19 @@ def solve_partial_relaxed(
     requirement.  Sizes may come out non-monotone; ``solve_partial`` pools
     the offending types with ``iron``."""
     cfg = cfg or SolverConfig()
+    view = pop.on_time(t_max)
     part = participating_set(pop, t_max)
     if not part:
         return RelaxedSolution((), (), 0.0)
     virtual = _virtual_costs(part)
     weights = [t.count / t.delay for t in part]
-    fixed = params.deploy_cost * sum(t.count for t in part)
+    fixed = params.deploy_cost * view.heads
     if params.budget < fixed:
         sizes = [0.0] * len(part)
         scalar = 0.0
     else:
         scalar, sizes = _water_level(cfg.budget_mode, virtual, weights, fixed,
-                                     params.s_max)(params.budget)
+                                     params.s_max, view.arrays)(params.budget)
     return RelaxedSolution(tuple(part), tuple(map(float, sizes)), scalar)
 
 
@@ -337,27 +342,23 @@ def solve_partial(
     ironing into blocks, one water level over the blocks (so the budget
     still binds in budget-exact mode), then the reward recursion."""
     cfg = cfg or SolverConfig()
-    rows = on_time_rows(pop, t_max)
-    if rows is not None:
-        return _kernels().solve_partial(pop, params, t_max, cfg, rows)
-    part = participating_set(pop, t_max)
-    if not part:
+    view = pop.on_time(t_max)
+    fixed = params.deploy_cost * view.heads
+    if not len(view.rows) or params.budget < fixed:
         return ContractMenu.zero(pop, t_max)
-    fixed = params.deploy_cost * sum(t.count for t in part)
-    if params.budget < fixed:
-        return ContractMenu.zero(pop, t_max)
+    if view.arrays:
+        return _kernels().solve_partial(pop, params, t_max, cfg, view, fixed)
 
-    virtual = _virtual_costs(part)
-    blocks = iron([t.count / t.delay for t in part], virtual)
+    part = participating_set(pop, t_max)
+    blocks = iron(view.apply(operator.truediv, (view.count, view.delay)), _virtual_costs(part))
     level = _water_level(cfg.budget_mode, [a for _, a, _ in blocks], [w for w, _, _ in blocks],
-                         fixed, params.s_max)
-    rows = [t.index - 1 for t in part]
+                         fixed, params.s_max, view.arrays)
 
     def menu_at(budget: float) -> ContractMenu:
         _, block_sizes = level(budget)
         sizes = [s for (_, _, n), s in zip(blocks, block_sizes) for _ in range(n)]
         rewards = optimal_rewards(sizes, part, params)
-        return ContractMenu.placed(len(pop), t_max, rows, sizes, rewards)
+        return ContractMenu.placed(len(pop), t_max, view.rows, sizes, rewards)
 
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
@@ -380,18 +381,17 @@ def linear_contract(
     if paid > params.budget and paid > 0:
         scale = params.budget / paid
         sizes = [s * scale for s in sizes]
-    rows = [t.index - 1 for t in part]
-    return ContractMenu.placed(len(pop), t_max, rows, sizes, [price * s for s in sizes])
+    return ContractMenu.placed(len(pop), t_max, pop.on_time(t_max).rows, sizes,
+                               [price * s for s in sizes])
 
 
 def uniform_contract(partial: ContractMenu, pop: Population) -> ContractMenu:
     """Baseline: every on-time type gets the item that ``partial``, the
     asymmetric-information menu ``solve_partial`` built for ``pop``, gives
     the costliest on-time type.  Nothing is solved here."""
-    part = participating_set(pop, partial.t_max)
-    if not part:
+    rows = pop.on_time(partial.t_max).rows
+    if not len(rows):
         return ContractMenu.zero(pop, partial.t_max)
-    item = partial.item(part[0].index)
-    rows = [t.index - 1 for t in part]
+    item = partial.item(int(rows[0]) + 1)
     return ContractMenu.placed(len(pop), partial.t_max, rows, [item.vdd_size] * len(rows),
                                [item.reward] * len(rows))

@@ -5,9 +5,11 @@ import io
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -646,6 +648,35 @@ def scenario_dicts(draw):
     return scenario
 
 
+# valid values from the smallest float to the largest, for the fields the
+# solvers and audits read
+VALID_EXTREMES = st.sampled_from([5e-324, 1e-300, 1e150, 1e300, 1.7976931348623157e308])
+
+
+@st.composite
+def wide_scenario_dicts(draw):
+    """Valid scenarios of ``model.ARRAY_MIN_TYPES`` to 8 more generated types,
+    so that the column kernels serve them when enough types are on time:
+    channel or equal delays, counts up to 2**55, and valid values from 5e-324
+    to the largest float in the cost range, the deadline and the GCS fields."""
+
+    def number(usual):  # an extreme value about one time in two
+        return draw(usual | VALID_EXTREMES)
+
+    n = draw(st.integers(model.ARRAY_MIN_TYPES, model.ARRAY_MIN_TYPES + 8))
+    counts = st.sampled_from([1, 2, 3, 2**31, 2**40, 2**55]) | st.integers(1, 2**55)
+    population = {
+        "distribution": draw(st.sampled_from(["even", "uniform"])), "count": n,
+        "cost_range": sorted(number(st.floats(0.0, 1.0)) for _ in range(2)),
+        "delay": draw(st.just("channel") | st.floats(0.01, 3.0)),
+        "counts": draw(st.none() | st.lists(counts, min_size=n, max_size=n)),
+    }
+    gcs = {"budget": number(st.floats(1.0, 1e5)), "satisfaction": number(st.floats(0.5, 12.0)),
+           "s_max": number(st.floats(1.0, 300.0)), "deploy_cost": number(st.floats(0.0, 2.0))}
+    return {"seed": draw(st.integers(0, 2**32 - 1)), "t_max": number(st.floats(0.5, 3.0)),
+            "population": population, "gcs": gcs}
+
+
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzzed")
@@ -694,6 +725,26 @@ class TestScenarioFuzz:
             ["learn", "--episodes", str(episodes), *out], ["oracle-check", f"--step={step}"],
             *(["reproduce", fig, *out] for fig in ("fig1", "fig3", "fig4", "fig5", "fig6")),
         ])
+
+    @given(scenario=wide_scenario_dicts(), mode=st.sampled_from(["exact", "paper"]))
+    @settings(max_examples=100, deadline=None)
+    def test_wide_solve_and_validate_never_end_in_a_traceback(self, scenario_dir, scenario,
+                                                              mode):
+        out = scenario_dir / "wide"
+        shutil.rmtree(out, ignore_errors=True)
+        with warnings.catch_warnings():
+            # an overflow gives inf quietly on the kernel path as on the loops
+            warnings.simplefilter("error", RuntimeWarning)
+            _runs_without_a_traceback(scenario, scenario_dir, [
+                ["solve", "--budget-mode", mode, "--out", str(out)]])
+            if not (out / "menu_partial.yaml").exists():
+                return
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["validate", "--scenario", str(out / "scenario.yaml"),
+                           "--menu", str(out / "menu_partial.yaml")])
+        assert rc in (0, 1) or (rc == 2 and err.getvalue().startswith("error:"))
+        assert "Traceback" not in err.getvalue()
 
     def test_extreme_line_of_sight_logistic(self, tmp_path, capsys):
         # exp(-logit_b (theta - logit_a)) overflows below about 29 degrees of

@@ -82,6 +82,9 @@ def outputs(rows, params, cfg) -> list[str]:
     """repr of the population ``rows`` make and of every solver, audit and
     utility output on it, and the text of each menu."""
     pop = canonical_columns(*zip(*rows))
+    # the forced path is the one that runs: the kernels under
+    # ``array_min_types(1)``, the loops under ``array_min_types(10**9)``
+    assert pop.on_time(T_MAX).arrays == (model.ARRAY_MIN_TYPES == 1)
     menus = [solver.solve_complete(pop, params, T_MAX, cfg),
              solver.solve_partial(pop, params, T_MAX, cfg)]
     partial = menus[1]
@@ -143,13 +146,13 @@ def test_envelope_break_points_are_sorted(items, data):
                          for b in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
     costs = data.draw(st.lists(st.sampled_from([c for c in near if math.isfinite(c)]),
                                min_size=len(items), max_size=len(items)))
-    on_time = [UavType(k, c, 1.0) for k, c in enumerate(costs, start=1)]
-    loop = model._incentive_scan(on_time, sizes, rewards, 1.0)
+    rows = list(range(len(items)))
+    loop = model._incentive_scan(costs, sizes, rewards, rows, 1.0)
     with warnings.catch_warnings():
         # products past the float range give inf quietly, as on Python floats
         warnings.simplefilter("error", RuntimeWarning)
         array = kernels._envelope_scan(np.array(costs), np.array(sizes), np.array(rewards),
-                                       np.arange(1, len(items) + 1), 1.0)
+                                       np.array(rows), 1.0)
     assert repr(array) == repr(loop)
 
 
