@@ -2,11 +2,12 @@
 differs between numpy columns and per-type loops, for the on-time views
 that choose the arrays (``model.OnTime.arrays``, from
 ``model.ARRAY_MIN_TYPES`` on-time types): the IR/IC envelope scan, the
-compact conditions, reward fairness, the budget-exact water level
-``WaterLevel`` and the partial-information solver.  Everything else, the
-utilities and the complete-information solver among it, is written once
-over the view's columns (``OnTime.apply``).  The loops in ``model`` and
-``solver`` are the bitwise reference these kernels reproduce:
+compact conditions, reward fairness and the budget-exact water level
+``WaterLevel``.  Everything else, the utilities and both solvers among it,
+is written once over the view's columns (``OnTime.apply``,
+``OnTime.running``).  This module depends on ``model`` and ``channel``
+alone.  The loops in ``model`` and ``solver`` are the bitwise reference
+these kernels reproduce:
 
 * a running total is ``model.left_sum`` on both sides: the loop's fold,
   the column's sequential ``np.cumsum`` (never the pairwise ``np.sum``),
@@ -26,17 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import _quiet
-from .model import (
-    FEASIBILITY_TOL,
-    ContractMenu,
-    GcsParams,
-    OnTime,
-    Population,
-    _hull,
-    left_sum,
-    uav_payoff,
-)
-from .solver import SolverConfig, _fit_budget, _water_level, iron
+from .model import FEASIBILITY_TOL, _hull, left_sum, uav_payoff
 
 
 # -- audits -----------------------------------------------------------------
@@ -100,7 +91,7 @@ def reward_ordered(sizes: np.ndarray, rewards: np.ndarray) -> bool:
     return not ((below > 0) & (best[below - 1] > rewards + FEASIBILITY_TOL)).any()
 
 
-# -- solvers ----------------------------------------------------------------
+# -- the budget-exact water level -------------------------------------------
 
 def _breakpoints(
     unit_costs: np.ndarray, weights: np.ndarray, s_max: float
@@ -179,38 +170,3 @@ class WaterLevel:
             return lo, self.sizes_at(lo)
         x = (budget - base + left_sum(a)) / slope
         return x, self.sizes_at(x)
-
-
-def virtual_costs(cost: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``solver._virtual_costs`` over the on-time cost and count columns."""
-    tail = np.concatenate((np.cumsum(count[::-1])[::-1][1:], [0]))
-    gap = np.concatenate((cost[:-1] - cost[1:], [0.0]))
-    return count * cost + gap * tail
-
-
-def _rewards(sizes: np.ndarray, cost: np.ndarray, deploy_cost: float) -> np.ndarray:
-    """``solver.optimal_rewards``: the recursion's increments added by
-    sequential ``np.cumsum``."""
-    if (sizes[:-1] > sizes[1:] + FEASIBILITY_TOL).any():
-        raise ValueError("sizes must be non-decreasing; iron first")
-    return np.cumsum(np.concatenate((cost[:1] * sizes[:1] + deploy_cost,
-                                     cost[1:] * np.diff(sizes))))
-
-
-@_quiet
-def solve_partial(pop: Population, params: GcsParams, t_max: float, cfg: SolverConfig,
-                  view: OnTime, fixed: float) -> ContractMenu:
-    """``solver.solve_partial`` over the view's columns, once the view has
-    types and the budget covers their ``fixed`` deployment cost."""
-    cost = view.cost
-    blocks = iron((view.count / view.delay).tolist(), virtual_costs(cost, view.count).tolist())
-    level = _water_level(cfg.budget_mode, [a for _, a, _ in blocks], [w for w, _, _ in blocks],
-                         fixed, params.s_max, view.arrays)
-    lengths = [n for _, _, n in blocks]
-
-    def menu_at(budget: float) -> ContractMenu:
-        sizes = np.repeat(level(budget)[1], lengths)
-        return ContractMenu.placed(len(pop), t_max, view.rows, sizes,
-                                   _rewards(sizes, cost, params.deploy_cost))
-
-    return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)

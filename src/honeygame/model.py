@@ -11,8 +11,8 @@ function of its inputs.
 splits its types at a deadline once, there, and there alone chooses
 between the per-type loops and the array kernels (``OnTime.arrays``).
 Every solver, audit and utility reads the view; the utilities and the
-complete-information solver are written once for both paths, through
-``OnTime.apply``.
+solvers are written once for both paths, through ``OnTime.apply`` and
+``OnTime.running``.
 
 ``FEASIBILITY_TOL`` is the one audit tolerance, read by every audit here,
 in ``kernels`` and in ``oracle``, and by the solvers' monotonicity checks.
@@ -148,7 +148,9 @@ class OnTime:
     true from ``ARRAY_MIN_TYPES`` on-time types on.  The on-time ``cost``,
     ``delay`` and ``count`` columns, and each column :meth:`take` returns,
     are numpy arrays then and Python lists otherwise; :meth:`apply` maps a
-    function over them in either form."""
+    function over them in either form, :meth:`running` totals one and
+    :meth:`repeat` and :meth:`tolist` reshape one, so that the solvers and
+    utilities are written once for both paths."""
 
     def __init__(self, pop: Population, t_max: float) -> None:
         on_time = pop.delay <= t_max
@@ -174,6 +176,25 @@ class OnTime:
             with np.errstate(over="ignore", invalid="ignore"):
                 return f(*columns, *scalars)
         return list(map(f, *columns, *map(itertools.repeat, scalars)))
+
+    def running(self, terms, start):
+        """``start`` and the total after each of ``terms``, added strictly
+        from the left as :func:`left_sum` adds: ``itertools.accumulate``
+        over a list, a quiet sequential ``np.cumsum`` over an array."""
+        if self.arrays:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.cumsum(np.concatenate(([start], terms)))
+        return list(itertools.accumulate(terms, initial=start))
+
+    def repeat(self, values, counts):
+        """Each of ``values`` ``counts`` times over, in the view's form."""
+        if self.arrays:
+            return np.repeat(values, counts)
+        return [v for v, n in zip(values, counts) for _ in range(n)]
+
+    def tolist(self, column) -> list:
+        """A column of the view's form as a list of Python numbers."""
+        return column.tolist() if self.arrays else column
 
 
 def _kernels():

@@ -22,14 +22,15 @@ more than the audit tolerance is re-solved just below it;
 ``_water_level`` alone picks the rule for a mode.
 
 Each solver reads the population's on-time view (``Population.on_time``):
-its rows, head count and columns, and its choice of path.  The
-complete-information solver is written once over the view's columns; the
-partial solver's loop here serves views of lists, and ``kernels``
-serves views of arrays, with the same bits.
+its rows, head count and columns, and its choice of path.  Every solver is
+written once over the view's columns (``OnTime.apply`` and
+``OnTime.running``); only the budget-exact water level forks, to
+``kernels.WaterLevel`` on views of arrays, with the loop's bits.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,6 +40,7 @@ from .model import (
     FEASIBILITY_TOL,
     ContractMenu,
     GcsParams,
+    OnTime,
     Population,
     UavType,
     _kernels,
@@ -86,17 +88,25 @@ class RelaxedSolution:
     scalar: float
 
 
-def _virtual_costs(part: list[UavType]) -> list[float]:
+def _weights(view: OnTime):
+    """Per-type satisfaction weight w_j = N_j / d_j."""
+    return view.apply(operator.truediv, (view.count, view.delay))
+
+
+def _virtual_cost(count, cost, after, tail):
+    return count * cost + (cost - after) * tail
+
+
+def _virtual_costs(view: OnTime):
     """Per-type virtual cost A_j = N_j C_j + (C_j - C_{j+1}) * sum_{k>j} N_k
-    (last type: its own cost only)."""
-    n = len(part)
-    tail = 0
-    virtual = [0.0] * n
-    for j in range(n - 1, -1, -1):
-        gap = part[j].marginal_cost - part[j + 1].marginal_cost if j < n - 1 else 0.0
-        virtual[j] = part[j].count * part[j].marginal_cost + gap * tail
-        tail += part[j].count
-    return virtual
+    over the view's columns (last type: its own cost only)."""
+    cost = view.cost
+    # the next type's cost; the last type's own, whose gap (C - C) * 0 is 0.0
+    after = copy.copy(cost)
+    after[:-1] = cost[1:]
+    # sum_{k>j} N_k: the running totals of the reversed counts, reversed
+    tail = view.running(view.count[::-1], 0)[-2::-1]
+    return view.apply(_virtual_cost, (view.count, cost, after, tail))
 
 
 def _clamp_size(x: float, weight: float, unit_cost: float, s_max: float) -> float:
@@ -253,8 +263,7 @@ def solve_complete(
     if not len(view.rows) or params.budget < fixed:
         return ContractMenu.zero(pop, t_max)
     level = _water_level(cfg.budget_mode, view.apply(operator.mul, (view.count, view.cost)),
-                         view.apply(operator.truediv, (view.count, view.delay)), fixed,
-                         params.s_max, view.arrays)
+                         _weights(view), fixed, params.s_max, view.arrays)
 
     def menu_at(budget: float) -> ContractMenu:
         _, sizes = level(budget)
@@ -264,26 +273,28 @@ def solve_complete(
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
 
 
-def optimal_rewards(
-    sizes: list[float],
-    part: list[UavType],
-    params: GcsParams,
-) -> list[float]:
-    """Minimal feasible rewards for a monotone size schedule: the costliest
-    type is paid exactly its cost, and each next reward adds that type's
-    marginal cost of the size increment (binding local truth-telling)."""
-    if len(sizes) != len(part):
+def _falls(size, after):
+    return size > after + FEASIBILITY_TOL
+
+
+def _increment(cost, size, before):
+    return cost * (size - before)
+
+
+def optimal_rewards(sizes, view: OnTime, params: GcsParams):
+    """Minimal feasible rewards for a monotone size schedule over the view's
+    types, a column of the view's form: the costliest type is paid exactly
+    its cost, and each next reward adds that type's marginal cost of the
+    size increment (binding local truth-telling)."""
+    if len(sizes) != len(view.rows):
         raise ValueError("sizes must align with participating types")
-    for a, b in zip(sizes, sizes[1:]):
-        if a > b + FEASIBILITY_TOL:
-            raise ValueError("sizes must be non-decreasing; iron first")
-    rewards: list[float] = []
-    for j, (t, s) in enumerate(zip(part, sizes)):
-        if j == 0:
-            rewards.append(t.marginal_cost * s + params.deploy_cost)
-        else:
-            rewards.append(rewards[-1] + t.marginal_cost * (s - sizes[j - 1]))
-    return rewards
+    if True in view.apply(_falls, (sizes[:-1], sizes[1:])):
+        raise ValueError("sizes must be non-decreasing; iron first")
+    cost = view.cost
+    if not len(cost):
+        return []
+    first = view.apply(_cost_reward, (cost[:1], sizes[:1]), params.deploy_cost)
+    return view.running(view.apply(_increment, (cost[1:], sizes[1:], sizes[:-1])), first[0])
 
 
 def solve_partial_relaxed(
@@ -297,19 +308,17 @@ def solve_partial_relaxed(
     the offending types with ``iron``."""
     cfg = cfg or SolverConfig()
     view = pop.on_time(t_max)
-    part = participating_set(pop, t_max)
-    if not part:
+    if not len(view.rows):
         return RelaxedSolution((), (), 0.0)
-    virtual = _virtual_costs(part)
-    weights = [t.count / t.delay for t in part]
     fixed = params.deploy_cost * view.heads
     if params.budget < fixed:
-        sizes = [0.0] * len(part)
+        sizes = [0.0] * len(view.rows)
         scalar = 0.0
     else:
-        scalar, sizes = _water_level(cfg.budget_mode, virtual, weights, fixed,
-                                     params.s_max, view.arrays)(params.budget)
-    return RelaxedSolution(tuple(part), tuple(map(float, sizes)), scalar)
+        scalar, sizes = _water_level(cfg.budget_mode, _virtual_costs(view), _weights(view),
+                                     fixed, params.s_max, view.arrays)(params.budget)
+    return RelaxedSolution(tuple(participating_set(pop, t_max)), tuple(map(float, sizes)),
+                           scalar)
 
 
 def iron(weights: list[float], virtual: list[float]) -> list[tuple[float, float, int]]:
@@ -346,21 +355,27 @@ def solve_partial(
     fixed = params.deploy_cost * view.heads
     if not len(view.rows) or params.budget < fixed:
         return ContractMenu.zero(pop, t_max)
-    if view.arrays:
-        return _kernels().solve_partial(pop, params, t_max, cfg, view, fixed)
-
-    part = participating_set(pop, t_max)
-    blocks = iron(view.apply(operator.truediv, (view.count, view.delay)), _virtual_costs(part))
+    blocks = iron(view.tolist(_weights(view)), view.tolist(_virtual_costs(view)))
     level = _water_level(cfg.budget_mode, [a for _, a, _ in blocks], [w for w, _, _ in blocks],
                          fixed, params.s_max, view.arrays)
+    lengths = [n for _, _, n in blocks]
 
     def menu_at(budget: float) -> ContractMenu:
-        _, block_sizes = level(budget)
-        sizes = [s for (_, _, n), s in zip(blocks, block_sizes) for _ in range(n)]
-        rewards = optimal_rewards(sizes, part, params)
-        return ContractMenu.placed(len(pop), t_max, view.rows, sizes, rewards)
+        sizes = view.repeat(level(budget)[1], lengths)
+        return ContractMenu.placed(len(pop), t_max, view.rows, sizes,
+                                   optimal_rewards(sizes, view, params))
 
     return _fit_budget(menu_at, pop, params.budget, cfg.budget_mode)
+
+
+def _corner(cost, price: float, s_max: float):
+    """A type's best response to the linear price: everything if it earns
+    from it, else nothing."""
+    return s_max * (cost < price)
+
+
+def _priced(count, size, price: float):
+    return count * price * size
 
 
 def linear_contract(
@@ -372,17 +387,16 @@ def linear_contract(
     marginal cost.  Each type best-responds with a corner size (everything or
     nothing; indifferent types opt for nothing), and sizes scale down
     proportionally if the payments overshoot the budget."""
-    part = participating_set(pop, t_max)
-    if not part:
+    view = pop.on_time(t_max)
+    if not len(view.rows):
         return ContractMenu.zero(pop, t_max)
-    price = max(t.marginal_cost for t in part)
-    sizes = [params.s_max if t.marginal_cost < price else 0.0 for t in part]
-    paid = left_sum(t.count * price * s for t, s in zip(part, sizes))
+    price = view.cost[0]  # the costliest on-time type's: the columns run by descending cost
+    sizes = view.apply(_corner, (view.cost,), price, params.s_max)
+    paid = left_sum(view.apply(_priced, (view.count, sizes), price))
     if paid > params.budget and paid > 0:
-        scale = params.budget / paid
-        sizes = [s * scale for s in sizes]
-    return ContractMenu.placed(len(pop), t_max, pop.on_time(t_max).rows, sizes,
-                               [price * s for s in sizes])
+        sizes = view.apply(operator.mul, (sizes,), params.budget / paid)
+    return ContractMenu.placed(len(pop), t_max, view.rows, sizes,
+                               view.apply(operator.mul, (sizes,), price))
 
 
 def uniform_contract(partial: ContractMenu, pop: Population) -> ContractMenu:

@@ -49,7 +49,7 @@ def random_binding_instance(rng, n, s_max):
     if len(pop.types) != n:
         return None
     part = list(pop.types)
-    virtual = _virtual_costs(part)
+    virtual = _virtual_costs(pop.on_time(T_MAX))
     unit = [t.count * t.marginal_cost for t in part]
     weights = [t.count / t.delay for t in part]
     fixed = float(sum(t.count for t in part))
@@ -68,7 +68,7 @@ def objective_slack(pop, params, step):
     """Upper bound on the objective change when every size moves by one grid
     step: per-type satisfaction slope at S = 0 plus the payment slope."""
     part = list(pop.types)
-    virtual = _virtual_costs(part)
+    virtual = _virtual_costs(pop.on_time(T_MAX))
     total = 0.0
     for t, a in zip(part, virtual):
         slope = params.satisfaction * t.count / t.delay

@@ -7,10 +7,12 @@ above that constant, each path is forced in turn and every output is
 compared by ``repr`` (which tells -0.0 from 0.0 and every last bit).
 """
 
+import ast
 import math
 import re
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,11 +87,11 @@ def outputs(rows, params, cfg) -> list[str]:
     # the forced path is the one that runs: the kernels under
     # ``array_min_types(1)``, the loops under ``array_min_types(10**9)``
     assert pop.on_time(T_MAX).arrays == (model.ARRAY_MIN_TYPES == 1)
-    menus = [solver.solve_complete(pop, params, T_MAX, cfg),
-             solver.solve_partial(pop, params, T_MAX, cfg)]
-    partial = menus[1]
+    partial = solver.solve_partial(pop, params, T_MAX, cfg)
     noisy = [r * (1.0 + 0.01 * (k % 3 - 1)) for k, r in enumerate(partial.rewards.tolist(), 1)]
-    menus.append(ContractMenu(T_MAX, partial.sizes, noisy))
+    menus = [solver.solve_complete(pop, params, T_MAX, cfg), partial,
+             ContractMenu(T_MAX, partial.sizes, noisy),
+             solver.linear_contract(pop, params, T_MAX), solver.uniform_contract(partial, pop)]
     out = [repr(solver.solve_partial_relaxed(pop, params, T_MAX, cfg))]
     for menu in menus:
         out += [repr(menu), _menu_text(menu),
@@ -111,6 +113,25 @@ def test_array_kernels_match_the_loops(case):
     with array_min_types(1):
         arrays = outputs(rows, params, cfg)
     assert arrays == loops
+
+
+def test_kernels_import_model_and_channel_alone():
+    # the kernels serve the solvers and audits and read no solver: an import
+    # of ``solver`` here would close the cycle solver -> kernels -> solver
+    imported = set()
+    for node in ast.walk(ast.parse(Path(kernels.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("honeygame" + (f".{node.module}" if node.module else "")
+                      if node.level else node.module)
+            modules = ([f"{module}.{alias.name}" for alias in node.names]
+                       if module == "honeygame" else [module])
+        else:
+            continue
+        imported |= {m.removeprefix("honeygame.").split(".")[0]
+                     for m in modules if m.split(".")[0] == "honeygame"}
+    assert imported <= {"model", "channel"}, imported
 
 
 @st.composite

@@ -241,7 +241,7 @@ class TestFeasibility:
         pop = make_pop([0.5, 0.25])
         params = GcsParams(budget=10.0)
         sizes = [5.0, 17.0]
-        rewards = optimal_rewards(sizes, list(pop.types), params)
+        rewards = optimal_rewards(sizes, pop.on_time(T_MAX), params)
         menu = menu_for(pop, sizes, rewards)
         report = check_feasibility(menu, pop, params)
         assert report.all_ok
@@ -299,7 +299,7 @@ class TestFeasibility:
             pop = make_pop(list(costs))
             if rng.random() < 0.5:
                 sizes = list(np.sort(rng.uniform(0.0, 300.0, n)))
-                rewards = optimal_rewards(sizes, list(pop.types), params)
+                rewards = optimal_rewards(sizes, pop.on_time(T_MAX), params)
                 bump = rng.uniform(-0.5, 2.0, n)
                 rewards = [max(r + b, 0.0) for r, b in zip(rewards, bump)]
             else:
@@ -327,7 +327,7 @@ class TestFeasibility:
                 continue
             pop = make_pop(list(costs))
             sizes = list(np.sort(rng.uniform(0.0, 300.0, n)))
-            rewards = optimal_rewards(sizes, list(pop.types), params)
+            rewards = optimal_rewards(sizes, pop.on_time(T_MAX), params)
             menu = menu_for(pop, sizes, rewards)
             us = [
                 uav_utility(t, menu.item(t.index), T_MAX, params) for t in pop.types
@@ -358,7 +358,7 @@ def audit_cases(draw):
     on_time = [j for j, t in enumerate(pop.types) if t.delay <= T_MAX]
     if on_time and draw(st.booleans()):
         sched = sorted(sizes[j] for j in on_time)
-        priced = optimal_rewards(sched, [pop.types[j] for j in on_time], GcsParams())
+        priced = optimal_rewards(sched, pop.on_time(T_MAX), GcsParams())
         bump = draw(st.sampled_from([0.0, 1e-10, -1e-10, 0.5]))
         for j, s, r in zip(on_time, sched, priced):
             sizes[j], rewards[j] = s, max(r + bump, 0.0)
@@ -460,7 +460,7 @@ class TestFairness:
     def test_optimal_menu_is_fair(self):
         pop = make_pop([0.5, 0.25])
         params = GcsParams(budget=10.0)
-        rewards = optimal_rewards([5.0, 17.0], list(pop.types), params)
+        rewards = optimal_rewards([5.0, 17.0], pop.on_time(T_MAX), params)
         menu = menu_for(pop, [5.0, 17.0], rewards)
         assert check_fairness(menu, pop, params) == (True, True)
 

@@ -85,7 +85,7 @@ def _budget(kind: str, pop, params: GcsParams) -> float:
         "starved": 0.5 * fixed,
         "below": fixed + 0.3 * params.s_max * unit,
         "at-complete": fixed + params.s_max * unit,
-        "at-partial": fixed + params.s_max * left_sum(_virtual_costs(part)),
+        "at-partial": fixed + params.s_max * left_sum(_virtual_costs(pop.on_time(T_MAX))),
         "above": fixed + 2.0 * params.s_max * unit + 1.0,
     }[kind]
 

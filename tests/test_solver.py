@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from honeygame import model
 from honeygame.model import (
     GcsParams,
     UavType,
@@ -53,7 +54,7 @@ def binding_budget_cap(pop, satisfaction, s_max):
     """Total spend at the unconstrained optimum of the rent-adjusted
     objective; budgets below this are fully exhausted at the optimum."""
     part = list(pop.types)
-    virtual = _virtual_costs(part)
+    virtual = _virtual_costs(pop.on_time(T_MAX))
     unit = [t.count * t.marginal_cost for t in part]
     weights = [t.count / t.delay for t in part]
     fixed = float(sum(t.count for t in part))
@@ -134,11 +135,11 @@ class TestCompleteInformation:
 
 class TestRewardRecursion:
     def test_worked_values(self):
-        rewards = optimal_rewards([5.0, 17.0], list(WORKED_POP.types), WORKED_PARAMS)
+        rewards = optimal_rewards([5.0, 17.0], WORKED_POP.on_time(T_MAX), WORKED_PARAMS)
         assert rewards == pytest.approx([3.5, 6.5])
 
     def test_zero_sizes_pay_deploy_cost(self):
-        rewards = optimal_rewards([0.0, 0.0], list(WORKED_POP.types), WORKED_PARAMS)
+        rewards = optimal_rewards([0.0, 0.0], WORKED_POP.on_time(T_MAX), WORKED_PARAMS)
         assert rewards == pytest.approx([1.0, 1.0])
 
     def test_first_type_rent_is_zero(self):
@@ -150,14 +151,31 @@ class TestRewardRecursion:
                 continue
             pop = make_pop(list(costs))
             sizes = list(np.sort(rng.uniform(0.0, 300.0, n)))
-            rewards = optimal_rewards(sizes, list(pop.types), WORKED_PARAMS)
+            rewards = optimal_rewards(sizes, pop.on_time(T_MAX), WORKED_PARAMS)
             first = pop.types[0]
             u = rewards[0] - first.marginal_cost * sizes[0] - 1.0
             assert u == pytest.approx(0.0, abs=1e-9)
 
+    @staticmethod
+    def wide_view():
+        """A view of ARRAY_MIN_TYPES types, whose columns are arrays."""
+        view = make_pop(np.linspace(0.5, 0.25, model.ARRAY_MIN_TYPES).tolist()).on_time(T_MAX)
+        assert view.arrays
+        return view
+
     def test_rejects_non_monotone_sizes(self):
         with pytest.raises(ValueError):
-            optimal_rewards([17.0, 5.0], list(WORKED_POP.types), WORKED_PARAMS)
+            optimal_rewards([17.0, 5.0], WORKED_POP.on_time(T_MAX), WORKED_PARAMS)
+        falling = np.linspace(17.0, 5.0, model.ARRAY_MIN_TYPES)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            optimal_rewards(falling, self.wide_view(), WORKED_PARAMS)
+
+    def test_rejects_misaligned_sizes(self):
+        # one size short, on a view of lists and on a view of arrays
+        for view, sizes in ((WORKED_POP.on_time(T_MAX), [5.0]),
+                            (self.wide_view(), np.linspace(5.0, 17.0, model.ARRAY_MIN_TYPES - 1))):
+            with pytest.raises(ValueError, match="align with participating types"):
+                optimal_rewards(sizes, view, WORKED_PARAMS)
 
     def test_minimal_total_payment(self):
         # random feasible reward perturbations never pay less in aggregate
@@ -171,7 +189,7 @@ class TestRewardRecursion:
                 continue
             pop = make_pop(list(costs))
             sizes = list(np.sort(rng.uniform(0.0, 300.0, n)))
-            base = optimal_rewards(sizes, list(pop.types), WORKED_PARAMS)
+            base = optimal_rewards(sizes, pop.on_time(T_MAX), WORKED_PARAMS)
             total_base = sum(r for r in base)
             shift = rng.uniform(0.0, 5.0)
             alt = [r + shift for r in base]  # uniform shift preserves IC, raises IR slack
@@ -184,7 +202,7 @@ class TestRewardRecursion:
 class TestPartialRelaxed:
     def test_worked_virtual_costs_and_sizes(self):
         sol = solve_partial_relaxed(WORKED_POP, WORKED_PARAMS, T_MAX)
-        assert _virtual_costs(list(sol.participants)) == pytest.approx([0.75, 0.25])
+        assert _virtual_costs(WORKED_POP.on_time(T_MAX)) == pytest.approx([0.75, 0.25])
         assert sol.scalar == pytest.approx(4.5, rel=1e-12)
         assert sol.sizes == pytest.approx((5.0, 17.0))
 
@@ -204,7 +222,7 @@ class TestPartialRelaxed:
 
 def ratio_inputs(pop):
     """Weights w_j and virtual costs A_j of an all-on-time population."""
-    virtual = _virtual_costs(list(pop.types))
+    virtual = _virtual_costs(pop.on_time(T_MAX))
     return [t.count / t.delay for t in pop.types], virtual
 
 
@@ -259,7 +277,7 @@ class TestIroning:
         menu = solve_partial(pop, params, sc.t_max, SolverConfig(budget_mode=PAPER_LITERAL))
         part = participating_set(pop, sc.t_max)
         on_time = [t for t in pop.types if t.delay <= sc.t_max]
-        virtual = _virtual_costs(part)
+        virtual = _virtual_costs(pop.on_time(sc.t_max))
         weights = [t.count / t.delay for t in part]
         fixed = params.deploy_cost * sum(t.count for t in part)
         x = (params.budget + sum(virtual) - fixed) / sum(weights)
