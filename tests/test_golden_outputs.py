@@ -4,7 +4,10 @@
 ``reproduce`` and ``solve --out`` write for the cases below.  fig8 runs on a
 short learner, on the default learner (2 000 episodes after 10 hotboot runs
 of 500) and on an explicit four-type scenario whose two late types sit
-between on-time types of unequal counts.  ``solve`` runs on the 10 default
+between on-time types of unequal counts.  The contract tables (fig1 and
+fig3–fig6) also run, in both budget modes, on that scenario, which checks
+the rank-to-row mapping past late types, and on 100 uniform types with
+channel delays, whose fig3 table has 10 000 rows.  ``solve`` runs on the 10 default
 types and on 1 000 uniform types with channel delays and a binding budget,
 which covers the menu writer and the channel-delay draw at scale.
 ``validate`` reads the two 1 000-type menus that ``solve --out`` writes,
@@ -49,6 +52,12 @@ population: {count: 1000, distribution: uniform, delay: channel}
 gcs: {budget: 46000.0}
 """
 
+# past ARRAY_MIN_TYPES on-time types, so the contract tables read array views
+HUNDRED_TYPES = """\
+population: {count: 100, distribution: uniform, delay: channel}
+gcs: {budget: 4600.0}
+"""
+
 
 def _cases() -> dict[str, tuple[list[str], str | None]]:
     """Case name -> (command line without --out, scenario text or None for
@@ -59,6 +68,13 @@ def _cases() -> dict[str, tuple[list[str], str | None]]:
             for seed in (0, 1, 2):
                 cases[f"reproduce-{fig}-{mode}-seed{seed}"] = (
                     ["reproduce", fig, "--seed", str(seed), "--budget-mode", mode], None
+                )
+    # the contract tables map ranks to rows: with late types, and at scale
+    for fig in ("fig1", "fig3", "fig4", "fig5", "fig6"):
+        for mode in ("exact", "paper"):
+            for tag, scenario in (("late-types", LATE_TYPES), ("j100", HUNDRED_TYPES)):
+                cases[f"reproduce-{fig}-{mode}-{tag}-seed0"] = (
+                    ["reproduce", fig, "--seed", "0", "--budget-mode", mode], scenario
                 )
     cases["reproduce-fig8-seed0"] = (["reproduce", "fig8", "--seed", "0"], SHORT_LEARNER)
     for seed in (0, 1, 2):
