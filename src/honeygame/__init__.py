@@ -18,7 +18,6 @@ from .model import (  # noqa: F401
     gcs_utility,
     participating_set,
     social_surplus,
-    uav_utility,
 )
 from .solver import (  # noqa: F401
     RelaxedSolution,

@@ -2,7 +2,7 @@
 the Shannon-bound uplink rate to the ground station and the VDD transmission
 delay over that one link (no air-to-air link or relay selection).  A UAV
 enters only through its altitude and its horizontal distance to the ground
-station.  The formulas take columns of UAVs (one-UAV forms wrap them).
+station.  The formulas take columns of UAVs (``a2g_rate`` wraps one UAV's).
 All functions are pure; dBm quantities are converted to watts, and all SNR
 algebra runs in the linear domain.
 """
@@ -19,9 +19,7 @@ import numpy as np
 __all__ = [
     "ChannelParams",
     "dbm_to_watt",
-    "los_probability",
     "los_probabilities",
-    "a2g_pathloss",
     "a2g_pathlosses",
     "a2g_rate",
     "a2g_rates",
@@ -138,16 +136,6 @@ def a2g_rates(altitudes, params: ChannelParams, horiz_dists) -> np.ndarray:
     pl_db = a2g_pathlosses(altitudes, params, horiz_dists)
     snr = params.tx_power_w * _each(_power_of_ten, -pl_db / 10.0) / params.noise_w
     return params.bw_a2g * _each(math.log2, 1.0 + snr)
-
-
-def los_probability(elevation_rad: float, params: ChannelParams | None = None) -> float:
-    """:func:`los_probabilities` of one angle."""
-    return float(los_probabilities([elevation_rad], params or ChannelParams())[0])
-
-
-def a2g_pathloss(altitude: float, params: ChannelParams, horiz_dist: float) -> float:
-    """:func:`a2g_pathlosses` of one UAV."""
-    return float(a2g_pathlosses([altitude], params, [horiz_dist])[0])
 
 
 def a2g_rate(altitude: float, params: ChannelParams, horiz_dist: float) -> float:

@@ -278,9 +278,9 @@ def _cmd_oracle_check(args) -> int:
 
     sc = _load(args)
     pop = generate_population(sc)
-    part = oracle_types(pop, sc.t_max)  # too many: exit 2 before any solve
+    view = oracle_types(pop, sc.t_max)  # too many: exit 2 before any solve
     grid = GridSpec(s_step=args.step, s_max=sc.gcs.s_max)
-    slack = _grid_slack(part, sc, args.step)
+    slack = _grid_slack(view, sc, args.step)
     ok = True
     for name, solver, search in (
         ("complete", solve_complete, grid_search_complete),
@@ -299,12 +299,12 @@ def _cmd_oracle_check(args) -> int:
     return 0 if ok else 1
 
 
-def _grid_slack(part, sc: Scenario, step: float) -> float:
+def _grid_slack(view, sc: Scenario, step: float) -> float:
     # one grid step's worth of objective change, bounded by the steepest
     # per-type satisfaction slope at S = 0 plus the payment change
-    worst = max((sc.gcs.satisfaction * (t.count / t.delay) + t.count * t.marginal_cost
-                 for t in part), default=0.0)
-    return worst * step * len(part)
+    worst = max((sc.gcs.satisfaction * (n / d) + n * c for n, d, c in
+                 zip(*map(view.tolist, (view.count, view.delay, view.cost)))), default=0.0)
+    return worst * step * len(view.rows)
 
 
 def _write_tables(tables: dict[str, Iterable[str]], out_dir: str | None) -> None:

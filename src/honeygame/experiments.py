@@ -20,6 +20,7 @@ would self-select truthfully, are checked by their payment total alone.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -35,9 +36,8 @@ from .model import (
     defensive_effectiveness,
     gcs_term,
     gcs_utility,
-    participating_set,
     total_payment,
-    uav_utility,
+    uav_payoff,
 )
 from .scenario import Scenario, generate_population
 from .solver import linear_contract, solve_complete, solve_partial, uniform_contract
@@ -100,39 +100,40 @@ def _contract_tables(sc: Scenario, which: str) -> dict[str, Iterable[str]]:
     params = sc.gcs
     menus = _solve_all(pop, params, sc.t_max, sc.solver)
     _audit(menus, pop, params)
-    part = participating_set(pop, sc.t_max)
+    rows = pop.on_time(sc.t_max).rows
+    cost, delay, count = pop.cost[rows], pop.delay[rows], pop.count[rows]
+    # one row of items per scheme, one column per on-time type
+    sizes = np.array([menus[scheme].sizes[rows] for scheme in SCHEMES])
+    rewards = np.array([menus[scheme].rewards[rows] for scheme in SCHEMES])
+    ranks = range(1, len(rows) + 1)
 
     if which == "fig1":
-        rows = []
-        for scheme in SCHEMES:
-            menu = menus[scheme]
-            for rank, t in enumerate(part, start=1):
-                item = menu.item(t.index)
-                rows.append([rank, t.marginal_cost, scheme, item.vdd_size, item.reward])
-        return {"fig1.csv": _csv(["type_index", "marginal_cost", "scheme", "S_bytes", "R"], rows)}
+        table = [[rank, c, scheme, s, r]
+                 for scheme, s_row, r_row in zip(SCHEMES, sizes.tolist(), rewards.tolist())
+                 for rank, c, s, r in zip(ranks, cost.tolist(), s_row, r_row)]
+        return {"fig1.csv": _csv(["type_index", "marginal_cost", "scheme", "S_bytes", "R"],
+                                 table)}
+
+    partial = SCHEMES.index("partial")
+    value_fn = {
+        # type j (row) taking type k's item (column) of the partial menu
+        "fig3": lambda: uav_payoff(cost[:, None], sizes[partial], rewards[partial],
+                                   params.deploy_cost),
+        "fig4": lambda: uav_payoff(cost, sizes, rewards, params.deploy_cost),
+        "fig5": lambda: gcs_term(count, delay, sizes, rewards, params),
+        # social surplus of a type: the GCS term with the UAV paid its cost
+        "fig6": lambda: gcs_term(count, delay, sizes, cost * sizes + params.deploy_cost, params),
+    }[which]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow, as on floats
+        values = value_fn().tolist()
 
     if which == "fig3":
-        menu = menus["partial"]
-        rows = []
-        for rank, t in enumerate(part, start=1):
-            for rank_k, k in enumerate(part, start=1):
-                rows.append([rank, rank_k, uav_utility(t, menu.item(k.index), sc.t_max, params)])
-        return {"fig3.csv": _csv(["type_index", "item_index", "utility"], rows)}
-
-    value_fn = {
-        "fig4": lambda t, item: uav_utility(t, item, sc.t_max, params),
-        "fig5": lambda t, item: gcs_term(t.count, t.delay, item.vdd_size, item.reward, params),
-        # social surplus of a type: the GCS term with the UAV paid its cost
-        "fig6": lambda t, item: gcs_term(t.count, t.delay, item.vdd_size,
-                                         t.marginal_cost * item.vdd_size + params.deploy_cost,
-                                         params),
-    }[which]
-    rows = []
-    for scheme in SCHEMES:
-        menu = menus[scheme]
-        for t in part:
-            rows.append([t.marginal_cost, scheme, value_fn(t, menu.item(t.index))])
-    return {f"{which}.csv": _csv(["marginal_cost", "scheme", "value"], rows)}
+        table = [[j, k, u] for (j, k), u in zip(itertools.product(ranks, repeat=2),
+                                                itertools.chain.from_iterable(values))]
+        return {"fig3.csv": _csv(["type_index", "item_index", "utility"], table)}
+    table = [[c, scheme, v] for scheme, row in zip(SCHEMES, values)
+             for c, v in zip(cost.tolist(), row)]
+    return {f"{which}.csv": _csv(["marginal_cost", "scheme", "value"], table)}
 
 
 def _sweep_tables(sc: Scenario, metric: str) -> dict[str, Iterable[str]]:

@@ -48,7 +48,6 @@ __all__ = [
     "uav_payoff",
     "gcs_term",
     "left_sum",
-    "uav_utility",
     "gcs_utility",
     "social_surplus",
     "total_payment",
@@ -95,8 +94,9 @@ class Population:
     float64 delay and an int64 count column.  Types are ordered by
     descending marginal cost (ties broken by smaller delay); row k - 1 holds
     type k.  Use :func:`canonicalize` or :func:`canonical_columns` to build
-    one from raw types or rows; ``types`` is the per-type view, built on
-    first use."""
+    one from raw types or rows.  ``types`` holds one ``UavType`` per row,
+    built on first use; in the package only :func:`participating_set` reads
+    it, and the solvers, audits and tables read the columns."""
 
     def __init__(self, cost: np.ndarray, delay: np.ndarray, count: np.ndarray) -> None:
         if ((cost[1:] > cost[:-1]) | ((cost[1:] == cost[:-1]) & (delay[1:] < delay[:-1]))).any():
@@ -421,13 +421,6 @@ def left_sum(terms, start: float = 0.0) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.cumsum(np.concatenate(([start], terms)))[-1])
     return reduce(operator.add, terms, start)
-
-
-def uav_utility(t: UavType, item: ContractItem, t_max: float, params: GcsParams) -> float:
-    """Reward minus cost; a UAV that misses the deadline forfeits the reward
-    but still bears its VDD and deployment costs."""
-    reward = item.reward if t.delay <= t_max else 0.0
-    return uav_payoff(t.marginal_cost, item.vdd_size, reward, params.deploy_cost)
 
 
 def gcs_utility(menu: ContractMenu, pop: Population, params: GcsParams) -> float:

@@ -19,10 +19,10 @@ from .model import (
     FEASIBILITY_TOL,
     ContractMenu,
     GcsParams,
+    OnTime,
     Population,
     gcs_utility,
     left_sum,
-    participating_set,
 )
 
 __all__ = [
@@ -37,14 +37,14 @@ __all__ = [
 MAX_ORACLE_TYPES = 3
 
 
-def oracle_types(pop: Population, t_max: float) -> list:
-    """The on-time types, which the grid searches enumerate; more than
-    ``MAX_ORACLE_TYPES`` of them raise."""
-    part = participating_set(pop, t_max)
-    if len(part) > MAX_ORACLE_TYPES:
+def oracle_types(pop: Population, t_max: float) -> OnTime:
+    """The on-time view, whose types the grid searches enumerate; more than
+    ``MAX_ORACLE_TYPES`` on-time types raise."""
+    view = pop.on_time(t_max)
+    if len(view.rows) > MAX_ORACLE_TYPES:
         raise ValueError(f"the oracle takes at most {MAX_ORACLE_TYPES} on-time types, "
-                         f"got {len(part)}")
-    return part
+                         f"got {len(view.rows)}")
+    return view
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,19 @@ def grid_search_complete(
 ) -> tuple[ContractMenu, float]:
     """Exhaustive cost-priced search: every size combination on the grid,
     rewards equal to cost, budget-feasible argmax of the GCS objective."""
-    part = oracle_types(pop, t_max)
+    view = oracle_types(pop, t_max)
     pts = grid.points
     best_obj = -math.inf
     best: tuple | None = None
-    if not part:
+    if not len(view.rows):
         menu = ContractMenu.zero(pop, t_max)
         return menu, gcs_utility(menu, pop, params)
 
-    counts = np.array([t.count for t in part], dtype=float)
-    costs = np.array([t.marginal_cost for t in part])
-    delays = np.array([t.delay for t in part])
+    counts = np.array(view.count, dtype=float)
+    costs = np.array(view.cost)
+    delays = np.array(view.delay)
 
-    grids = np.meshgrid(*([pts] * len(part)), indexing="ij")
+    grids = np.meshgrid(*([pts] * len(view.rows)), indexing="ij")
     sizes = np.stack([g.ravel() for g in grids], axis=-1)  # (M, J')
     rewards = costs * sizes + params.deploy_cost
     paid = (counts * rewards).sum(axis=1)
@@ -102,7 +102,7 @@ def grid_search_complete(
     idx = int(np.argmax(objective))
     best_obj = float(objective[idx])
     best = (sizes[idx], rewards[idx])
-    menu = ContractMenu.placed(len(pop), t_max, [t.index - 1 for t in part], *best)
+    menu = ContractMenu.placed(len(pop), t_max, view.rows, *best)
     return menu, best_obj
 
 
@@ -114,16 +114,14 @@ def grid_search_partial(
 ) -> tuple[ContractMenu, float]:
     """Exhaustive search over non-decreasing size tuples with recursion-priced
     rewards, retained only if the full IR/IC/budget enumeration passes."""
-    part = oracle_types(pop, t_max)
-    if not part:
+    view = oracle_types(pop, t_max)
+    if not len(view.rows):
         menu = ContractMenu.zero(pop, t_max)
         return menu, gcs_utility(menu, pop, params)
 
     pts = grid.points
-    counts = [t.count for t in part]
-    costs = [t.marginal_cost for t in part]
-    delays = [t.delay for t in part]
-    n = len(part)
+    counts, costs, delays = map(view.tolist, (view.count, view.cost, view.delay))
+    n = len(view.rows)
 
     best_obj = -math.inf
     best: tuple | None = None
@@ -149,7 +147,7 @@ def grid_search_partial(
     if best is None:
         menu = ContractMenu.zero(pop, t_max)
         return menu, gcs_utility(menu, pop, params)
-    menu = ContractMenu.placed(len(pop), t_max, [t.index - 1 for t in part], *best)
+    menu = ContractMenu.placed(len(pop), t_max, view.rows, *best)
     return menu, best_obj
 
 

@@ -340,9 +340,10 @@ def _finite(pop: Population, gcs: GcsParams) -> Population:
                          ("satisfaction x count / delay x log1p(s_max)", satisfaction)):
         # each product is >= 0 and not nan; argmax finds the first inf
         if not np.maximum.reduce(column, initial=0.0) < math.inf:
-            t = pop.types[int(np.argmax(column))]
-            raise ValueError(f"type {t.index} (cost {t.marginal_cost!r}, delay {t.delay!r}, "
-                             f"count {t.count}): {name} passes the float range")
+            row = int(np.argmax(column))
+            cost, delay, count = (c[row].item() for c in (pop.cost, pop.delay, pop.count))
+            raise ValueError(f"type {row + 1} (cost {cost!r}, delay {delay!r}, "
+                             f"count {count}): {name} passes the float range")
     if not gcs.deploy_cost * int(np.add.reduce(pop.count)) < math.inf:
         raise ValueError("gcs.deploy_cost x the UAV count passes the float range")
     for name, column in (("satisfaction x count / delay x log1p(s_max)", satisfaction),

@@ -290,11 +290,13 @@ def optimal_rewards(sizes, view: OnTime, params: GcsParams):
         raise ValueError("sizes must align with participating types")
     if True in view.apply(_falls, (sizes[:-1], sizes[1:])):
         raise ValueError("sizes must be non-decreasing; iron first")
-    cost = view.cost
-    if not len(cost):
-        return []
-    first = view.apply(_cost_reward, (cost[:1], sizes[:1]), params.deploy_cost)
-    return view.running(view.apply(_increment, (cost[1:], sizes[1:], sizes[:-1])), first[0])
+    # the previous type's size, 0.0 before the costliest, which is then paid
+    # its cost (an empty list gains the 0.0, which the map never reaches)
+    before = copy.copy(sizes)
+    before[1:] = sizes[:-1]
+    before[:1] = [0.0]
+    return view.running(view.apply(_increment, (view.cost, sizes, before)),
+                        params.deploy_cost)[1:]
 
 
 def solve_partial_relaxed(
@@ -406,6 +408,7 @@ def uniform_contract(partial: ContractMenu, pop: Population) -> ContractMenu:
     rows = pop.on_time(partial.t_max).rows
     if not len(rows):
         return ContractMenu.zero(pop, partial.t_max)
-    item = partial.item(int(rows[0]) + 1)
-    return ContractMenu.placed(len(pop), partial.t_max, rows, [item.vdd_size] * len(rows),
-                               [item.reward] * len(rows))
+    first = rows[:1]  # the costliest on-time type's row
+    return ContractMenu.placed(len(pop), partial.t_max, rows,
+                               partial.sizes[first].repeat(len(rows)),
+                               partial.rewards[first].repeat(len(rows)))

@@ -18,9 +18,9 @@ from honeygame.model import (
     gcs_utility,
     participating_set,
     social_surplus,
-    uav_utility,
+    uav_payoff,
 )
-from honeygame.channel import ChannelParams, los_probability
+from honeygame.channel import ChannelParams, los_probabilities
 from honeygame.oracle import GridSpec, grid_search_complete, grid_search_partial
 from honeygame.scenario import Scenario, generate_population
 from honeygame.solver import _virtual_costs, solve_complete, solve_partial, uniform_contract
@@ -140,7 +140,8 @@ def test_03_truthful_selection_matrix():
     assert len(part) == 10
     matrix = np.array(
         [
-            [uav_utility(t, menu.item(o.index), sc.t_max, sc.gcs) for o in originals]
+            [uav_payoff(t.marginal_cost, menu.item(o.index).vdd_size, menu.item(o.index).reward,
+                        sc.gcs.deploy_cost) for o in originals]
             for t in part
         ]
     )
@@ -158,7 +159,8 @@ def test_04_complete_information_zero_rent():
     menu = solve_complete(pop, sc.gcs, sc.t_max, sc.solver)
     for t in pop.types:
         if t.delay <= sc.t_max:
-            u = uav_utility(t, menu.item(t.index), sc.t_max, sc.gcs)
+            item = menu.item(t.index)
+            u = uav_payoff(t.marginal_cost, item.vdd_size, item.reward, sc.gcs.deploy_cost)
             assert abs(u) <= 1e-9
     g = gcs_utility(menu, pop, sc.gcs)
     s = social_surplus(menu, pop, sc.gcs)
@@ -220,7 +222,8 @@ def test_07_rent_ordering():
             continue
         pop, params = inst
         menu = solve_partial(pop, params, T_MAX)
-        us = [uav_utility(t, menu.item(t.index), T_MAX, params) for t in pop.types]
+        us = [uav_payoff(t.marginal_cost, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+                         params.deploy_cost) for t in pop.types]
         assert abs(us[0]) <= 1e-9
         assert all(a <= b + 1e-9 for a, b in zip(us, us[1:]))
         done += 1
@@ -275,12 +278,12 @@ def test_08_learning_convergence():
 def test_09_channel_sanity():
     """LoS probability calibration and complementarity."""
     params = ChannelParams()
-    assert los_probability(math.radians(12.0), params) == pytest.approx(
+    assert los_probabilities([math.radians(12.0)], params)[0] == pytest.approx(
         1.0 / 13.0, abs=1e-12
     )
     rng = np.random.default_rng(31)
     for theta in rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 1000):
-        p = los_probability(theta, params)
+        p = los_probabilities([theta], params)[0]
         assert p + (1.0 - p) == 1.0
     print("\nACCEPTANCE 9: PASS — channel sanity")
 

@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 
 from honeygame.channel import (
     ChannelParams,
-    a2g_pathloss,
     a2g_pathlosses,
     a2g_rate,
     a2g_rates,
     dbm_to_watt,
     los_probabilities,
-    los_probability,
     transmission_delay,
 )
 
@@ -35,31 +33,31 @@ class TestConversions:
 
 class TestLosProbability:
     def test_at_logit_midpoint(self):
-        assert los_probability(math.radians(12.0), PARAMS) == pytest.approx(
+        assert los_probabilities([math.radians(12.0)], PARAMS)[0] == pytest.approx(
             1.0 / 13.0, abs=1e-12
         )
 
     def test_near_vertical(self):
-        assert los_probability(math.radians(90.0), PARAMS) == pytest.approx(
+        assert los_probabilities([math.radians(90.0)], PARAMS)[0] == pytest.approx(
             0.99967943130586627, rel=1e-12
         )
 
     def test_complement_sums_to_one(self):
         rng = np.random.default_rng(5)
         for theta in rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 1000):
-            p = los_probability(theta, PARAMS)
+            p = los_probabilities([theta], PARAMS)[0]
             assert 0.0 < p < 1.0
             assert p + (1.0 - p) == 1.0
 
     def test_strictly_increasing(self):
         thetas = np.linspace(-1.2, 1.2, 50)
-        ps = [los_probability(t, PARAMS) for t in thetas]
+        ps = [los_probabilities([t], PARAMS)[0] for t in thetas]
         assert all(a < b for a, b in zip(ps, ps[1:]))
 
 
 class TestA2GLink:
     def test_pathloss_golden(self):
-        pl = a2g_pathloss(50.0, PARAMS, 100.0)
+        pl = a2g_pathlosses([50.0], PARAMS, [100.0])[0]
         assert pl == pytest.approx(93.371547501440399, rel=1e-12)
 
     def test_rate_golden(self):
@@ -68,18 +66,18 @@ class TestA2GLink:
 
     def test_equal_attenuation_elevation_free(self):
         params = ChannelParams(atten_los=5.0, atten_nlos=5.0)
-        lo = a2g_pathloss(10.0, params, 100.0)
-        hi = a2g_pathloss(80.0, params, 100.0)
+        lo = a2g_pathlosses([10.0], params, [100.0])[0]
+        hi = a2g_pathlosses([80.0], params, [100.0])[0]
         assert lo == pytest.approx(hi, rel=1e-12)
 
     def test_higher_uav_lower_pathloss(self):
-        lo = a2g_pathloss(10.0, PARAMS, 100.0)
-        hi = a2g_pathloss(80.0, PARAMS, 100.0)
+        lo = a2g_pathlosses([10.0], PARAMS, [100.0])[0]
+        hi = a2g_pathlosses([80.0], PARAMS, [100.0])[0]
         assert hi < lo
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
-            a2g_pathloss(50.0, PARAMS, 0.0)
+            a2g_pathlosses([50.0], PARAMS, [0.0])[0]
 
 
 class TestDelay:
@@ -137,7 +135,9 @@ class TestColumns:
     def test_rates_bitwise_equal_to_scalar_math(self, params, uavs):
         altitudes, dists = [a for a, _ in uavs], [d for _, d in uavs]
         for column, one, scalar in ((a2g_rates, a2g_rate, scalar_rate),
-                                    (a2g_pathlosses, a2g_pathloss, scalar_pathloss)):
+                                    (a2g_pathlosses,
+                                     lambda a, p, d: a2g_pathlosses([a], p, [d])[0],
+                                     scalar_pathloss)):
             want = [scalar(a, params, d).hex() for a, d in uavs]
             assert [x.hex() for x in column(altitudes, params, dists).tolist()] == want
             assert [one(a, params, d).hex() for a, d in uavs] == want
@@ -159,7 +159,7 @@ class TestColumns:
         params = ChannelParams(logit_a=logit_a, logit_b=10.0)
         with pytest.raises(OverflowError):
             math.exp(-params.logit_b * (theta_deg - logit_a))
-        assert los_probability(math.radians(theta_deg), params) == p_los
+        assert los_probabilities([math.radians(theta_deg)], params)[0] == p_los
         assert not recwarn.list
 
     def test_overflow_gives_inf_without_warning(self, recwarn):
@@ -169,6 +169,6 @@ class TestColumns:
         params = ChannelParams(logit_a=40.0, logit_b=709.0 / (40.0 - theta), gcs_height=100.0)
         assert math.isinf(params.logit_a * math.exp(709.0))
         assert a2g_rate(0.0, params, 1.0).hex() == scalar_rate(0.0, params, 1.0).hex()
-        assert a2g_pathloss(0.0, params, 1.0) == pytest.approx(
+        assert a2g_pathlosses([0.0], params, [1.0])[0] == pytest.approx(
             20.0 * math.log10(4.0 * math.pi * params.carrier_hz / 299_792_458.0) + 20.0)
         assert not recwarn.list

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from honeygame import cli, experiments, kernels, model, oracle, solver
 from honeygame.cli import _canonical_menu, _menu_from_file, _menu_from_yaml, _menu_text, main
-from honeygame.model import ContractMenu, participating_set, uav_utility
+from honeygame.model import ContractMenu, participating_set, uav_payoff
 from honeygame.scenario import YAML_DUMPER, Scenario, generate_population, load_scenario
 from honeygame.solver import solve_partial
 
@@ -271,7 +271,9 @@ class TestReproduce:
 
         fig3 = [line.split(",") for line in (out / "fig3.csv").read_text().splitlines()[1:]]
         assert fig3 == [
-            [str(j), str(k), f"{uav_utility(t, menu.item(o.index), sc.t_max, sc.gcs):.9g}"]
+            [str(j), str(k), format(uav_payoff(t.marginal_cost, menu.item(o.index).vdd_size,
+                                               menu.item(o.index).reward, sc.gcs.deploy_cost),
+                                    ".9g")]
             for j, t in ranked
             for k, o in ranked
         ]

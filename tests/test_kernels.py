@@ -115,6 +115,29 @@ def test_array_kernels_match_the_loops(case):
     assert arrays == loops
 
 
+# a few values a tolerance apart, so that sizes and rewards tie, all but tie
+# and cross the audit tolerance
+NEAR = st.sampled_from([0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 2.0, 3.0, 5.0, 6.0])
+
+
+@given(items=st.lists(st.tuples(NEAR | st.floats(0.0, 10.0), NEAR | st.floats(0.0, 10.0)),
+                      max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_reward_ordered_matches_the_loop_on_any_columns(items):
+    # any columns, not only those the solvers make: the menu a file hands
+    # to ``validate`` need not be feasible
+    sizes, rewards = [s for s, _ in items], [r for _, r in items]
+    columns = np.array(sizes, dtype=float), np.array(rewards, dtype=float)
+    assert kernels.reward_ordered(*columns) == model._reward_ordered(sizes, rewards)
+
+
+def test_reward_ordered_sees_the_smallest_size():
+    # the smallest item out-earns a larger one
+    sizes, rewards = [1.0, 2.0, 3.0], [5.0, 3.0, 6.0]
+    assert kernels.reward_ordered(np.array(sizes), np.array(rewards)) is False
+    assert model._reward_ordered(sizes, rewards) is False
+
+
 def test_kernels_import_model_and_channel_alone():
     # the kernels serve the solvers and audits and read no solver: an import
     # of ``solver`` here would close the cycle solver -> kernels -> solver

@@ -29,7 +29,6 @@ from honeygame.model import (
     social_surplus,
     total_payment,
     uav_payoff,
-    uav_utility,
 )
 from honeygame.oracle import enumerate_incentives, enumerate_reward_fairness
 from honeygame.solver import optimal_rewards, solve_complete, solve_partial
@@ -149,13 +148,8 @@ class TestUtilities:
         t = UavType(index=1, marginal_cost=0.5, delay=1.0)
         params = GcsParams()
         item = ContractItem(10.0, 8.0)
-        assert uav_utility(t, item, T_MAX, params) == pytest.approx(8.0 - 5.0 - 1.0)
-
-    def test_uav_utility_late_forfeits_reward(self):
-        t = UavType(index=1, marginal_cost=0.5, delay=3.0)
-        params = GcsParams()
-        item = ContractItem(10.0, 8.0)
-        assert uav_utility(t, item, T_MAX, params) == pytest.approx(-6.0)
+        assert uav_payoff(t.marginal_cost, item.vdd_size, item.reward,
+                          params.deploy_cost) == pytest.approx(8.0 - 5.0 - 1.0)
 
     def test_gcs_utility_zero_menu(self):
         pop = make_pop([0.5, 0.2])
@@ -230,7 +224,7 @@ class TestUtilities:
         params = GcsParams()
         item = ContractItem(50.0, 40.0)
         us = [
-            uav_utility(UavType(index=1, marginal_cost=c, delay=1.0), item, T_MAX, params)
+            uav_payoff(c, item.vdd_size, item.reward, params.deploy_cost)
             for c in (0.1, 0.5, 0.9)
         ]
         assert us[0] > us[1] > us[2]
@@ -330,7 +324,8 @@ class TestFeasibility:
             rewards = optimal_rewards(sizes, pop.on_time(T_MAX), params)
             menu = menu_for(pop, sizes, rewards)
             us = [
-                uav_utility(t, menu.item(t.index), T_MAX, params) for t in pop.types
+                uav_payoff(t.marginal_cost, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+                           params.deploy_cost) for t in pop.types
             ]
             assert all(a <= b + 1e-9 for a, b in zip(us, us[1:]))
             assert us[0] == pytest.approx(0.0, abs=1e-9)
@@ -531,15 +526,6 @@ class TestParticipatingSet:
             for t in part
         ]
         assert gcs_utility(menu, pop, params) == sum(terms)
-        for t in part:
-            item = menu.item(t.index)
-            assert uav_utility(t, item, T_MAX, params) == uav_payoff(
-                t.marginal_cost, item.vdd_size, item.reward, params.deploy_cost
-            )
-        late = pop.types[1]
-        assert uav_utility(late, menu.item(late.index), T_MAX, params) == uav_payoff(
-            late.marginal_cost, 20.0, 0.0, params.deploy_cost
-        )
         # on arrays it gives each element's float bits
         costs = np.array([t.marginal_cost for t in pop.types])
         payoffs = uav_payoff(costs, menu.sizes, menu.rewards, params.deploy_cost)

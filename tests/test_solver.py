@@ -18,7 +18,7 @@ from honeygame.model import (
     gcs_utility,
     participating_set,
     social_surplus,
-    uav_utility,
+    uav_payoff,
 )
 from honeygame.scenario import generate_population, load_scenario
 from honeygame.solver import (
@@ -84,7 +84,8 @@ class TestCompleteInformation:
     def test_zero_rent(self):
         menu = solve_complete(WORKED_POP, WORKED_PARAMS, T_MAX)
         for t in WORKED_POP.types:
-            u = uav_utility(t, menu.item(t.index), T_MAX, WORKED_PARAMS)
+            item = menu.item(t.index)
+            u = uav_payoff(t.marginal_cost, item.vdd_size, item.reward, WORKED_PARAMS.deploy_cost)
             assert u == pytest.approx(0.0, abs=1e-12)
 
     def test_gcs_utility_equals_surplus(self):
@@ -299,7 +300,8 @@ class TestPartialEndToEnd:
         assert menu.item(1).reward == pytest.approx(3.5, rel=1e-12)
         assert menu.item(2).reward == pytest.approx(6.5, rel=1e-12)
         us = [
-            uav_utility(t, menu.item(t.index), T_MAX, WORKED_PARAMS)
+            uav_payoff(t.marginal_cost, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+                       WORKED_PARAMS.deploy_cost)
             for t in WORKED_POP.types
         ]
         assert us == pytest.approx([0.0, 1.25])
@@ -366,7 +368,8 @@ class TestBaselines:
         pop = make_pop([0.5, 0.25, 0.1])
         params = GcsParams(budget=30.0)
         menu = uniform_contract(solve_partial(pop, params, T_MAX), pop)
-        us = [uav_utility(t, menu.item(t.index), T_MAX, params) for t in pop.types]
+        us = [uav_payoff(t.marginal_cost, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+                         params.deploy_cost) for t in pop.types]
         assert us[0] == pytest.approx(0.0, abs=1e-9)
         assert all(u > 0 for u in us[1:])
 
