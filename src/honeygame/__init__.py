@@ -5,7 +5,6 @@ channel/mobility models, brute-force oracles, and an experiment harness."""
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
-    ContractItem,
     ContractMenu,
     FeasibilityReport,
     GcsParams,

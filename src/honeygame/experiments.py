@@ -10,10 +10,12 @@ type, formatted as the file is written, after the learner has played every
 episode.
 
 Each comparison menu is solved once per population; the uniform baseline is
-read off the asymmetric-information menu.  That menu must pass the full
-feasibility report and reward fairness, the complete-information menu IR and
-the budget (it is intentionally not incentive compatible across types); each
-gets one feasibility scan.  The two baselines, which no rational population
+read off the asymmetric-information menu.  Each of the two gets one
+``check_feasibility`` report and must pass its verdict: ``all_ok`` for the
+asymmetric-information menu, ``ir_budget_ok`` for the complete-information
+menu (it is intentionally not incentive compatible across types).  A budget
+that cannot pay the on-time UAVs' deployment is an input error, raised
+before any solve.  The two baselines, which no rational population
 would self-select truthfully, are checked by their payment total alone.
 """
 
@@ -32,7 +34,6 @@ from .model import (
     GcsParams,
     Population,
     check_feasibility,
-    check_reward_fairness,
     defensive_effectiveness,
     gcs_term,
     gcs_utility,
@@ -40,7 +41,7 @@ from .model import (
     uav_payoff,
 )
 from .scenario import Scenario, generate_population
-from .solver import linear_contract, solve_complete, solve_partial, uniform_contract
+from .solver import check_budget, linear_contract, solve_complete, solve_partial, uniform_contract
 
 __all__ = ["EXPERIMENTS", "run_experiment"]
 
@@ -69,7 +70,9 @@ def _csv(header: list[str], rows: list[list]) -> list[str]:
     return lines
 
 
-def _solve_all(pop: Population, params: GcsParams, t_max: float, cfg) -> dict[str, ContractMenu]:
+def _solve_all(pop: Population, params: GcsParams, t_max: float, cfg,
+               where: str = "") -> dict[str, ContractMenu]:
+    check_budget(pop, params, t_max, where)
     partial = solve_partial(pop, params, t_max, cfg)
     return {
         "complete": solve_complete(pop, params, t_max, cfg),
@@ -81,14 +84,12 @@ def _solve_all(pop: Population, params: GcsParams, t_max: float, cfg) -> dict[st
 
 def _audit(menus: dict[str, ContractMenu], pop: Population, params: GcsParams) -> None:
     partial_report = check_feasibility(menus["partial"], pop, params)
-    reward_fair = check_reward_fairness(menus["partial"], pop)
-    if not (partial_report.all_ok and reward_fair):
+    if not partial_report.all_ok:
         raise AuditError(
             f"asymmetric-information menu failed audit: worst slack "
-            f"{partial_report.worst_violation:.3e}, reward fairness {reward_fair}"
+            f"{partial_report.worst_violation:.3e}, reward fairness {partial_report.reward_fair}"
         )
-    complete_report = check_feasibility(menus["complete"], pop, params)
-    if not (complete_report.ir_ok and complete_report.budget_ok):
+    if not check_feasibility(menus["complete"], pop, params).ir_budget_ok:
         raise AuditError("complete-information menu failed IR/budget audit")
     for name in ("linear", "uniform"):
         if not params.budget - total_payment(menus[name], pop) >= -FEASIBILITY_TOL:
@@ -152,7 +153,8 @@ def _sweep_tables(sc: Scenario, metric: str) -> dict[str, Iterable[str]]:
         for count, budget in zip(SWEEP_COUNTS, SWEEP_BUDGETS[tag]):
             pop = pops[count]
             params = dataclasses.replace(sc.gcs, budget=budget)
-            menus = _solve_all(pop, params, sc.t_max, sc.solver)
+            menus = _solve_all(pop, params, sc.t_max, sc.solver,
+                               f"uav_count {count}, budget_tag {tag}: ")
             _audit(menus, pop, params)
             for scheme in SCHEMES:
                 if metric == "zeta":

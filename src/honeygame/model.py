@@ -38,7 +38,6 @@ __all__ = [
     "UavType",
     "Population",
     "OnTime",
-    "ContractItem",
     "ContractMenu",
     "GcsParams",
     "FeasibilityReport",
@@ -53,7 +52,6 @@ __all__ = [
     "total_payment",
     "check_feasibility",
     "check_fairness",
-    "check_reward_fairness",
     "defensive_effectiveness",
 ]
 
@@ -249,20 +247,6 @@ def canonical_columns(cost, delay, counts) -> Population:
     return Population(cost[starts], delay[starts], np.add.reduceat(count, starts))
 
 
-@dataclass(frozen=True)
-class ContractItem:
-    """One menu entry: the VDD size demanded (bytes) and the reward paid."""
-
-    vdd_size: float
-    reward: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.vdd_size) or self.vdd_size < 0:
-            raise ValueError(f"vdd_size must be finite and >= 0, got {self.vdd_size}")
-        if not math.isfinite(self.reward) or self.reward < 0:
-            raise ValueError(f"reward must be finite and >= 0, got {self.reward}")
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class ContractMenu:
     """The GCS offer: a delivery deadline and one (VDD size, reward) item per
@@ -284,8 +268,10 @@ class ContractMenu:
         # a nan fails both comparisons
         if columns.size and not (np.minimum.reduce(columns, axis=None) >= 0.0
                                  and np.maximum.reduce(columns, axis=None) < math.inf):
-            for s, r in zip(*columns.tolist()):
-                ContractItem(s, r)  # raises the error of the first bad row
+            for row in zip(*columns.tolist()):  # the first bad row's error
+                for name, value in zip(("vdd_size", "reward"), row):
+                    if not math.isfinite(value) or value < 0:
+                        raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not math.isfinite(self.t_max) or self.t_max <= 0:
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         object.__setattr__(self, "sizes", columns[0])
@@ -302,12 +288,6 @@ class ContractMenu:
 
     def _values(self) -> tuple[float, list[float], list[float]]:
         return self.t_max, self.sizes.tolist(), self.rewards.tolist()
-
-    def item(self, index: int) -> ContractItem:
-        """Type ``index``'s item, for 1 <= index <= J."""
-        if not 1 <= index <= len(self.sizes):
-            raise IndexError(f"type index {index} is outside 1..{len(self.sizes)}")
-        return ContractItem(self.sizes[index - 1].item(), self.rewards[index - 1].item())
 
     @staticmethod
     def zero(pop: Population, t_max: float) -> ContractMenu:
@@ -354,29 +334,38 @@ class GcsParams:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of the feasibility predicates on a menu, built in O(J log J).
+    """Outcome of the feasibility and fairness predicates on a menu, built in
+    O(J log J): the one audit of a menu.
 
     ``ir_ok``/``ic_ok`` say whether IR holds for every on-time type and IC
     for every ordered pair of them.  ``monotone_ok`` is the compact
     characterization (joint size/reward monotonicity, binding-type IR,
     adjacent cost sandwich, zero items for non-participants) that is
-    equivalent to the full IR+IC enumeration.  ``worst_violation`` is the
-    most negative slack seen (0 if none).  ``worst_pair`` holds the
-    population indices (j, k) of the smallest IR/IC slack, with k == j
-    meaning IR; it is ``None`` when no type meets the deadline.
-    ``participation_fair`` is participation fairness, IR and IC together.
+    equivalent to the full IR+IC enumeration.  ``reward_fair``: larger VDD
+    contributions never earn smaller rewards, and late types are paid
+    nothing.  ``worst_violation`` is the most negative slack seen (0 if
+    none).  ``worst_pair`` holds the population indices (j, k) of the
+    smallest IR/IC slack, with k == j meaning IR; it is ``None`` when no
+    type meets the deadline.  The verdicts: ``all_ok`` for a menu that types
+    choose from, ``ir_budget_ok`` for the complete-information menu (not IC
+    across types by design), and ``participation_fair``, IR and IC together.
     """
 
     ir_ok: bool
     ic_ok: bool
     budget_ok: bool
     monotone_ok: bool
+    reward_fair: bool
     worst_violation: float
     worst_pair: tuple[int, int] | None
 
     @property
     def all_ok(self) -> bool:
-        return self.ir_ok and self.ic_ok and self.budget_ok and self.monotone_ok
+        return self.ir_budget_ok and self.ic_ok and self.monotone_ok and self.reward_fair
+
+    @property
+    def ir_budget_ok(self) -> bool:
+        return self.ir_ok and self.budget_ok
 
     @property
     def participation_fair(self) -> bool:
@@ -458,8 +447,9 @@ def check_feasibility(
     pop: Population,
     params: GcsParams,
 ) -> FeasibilityReport:
-    """Evaluate IR per type, IC per ordered pair, budget feasibility, and the
-    compact monotonicity characterization over the on-time types.
+    """Evaluate IR per type, IC per ordered pair, budget feasibility, the
+    compact monotonicity characterization over the on-time types, and
+    reward fairness over every type.
 
     Violations are data, not errors: slacks within ``FEASIBILITY_TOL`` of
     zero count as satisfied and ``worst_violation`` carries the raw minimum
@@ -468,17 +458,24 @@ def check_feasibility(
     view = _menu_view(menu, pop)
     sizes, rewards = view.take(menu.sizes), view.take(menu.rewards)
     if view.arrays:
-        scan, compact = _kernels()._envelope_scan, _kernels().compact_conditions
+        k = _kernels()
+        scan, compact, ordered = k._envelope_scan, k.compact_conditions, k.reward_ordered
+        all_rows = menu.sizes, menu.rewards
     else:
-        scan, compact = _incentive_scan, _compact_conditions
+        scan, compact, ordered = _incentive_scan, _compact_conditions, _reward_ordered
+        all_rows = menu.sizes.tolist(), menu.rewards.tolist()
     ir_ok, ic_ok, worst, worst_pair = scan(view.cost, sizes, rewards, view.rows,
                                            params.deploy_cost)
     monotone_ok, mono_worst = compact(view.cost, sizes, rewards, params.deploy_cost)
+    late_unpaid = True
     if len(view.late):
-        # a late type's item must be the zero item
-        paid_late = max(menu.sizes[view.late].max(), menu.rewards[view.late].max())
+        # a late type's item must be the zero item, and reward fairness pays
+        # it at most the tolerance
+        late_reward = menu.rewards[view.late].max()
+        paid_late = max(menu.sizes[view.late].max(), late_reward)
         monotone_ok = monotone_ok and bool(paid_late == 0.0)
         mono_worst = min(mono_worst, -float(paid_late))
+        late_unpaid = not late_reward > FEASIBILITY_TOL
     budget_slack = params.budget - payment_sum(view.apply(operator.mul, (view.count, rewards)))
 
     return FeasibilityReport(
@@ -486,6 +483,7 @@ def check_feasibility(
         ic_ok=ic_ok,
         budget_ok=bool(budget_slack >= -FEASIBILITY_TOL),
         monotone_ok=monotone_ok,
+        reward_fair=late_unpaid and ordered(*all_rows),
         worst_violation=float(min(0.0, worst, budget_slack, mono_worst)),
         worst_pair=worst_pair,
     )
@@ -585,26 +583,10 @@ def _compact_conditions(
 
 
 def check_fairness(menu: ContractMenu, pop: Population, params: GcsParams) -> tuple[bool, bool]:
-    """(participation fairness, reward fairness).
-
-    Participation fairness: every participating type weakly prefers its own
-    item to any other and earns non-negative utility there, i.e. the
-    report's ``participation_fair``.  Reward fairness: see
-    :func:`check_reward_fairness`.
-    """
+    """(participation fairness, reward fairness) of :func:`check_feasibility`'s
+    report; kept as an entry point that ``bench/spans.py`` times."""
     report = check_feasibility(menu, pop, params)
-    return report.participation_fair, check_reward_fairness(menu, pop)
-
-
-def check_reward_fairness(menu: ContractMenu, pop: Population) -> bool:
-    """Larger VDD contributions never earn smaller rewards, and types that
-    cannot deliver on time are paid nothing."""
-    view = _menu_view(menu, pop)
-    if len(view.late) and (menu.rewards[view.late] > FEASIBILITY_TOL).any():
-        return False
-    if view.arrays:
-        return _kernels().reward_ordered(menu.sizes, menu.rewards)
-    return _reward_ordered(menu.sizes.tolist(), menu.rewards.tolist())
+    return report.participation_fair, report.reward_fair
 
 
 def _reward_ordered(sizes: list[float], rewards: list[float]) -> bool:

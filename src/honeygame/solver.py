@@ -51,6 +51,7 @@ from .model import (
 
 __all__ = [
     "SolverConfig",
+    "check_budget",
     "RelaxedSolution",
     "solve_complete",
     "optimal_rewards",
@@ -242,6 +243,16 @@ def _fit_budget(
         if total_payment(menu, pop) <= budget or g > budget:
             return menu
         g *= 2.0
+
+
+def check_budget(pop: Population, params: GcsParams, t_max: float, where: str = "") -> None:
+    """Raise ``ValueError`` (prefixed by ``where``) when the budget cannot pay the
+    on-time UAVs' deployment: the solvers' zero menu would then fail IR."""
+    heads = pop.on_time(t_max).heads
+    deployment = params.deploy_cost * heads
+    if params.budget < deployment:
+        raise ValueError(f"{where}budget {params.budget!r} cannot pay the deployment of the "
+                         f"{heads} on-time UAVs: deploy_cost x {heads} = {deployment!r}")
 
 
 def _cost_reward(cost, size, deploy_cost: float):

@@ -119,7 +119,7 @@ def test_02_feasibility_suite():
         assert report.ic_ok
         assert report.monotone_ok
         assert report.budget_ok
-        paid = sum(t.count * menu.item(t.index).reward for t in pop.types)
+        paid = sum(t.count * menu.rewards[t.index - 1] for t in pop.types)
         assert abs(paid - params.budget) / params.budget <= 1e-9
         done += 1
     print("\nACCEPTANCE 2: PASS — 10^4 feasible menus with exact budget equality")
@@ -140,7 +140,7 @@ def test_03_truthful_selection_matrix():
     assert len(part) == 10
     matrix = np.array(
         [
-            [uav_payoff(t.marginal_cost, menu.item(o.index).vdd_size, menu.item(o.index).reward,
+            [uav_payoff(t.marginal_cost, menu.sizes[o.index - 1], menu.rewards[o.index - 1],
                         sc.gcs.deploy_cost) for o in originals]
             for t in part
         ]
@@ -159,8 +159,8 @@ def test_04_complete_information_zero_rent():
     menu = solve_complete(pop, sc.gcs, sc.t_max, sc.solver)
     for t in pop.types:
         if t.delay <= sc.t_max:
-            item = menu.item(t.index)
-            u = uav_payoff(t.marginal_cost, item.vdd_size, item.reward, sc.gcs.deploy_cost)
+            u = uav_payoff(t.marginal_cost, menu.sizes[t.index - 1], menu.rewards[t.index - 1],
+                           sc.gcs.deploy_cost)
             assert abs(u) <= 1e-9
     g = gcs_utility(menu, pop, sc.gcs)
     s = social_surplus(menu, pop, sc.gcs)
@@ -173,11 +173,12 @@ def test_05_monotone_menu_shapes():
     sc = Scenario()
     pop = generate_population(sc)
     menu = solve_partial(pop, sc.gcs, sc.t_max, sc.solver)
-    items = [menu.item(t.index) for t in pop.types if t.delay <= sc.t_max]
+    items = [(menu.sizes[t.index - 1], menu.rewards[t.index - 1])
+             for t in pop.types if t.delay <= sc.t_max]
     # population order is descending cost, so both sequences must ascend
-    for a, b in zip(items, items[1:]):
-        assert a.vdd_size <= b.vdd_size
-        assert a.reward <= b.reward
+    for (size_a, reward_a), (size_b, reward_b) in zip(items, items[1:]):
+        assert size_a <= size_b
+        assert reward_a <= reward_b
     print("\nACCEPTANCE 5: PASS — monotone size and reward schedules")
 
 
@@ -222,7 +223,7 @@ def test_07_rent_ordering():
             continue
         pop, params = inst
         menu = solve_partial(pop, params, T_MAX)
-        us = [uav_payoff(t.marginal_cost, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+        us = [uav_payoff(t.marginal_cost, menu.sizes[t.index - 1], menu.rewards[t.index - 1],
                          params.deploy_cost) for t in pop.types]
         assert abs(us[0]) <= 1e-9
         assert all(a <= b + 1e-9 for a, b in zip(us, us[1:]))

@@ -24,6 +24,8 @@ from honeygame.model import ContractMenu, participating_set, uav_payoff
 from honeygame.scenario import YAML_DUMPER, Scenario, generate_population, load_scenario
 from honeygame.solver import solve_partial
 
+import test_golden_outputs as golden
+
 SMALL_SCENARIO = """
 seed: 3
 gcs: {budget: 10.0, s_max: 30.0}
@@ -264,15 +266,15 @@ class TestReproduce:
         partial = [row for row in fig1 if row[2] == "partial"]
         assert partial == [
             [str(rank), f"{t.marginal_cost:.9g}", "partial",
-             f"{menu.item(t.index).vdd_size:.9g}", f"{menu.item(t.index).reward:.9g}"]
+             f"{menu.sizes[t.index - 1]:.9g}", f"{menu.rewards[t.index - 1]:.9g}"]
             for rank, t in ranked
         ]
         assert len({row[3] for row in partial}) == len(part)  # items tell types apart
 
         fig3 = [line.split(",") for line in (out / "fig3.csv").read_text().splitlines()[1:]]
         assert fig3 == [
-            [str(j), str(k), format(uav_payoff(t.marginal_cost, menu.item(o.index).vdd_size,
-                                               menu.item(o.index).reward, sc.gcs.deploy_cost),
+            [str(j), str(k), format(uav_payoff(t.marginal_cost, menu.sizes[o.index - 1],
+                                               menu.rewards[o.index - 1], sc.gcs.deploy_cost),
                                     ".9g")]
             for j, t in ranked
             for k, o in ranked
@@ -813,7 +815,7 @@ class TestOneScanPerMenu:
         menus = experiments._solve_all(pop, sc.gcs, sc.t_max, sc.solver)
         scans.clear()
         experiments._audit(menus, pop, sc.gcs)
-        items = {name: [(menu.item(t.index).vdd_size, menu.item(t.index).reward)
+        items = {name: [(menu.sizes[t.index - 1], menu.rewards[t.index - 1])
                         for t in participating_set(pop, sc.t_max)]
                  for name, menu in menus.items()}
         assert scans == [items["partial"], items["complete"]]
@@ -839,10 +841,106 @@ class TestOneScanPerMenu:
         scans.clear()
         experiments._audit(menus, pop, sc.gcs)
         on_time = participating_set(pop, sc.t_max)
-        items = {name: [(menu.item(t.index).vdd_size, menu.item(t.index).reward) for t in on_time]
+        items = {name: [(menu.sizes[t.index - 1], menu.rewards[t.index - 1]) for t in on_time]
                  for name, menu in menus.items()}
         # the baselines are checked by their payment total alone
         assert scans == [items["partial"], items["complete"]]
+
+
+class TestUnservableBudget:
+    """A budget below the deployment cost of the on-time UAVs is an input
+    error, raised before any menu is solved: the solvers would return the
+    zero menu, which fails IR by the deployment cost."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved a menu")
+
+        for module in (cli, experiments):
+            for name in ("solve_complete", "solve_partial"):
+                monkeypatch.setattr(module, name, solve)
+
+    def run(self, argv, scenario, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(scenario)
+        capsys.readouterr()
+        rc = main([*argv, "--scenario", str(path), "--out", str(tmp_path / "out")])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["solve"], ["reproduce", "fig1"], ["reproduce", "fig3"]])
+    def test_exits_2_before_any_solve(self, argv, tmp_path, capsys, no_solve):
+        rc, err = self.run(argv, "gcs: {budget: 5.0}\n", tmp_path, capsys)
+        assert rc == 2
+        assert err == ("error: budget 5.0 cannot pay the deployment of the 10 on-time UAVs: "
+                       "deploy_cost x 10 = 10.0\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_reads_its_own_budgets(self, tmp_path, capsys):
+        # fig7 pairs each UAV count with budgets of its own
+        rc, err = self.run(["reproduce", "fig7"], "gcs: {budget: 5.0}\n", tmp_path, capsys)
+        assert (rc, err) == (0, "")
+
+    def test_sweep_point_named(self, tmp_path, capsys):
+        # two UAVs cost 100 to deploy, against the low budget of 92
+        rc, err = self.run(["reproduce", "fig7"], "gcs: {deploy_cost: 50.0}\n", tmp_path, capsys)
+        assert rc == 2
+        assert err == ("error: uav_count 2, budget_tag low: budget 92.0 cannot pay the deployment "
+                       "of the 2 on-time UAVs: deploy_cost x 2 = 100.0\n")
+
+
+# about half the channel delays of these shapes exceed it
+HALF_LATE = "t_max: 0.00022\n"
+VERDICT_SHAPES = {
+    "j10": "seed: 0\n",
+    "j100": golden.HUNDRED_TYPES,
+    "j1000": golden.MANY_TYPES,
+    "late-types": golden.LATE_TYPES,
+}
+VERDICT_SHAPES |= {f"{name}-half-late": text + HALF_LATE for name, text in
+                   list(VERDICT_SHAPES.items())[:3]}
+
+
+class TestOneVerdict:
+    """``solve`` and ``validate`` pass a menu types choose from by the same
+    verdict, the report's ``all_ok``."""
+
+    @staticmethod
+    def fairness(stdout: str) -> list[str]:
+        return [line.split(":", 1)[1].strip() for line in stdout.splitlines()
+                if line.strip().startswith("fairness")]
+
+    @pytest.mark.parametrize("shape", sorted(VERDICT_SHAPES))
+    def test_solve_and_validate_agree(self, shape, tmp_path, capsys):
+        path, out = tmp_path / "scenario.yaml", tmp_path / "out"
+        path.write_text(VERDICT_SHAPES[shape])
+        solved = main(["solve", "--seed", "0", "--scenario", str(path), "--out", str(out)])
+        solve_fairness = self.fairness(capsys.readouterr().out)
+        validated = main(["validate", "--seed", "0", "--scenario", str(out / "scenario.yaml"),
+                          "--menu", str(out / "menu_partial.yaml")])
+        assert validated == solved
+        assert self.fairness(capsys.readouterr().out) == solve_fairness
+        assert len(solve_fairness) == 1
+
+    @pytest.mark.parametrize("paid, reward_fair", [(1e-10, True), (1e-8, False)])
+    def test_late_reward_tolerance(self, paid, reward_fair, tmp_path, capsys):
+        # type 1 misses the deadline: any reward breaks its zero item, but
+        # reward fairness forgives one up to the audit tolerance
+        path, out = tmp_path / "scenario.yaml", tmp_path / "out"
+        path.write_text(golden.LATE_TYPES)
+        assert main(["solve", "--seed", "0", "--scenario", str(path), "--out", str(out)]) == 0
+        menu = _menu_from_file(str(out / "menu_partial.yaml"), 4)
+        assert menu.rewards[0] == 0.0
+        rewards = menu.rewards.copy()
+        rewards[0] = paid
+        paid_menu = tmp_path / "paid.yaml"
+        paid_menu.write_text(_menu_text(ContractMenu(menu.t_max, menu.sizes, rewards)))
+        capsys.readouterr()
+        assert main(["validate", "--seed", "0", "--scenario", str(out / "scenario.yaml"),
+                     "--menu", str(paid_menu)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "monotone ok  : False" in lines
+        assert f"fairness     : participation=True, reward={reward_fair}" in lines
 
 
 def _extreme_menu(kind: str, n: int) -> ContractMenu:

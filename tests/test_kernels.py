@@ -22,13 +22,11 @@ from hypothesis import strategies as st
 from honeygame import kernels, model, solver
 from honeygame.cli import _menu_text
 from honeygame.model import (
-    ContractItem,
     UavType,
     ContractMenu,
     GcsParams,
     canonical_columns,
     check_feasibility,
-    check_reward_fairness,
     defensive_effectiveness,
     gcs_utility,
     social_surplus,
@@ -96,7 +94,6 @@ def outputs(rows, params, cfg) -> list[str]:
     for menu in menus:
         out += [repr(menu), _menu_text(menu),
                 repr(check_feasibility(menu, pop, params)),
-                repr(check_reward_fairness(menu, pop)),
                 repr(gcs_utility(menu, pop, params)),
                 repr(social_surplus(menu, pop, params)),
                 repr(defensive_effectiveness(menu, pop, params)),
@@ -172,7 +169,7 @@ def near_collinear_items(draw):
     for k, (u, nudge) in enumerate(zip(units, nudges)):
         a, c = lines[k % len(lines)]
         reward = scale * (a + c * u)
-        items.append(ContractItem(scale * u, max(0.0, reward + nudge * math.ulp(reward))))
+        items.append((scale * u, max(0.0, reward + nudge * math.ulp(reward))))
     return items
 
 
@@ -182,7 +179,7 @@ def test_envelope_break_points_are_sorted(items, data):
     # the envelope keeps a middle line only if its two break points compare
     # ``<`` as cross products, so the break points come out sorted and the
     # kernel's np.searchsorted finds what the loop's bisect finds
-    sizes, rewards = ([getattr(it, f) for it in items] for f in ("vdd_size", "reward"))
+    sizes, rewards = ([item[f] for item in items] for f in (0, 1))
     hull = model._upper_envelope(sizes, rewards)
     breaks = [(ra - rb) / (sa - sb) for (sa, ra, _), (sb, rb, _) in zip(hull, hull[1:])]
     assert breaks == sorted(breaks)

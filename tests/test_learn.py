@@ -332,7 +332,7 @@ class TestConvergenceSanity:
         )
         menu = solve_complete(SINGLE, PARAMS, T_MAX)
         levels = ActionGrid(cfg.gcs_levels, PARAMS.r_max).values
-        target = int(np.argmin(np.abs(levels - menu.item(1).reward)))
+        target = int(np.argmin(np.abs(levels - menu.rewards[0])))
         tolerance = 6  # grid steps, frozen after the pilot
         seeds = range(25)
         hits = 0

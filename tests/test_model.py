@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from honeygame.model import (
     FEASIBILITY_TOL,
-    ContractItem,
     ContractMenu,
+    FeasibilityReport,
     GcsParams,
     Population,
     UavType,
     canonicalize,
     check_fairness,
     check_feasibility,
-    check_reward_fairness,
     defensive_effectiveness,
     gcs_term,
     gcs_utility,
@@ -94,10 +93,11 @@ class TestDomainTypes:
             UavType(**kwargs)
 
     def test_contract_item_validation(self):
+        # a menu row holds one item
         with pytest.raises(ValueError):
-            ContractItem(-1.0, 0.0)
+            ContractMenu(T_MAX, [-1.0], [0.0])
         with pytest.raises(ValueError):
-            ContractItem(0.0, math.inf)
+            ContractMenu(T_MAX, [0.0], [math.inf])
 
     @pytest.mark.parametrize(
         "sizes, rewards, error",
@@ -121,11 +121,8 @@ class TestDomainTypes:
     def test_contract_menu_columns_and_items(self):
         menu = ContractMenu(T_MAX, [1.5, -0.0], [2.5, 3])
         assert menu.sizes.dtype == menu.rewards.dtype == np.float64
-        assert menu.item(1) == ContractItem(1.5, 2.5)
-        assert menu.item(2) == ContractItem(0.0, 3.0)
-        for index in (0, -1, 3):  # row -1 is never read
-            with pytest.raises(IndexError, match="outside 1..2"):
-                menu.item(index)
+        assert (menu.sizes[0], menu.rewards[0]) == (1.5, 2.5)
+        assert (menu.sizes[1], menu.rewards[1]) == (0.0, 3.0)
         # equality and repr read the exact values, so -0.0 shows in the repr
         assert menu == ContractMenu(T_MAX, np.array([1.5, 0.0]), [2.5, 3.0])
         assert menu != ContractMenu(T_MAX, [1.5, 0.0], [2.5, 3.5])
@@ -147,8 +144,8 @@ class TestUtilities:
     def test_uav_utility_on_time(self):
         t = UavType(index=1, marginal_cost=0.5, delay=1.0)
         params = GcsParams()
-        item = ContractItem(10.0, 8.0)
-        assert uav_payoff(t.marginal_cost, item.vdd_size, item.reward,
+        size, reward = 10.0, 8.0
+        assert uav_payoff(t.marginal_cost, size, reward,
                           params.deploy_cost) == pytest.approx(8.0 - 5.0 - 1.0)
 
     def test_gcs_utility_zero_menu(self):
@@ -222,9 +219,9 @@ class TestUtilities:
 
     def test_uav_utility_decreasing_in_cost(self):
         params = GcsParams()
-        item = ContractItem(50.0, 40.0)
+        size, reward = 50.0, 40.0
         us = [
-            uav_payoff(c, item.vdd_size, item.reward, params.deploy_cost)
+            uav_payoff(c, size, reward, params.deploy_cost)
             for c in (0.1, 0.5, 0.9)
         ]
         assert us[0] > us[1] > us[2]
@@ -256,6 +253,18 @@ class TestFeasibility:
         report = check_feasibility(menu, pop, params)
         assert not report.budget_ok
         assert report.worst_violation == pytest.approx(-3.0)
+
+    @pytest.mark.parametrize("failed", ["ir_ok", "ic_ok", "budget_ok", "monotone_ok",
+                                        "reward_fair"])
+    def test_verdicts_read_their_predicates(self, failed):
+        # ``all_ok`` needs every predicate; the complete-information verdict
+        # ``ir_budget_ok`` needs IR and the budget alone
+        fields = {f: f != failed for f in ("ir_ok", "ic_ok", "budget_ok", "monotone_ok",
+                                           "reward_fair")}
+        report = FeasibilityReport(**fields, worst_violation=0.0, worst_pair=None)
+        assert report.all_ok is False
+        assert report.ir_budget_ok is (failed not in ("ir_ok", "budget_ok"))
+        assert report.participation_fair is (failed not in ("ir_ok", "ic_ok"))
 
     # J = 2 runs the loops, J = 70 the kernels; a menu one row short or long
     @pytest.mark.parametrize("n", [2, 70])
@@ -324,7 +333,7 @@ class TestFeasibility:
             rewards = optimal_rewards(sizes, pop.on_time(T_MAX), params)
             menu = menu_for(pop, sizes, rewards)
             us = [
-                uav_payoff(t.marginal_cost, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+                uav_payoff(t.marginal_cost, menu.sizes[t.index - 1], menu.rewards[t.index - 1],
                            params.deploy_cost) for t in pop.types
             ]
             assert all(a <= b + 1e-9 for a, b in zip(us, us[1:]))
@@ -369,17 +378,17 @@ class TestAuditEnumeration:
         pop, menu = case
         params = GcsParams()
         on_time = [t for t in pop.types if t.delay <= T_MAX]
-        items = [menu.item(t.index) for t in on_time]
+        items = [(menu.sizes[t.index - 1], menu.rewards[t.index - 1]) for t in on_time]
         ir, ic, worst, pair = enumerate_incentives(
-            [it.vdd_size for it in items], [it.reward for it in items],
+            [s for s, _ in items], [r for _, r in items],
             [t.marginal_cost for t in on_time], params.deploy_cost,
         )
         report = check_feasibility(menu, pop, params)
         assert (report.ir_ok, report.ic_ok) == (ir, ic)
-        late_paid = any(menu.item(t.index).reward > 1e-9 for t in pop.types if t.delay > T_MAX)
+        late_paid = any(menu.rewards[t.index - 1] > 1e-9 for t in pop.types if t.delay > T_MAX)
         reward_fair = not late_paid and enumerate_reward_fairness(
-            [menu.item(t.index).vdd_size for t in pop.types],
-            [menu.item(t.index).reward for t in pop.types],
+            [menu.sizes[t.index - 1] for t in pop.types],
+            [menu.rewards[t.index - 1] for t in pop.types],
         )
         assert check_fairness(menu, pop, params) == (ir and ic, reward_fair)
         if pair is None:
@@ -389,9 +398,10 @@ class TestAuditEnumeration:
         position = {t.index: p for p, t in enumerate(on_time)}
         j, k = (position[i] for i in report.worst_pair)
         c = on_time[j].marginal_cost
-        own = items[j].reward - (c * items[j].vdd_size + params.deploy_cost)
-        got = own if j == k else own - (items[k].reward - (c * items[k].vdd_size + params.deploy_cost))
-        scale = 1e-12 * max(1.0, max(it.reward for it in items))
+        (s_j, r_j), (s_k, r_k) = items[j], items[k]
+        own = r_j - (c * s_j + params.deploy_cost)
+        got = own if j == k else own - (r_k - (c * s_k + params.deploy_cost))
+        scale = 1e-12 * max(1.0, max(r for _, r in items))
         assert got == pytest.approx(worst, abs=scale)
         assert report.worst_violation <= min(0.0, worst) + scale
 
@@ -405,7 +415,7 @@ class TestAuditEnumeration:
         on_time = [t for t in pop.types if t.delay <= T_MAX]
         for solver in (solve_complete, solve_partial):
             menu = solver(pop, params, T_MAX)
-            paid = math.fsum(t.count * menu.item(t.index).reward for t in on_time)
+            paid = math.fsum(t.count * menu.rewards[t.index - 1] for t in on_time)
             assert paid == pytest.approx(params.budget, rel=1e-9)
             report = check_feasibility(menu, pop, params)
             participation, reward_fair = check_fairness(menu, pop, params)
@@ -442,13 +452,13 @@ class TestFairness:
         pop, menu = case
         params = GcsParams()
         report = check_feasibility(menu, pop, params)
-        late_paid = any(menu.item(t.index).reward > FEASIBILITY_TOL
+        late_paid = any(menu.rewards[t.index - 1] > FEASIBILITY_TOL
                         for t in pop.types if t.delay > T_MAX)
         reward_fair = not late_paid and enumerate_reward_fairness(
-            [menu.item(t.index).vdd_size for t in pop.types],
-            [menu.item(t.index).reward for t in pop.types],
+            [menu.sizes[t.index - 1] for t in pop.types],
+            [menu.rewards[t.index - 1] for t in pop.types],
         )
-        assert check_reward_fairness(menu, pop) == reward_fair
+        assert report.reward_fair == reward_fair
         assert report.participation_fair == (report.ir_ok and report.ic_ok)
         assert check_fairness(menu, pop, params) == (report.participation_fair, reward_fair)
 
@@ -521,7 +531,7 @@ class TestParticipatingSet:
         params = GcsParams()
         part = participating_set(pop, T_MAX)
         terms = [
-            gcs_term(t.count, t.delay, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+            gcs_term(t.count, t.delay, menu.sizes[t.index - 1], menu.rewards[t.index - 1],
                      params)
             for t in part
         ]

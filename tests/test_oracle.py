@@ -49,7 +49,7 @@ class TestGuards:
         grid = GridSpec(s_step=1.0, s_max=20.0)
         menu, obj = grid_search_complete(pop, params, T_MAX, grid)
         assert obj == 0.0
-        assert all(menu.item(t.index).vdd_size == 0.0 for t in pop.types)
+        assert all(menu.sizes[t.index - 1] == 0.0 for t in pop.types)
 
 
 class TestAgainstSolvers:
@@ -60,7 +60,7 @@ class TestAgainstSolvers:
         grid = GridSpec(s_step=1.0, s_max=30.0)
         menu, _ = grid_search_complete(pop, params, T_MAX, grid)
         closed = solve_complete(pop, params, T_MAX)
-        assert abs(menu.item(1).vdd_size - closed.item(1).vdd_size) <= 1.0
+        assert abs(menu.sizes[0] - closed.sizes[0]) <= 1.0
 
     def test_worked_complete_instance(self):
         pop = make_pop([0.5, 0.25])
@@ -77,8 +77,8 @@ class TestAgainstSolvers:
         grid = GridSpec(s_step=1.0, s_max=30.0)
         menu, oracle_obj = grid_search_partial(pop, params, T_MAX, grid)
         closed = solve_partial(pop, params, T_MAX)
-        assert abs(menu.item(1).vdd_size - closed.item(1).vdd_size) <= 1.0 + 1e-9
-        assert abs(menu.item(2).vdd_size - closed.item(2).vdd_size) <= 1.0 + 1e-9
+        assert abs(menu.sizes[0] - closed.sizes[0]) <= 1.0 + 1e-9
+        assert abs(menu.sizes[1] - closed.sizes[1]) <= 1.0 + 1e-9
         solver_obj = gcs_utility(closed, pop, params)
         assert solver_obj >= oracle_obj - 2.0
 
@@ -88,9 +88,9 @@ class TestAgainstSolvers:
         params = GcsParams(budget=10.0, s_max=30.0)
         grid = GridSpec(s_step=1.0, s_max=30.0)
         menu, _ = grid_search_partial(pop, params, T_MAX, grid)
-        assert abs(menu.item(1).vdd_size - menu.item(2).vdd_size) <= 1.0 + 1e-9
+        assert abs(menu.sizes[0] - menu.sizes[1]) <= 1.0 + 1e-9
         ironed = solve_partial(pop, params, T_MAX)
-        assert abs(menu.item(1).vdd_size - ironed.item(1).vdd_size) <= 2.0 + 1e-9
+        assert abs(menu.sizes[0] - ironed.sizes[0]) <= 2.0 + 1e-9
 
     def test_partial_single_type_matches_complete_oracle(self):
         pop = make_pop([0.5])
@@ -99,7 +99,7 @@ class TestAgainstSolvers:
         m1, o1 = grid_search_complete(pop, params, T_MAX, grid)
         m2, o2 = grid_search_partial(pop, params, T_MAX, grid)
         assert o1 == pytest.approx(o2, rel=1e-12)
-        assert m1.item(1).vdd_size == m2.item(1).vdd_size
+        assert m1.sizes[0] == m2.sizes[0]
 
 
 class TestGridRefinement:

@@ -30,12 +30,10 @@ import pytest
 
 from honeygame.cli import _menu_text
 from honeygame.model import (
-    ContractItem,
     ContractMenu,
     GcsParams,
     canonical_columns,
     check_feasibility,
-    check_reward_fairness,
     defensive_effectiveness,
     gcs_utility,
     left_sum,
@@ -97,7 +95,7 @@ def _audit(menu: ContractMenu, pop, params: GcsParams) -> dict:
         "report": [report.ir_ok, report.ic_ok, report.budget_ok, report.monotone_ok,
                    repr(report.worst_violation),
                    list(report.worst_pair) if report.worst_pair else None],
-        "reward_fair": check_reward_fairness(menu, pop),
+        "reward_fair": report.reward_fair,
     }
 
 
@@ -113,27 +111,25 @@ def _perturbed(menu: ContractMenu, pop, rng: np.random.Generator) -> dict[str, C
     """Copies of a menu that break IC and IR, the compact conditions (a late
     type paid, two sizes swapped) and the budget."""
     indices = [t.index for t in pop.types]
-    items = {k: menu.item(k) for k in indices}
+    items = {k: (menu.sizes[k - 1], menu.rewards[k - 1]) for k in indices}
     late = [t.index for t in pop.types if t.delay > T_MAX]
     on_time = [t.index for t in participating_set(pop, T_MAX)]
     noisy = dict(items)
     for k in rng.choice(indices, max(1, len(indices) // 20), replace=False).tolist():
-        it = items[k]
-        noisy[k] = ContractItem(it.vdd_size, max(0.0, it.reward + rng.normal(0.0, 5.0)))
+        size, reward = items[k]
+        noisy[k] = size, max(0.0, reward + rng.normal(0.0, 5.0))
     out = {"noisy": noisy}
     if late:
         paid = dict(items)
-        paid[late[len(late) // 2]] = ContractItem(3.5, 7.25)
+        paid[late[len(late) // 2]] = 3.5, 7.25
         out["late-paid"] = paid
     if len(on_time) >= 2:
         a, b = on_time[0], on_time[len(on_time) // 2]
         swapped = dict(items)
-        swapped[a], swapped[b] = (ContractItem(items[b].vdd_size, items[a].reward),
-                                  ContractItem(items[a].vdd_size, items[b].reward))
+        swapped[a], swapped[b] = (items[b][0], items[a][1]), (items[a][0], items[b][1])
         out["swapped"] = swapped
-    out["doubled"] = {k: ContractItem(it.vdd_size, 2.0 * it.reward) for k, it in items.items()}
-    return {name: ContractMenu(menu.t_max, [m[k].vdd_size for k in indices],
-                               [m[k].reward for k in indices])
+    out["doubled"] = {k: (size, 2.0 * reward) for k, (size, reward) in items.items()}
+    return {name: ContractMenu(menu.t_max, [m[k][0] for k in indices], [m[k][1] for k in indices])
             for name, m in out.items()}
 
 

@@ -71,21 +71,21 @@ def binding_budget_cap(pop, satisfaction, s_max):
 class TestCompleteInformation:
     def test_worked_two_type_instance(self):
         menu = solve_complete(WORKED_POP, WORKED_PARAMS, T_MAX)
-        assert menu.item(1).vdd_size == pytest.approx(7.75, rel=1e-12)
-        assert menu.item(2).vdd_size == pytest.approx(16.5, rel=1e-12)
-        assert menu.item(1).reward == pytest.approx(4.875, rel=1e-12)
-        assert menu.item(2).reward == pytest.approx(5.125, rel=1e-12)
+        assert menu.sizes[0] == pytest.approx(7.75, rel=1e-12)
+        assert menu.sizes[1] == pytest.approx(16.5, rel=1e-12)
+        assert menu.rewards[0] == pytest.approx(4.875, rel=1e-12)
+        assert menu.rewards[1] == pytest.approx(5.125, rel=1e-12)
 
     def test_budget_exactly_exhausted(self):
         menu = solve_complete(WORKED_POP, WORKED_PARAMS, T_MAX)
-        paid = sum(t.count * menu.item(t.index).reward for t in WORKED_POP.types)
+        paid = sum(t.count * menu.rewards[t.index - 1] for t in WORKED_POP.types)
         assert paid == pytest.approx(10.0, rel=1e-12)
 
     def test_zero_rent(self):
         menu = solve_complete(WORKED_POP, WORKED_PARAMS, T_MAX)
         for t in WORKED_POP.types:
-            item = menu.item(t.index)
-            u = uav_payoff(t.marginal_cost, item.vdd_size, item.reward, WORKED_PARAMS.deploy_cost)
+            u = uav_payoff(t.marginal_cost, menu.sizes[t.index - 1], menu.rewards[t.index - 1],
+                           WORKED_PARAMS.deploy_cost)
             assert u == pytest.approx(0.0, abs=1e-12)
 
     def test_gcs_utility_equals_surplus(self):
@@ -99,20 +99,20 @@ class TestCompleteInformation:
         params = GcsParams(budget=2.0)
         menu = solve_complete(pop, params, T_MAX)
         for t in pop.types:
-            assert menu.item(t.index).vdd_size == 0.0
-            assert menu.item(t.index).reward == pytest.approx(1.0)
+            assert menu.sizes[t.index - 1] == 0.0
+            assert menu.rewards[t.index - 1] == pytest.approx(1.0)
 
     def test_budget_below_deploy_cost_zero_menu(self):
         pop = make_pop([0.5, 0.25])
         menu = solve_complete(pop, GcsParams(budget=1.5), T_MAX)
-        assert all(menu.item(t.index) == menu.zero(pop, T_MAX).item(t.index) for t in pop.types)
+        assert menu == menu.zero(pop, T_MAX)
 
     def test_nonparticipants_zeroed(self):
         pop = make_pop([0.5, 0.25], delays=[1.0, 9.0])
         menu = solve_complete(pop, WORKED_PARAMS, T_MAX)
         late = pop.types[1]
-        assert menu.item(late.index).vdd_size == 0.0
-        assert menu.item(late.index).reward == 0.0
+        assert menu.sizes[late.index - 1] == 0.0
+        assert menu.rewards[late.index - 1] == 0.0
 
     def test_literal_mode_single_shot_clamp(self):
         # with nothing clamped the two modes coincide
@@ -121,16 +121,16 @@ class TestCompleteInformation:
             WORKED_POP, WORKED_PARAMS, T_MAX, SolverConfig(budget_mode=PAPER_LITERAL)
         )
         for t in WORKED_POP.types:
-            assert literal.item(t.index).vdd_size == pytest.approx(
-                exact.item(t.index).vdd_size, rel=1e-12
+            assert literal.sizes[t.index - 1] == pytest.approx(
+                exact.sizes[t.index - 1], rel=1e-12
             )
 
     def test_exact_mode_rebalances_after_clamp(self):
         # small s_max forces a clamp; exact mode must still exhaust the budget
         params = GcsParams(budget=10.0, s_max=10.0)
         menu = solve_complete(WORKED_POP, params, T_MAX)
-        paid = sum(t.count * menu.item(t.index).reward for t in WORKED_POP.types)
-        assert menu.item(2).vdd_size == pytest.approx(10.0)
+        paid = sum(t.count * menu.rewards[t.index - 1] for t in WORKED_POP.types)
+        assert menu.sizes[1] == pytest.approx(10.0)
         assert paid <= 10.0 + 1e-9
 
 
@@ -212,7 +212,7 @@ class TestPartialRelaxed:
         params = GcsParams(budget=10.0)
         relaxed = solve_partial_relaxed(pop, params, T_MAX)
         complete = solve_complete(pop, params, T_MAX)
-        assert relaxed.sizes[0] == pytest.approx(complete.item(1).vdd_size, rel=1e-12)
+        assert relaxed.sizes[0] == pytest.approx(complete.sizes[0], rel=1e-12)
 
     def test_monotone_sizes_for_uniform_types_common_delay(self):
         pop = make_pop(list(np.linspace(1.0, 0.01, 10)))
@@ -241,7 +241,7 @@ class TestIroning:
         w, a = ratio_inputs(self.IRON_POP)
         assert iron(w, a) == [(w[0] + w[1], a[0] + a[1], 2)]
         menu = solve_partial(self.IRON_POP, self.IRON_PARAMS, T_MAX)
-        assert menu.item(1).vdd_size == menu.item(2).vdd_size
+        assert menu.sizes[0] == menu.sizes[1]
 
     def test_monotone_input_unchanged(self):
         w, a = ratio_inputs(WORKED_POP)
@@ -256,7 +256,7 @@ class TestIroning:
         w, a = ratio_inputs(pop)
         assert [n for _, _, n in iron(w, a)] == [2, 1]
         menu = solve_partial(pop, params, T_MAX)
-        s_star, s_3 = menu.item(1).vdd_size, menu.item(3).vdd_size
+        s_star, s_3 = menu.sizes[0], menu.sizes[2]
         assert 0.0 < s_star < s_3 < params.s_max
         lam = params.satisfaction * w[2] / ((1.0 + s_3) * a[2])
         grad = params.satisfaction * (w[0] + w[1]) / (1.0 + s_star) - lam * (a[0] + a[1])
@@ -266,7 +266,7 @@ class TestIroning:
         menu = solve_partial(self.IRON_POP, self.IRON_PARAMS, T_MAX)
         report = check_feasibility(menu, self.IRON_POP, self.IRON_PARAMS)
         assert report.all_ok
-        paid = sum(t.count * menu.item(t.index).reward for t in self.IRON_POP.types)
+        paid = sum(t.count * menu.rewards[t.index - 1] for t in self.IRON_POP.types)
         assert paid == pytest.approx(10.0, rel=1e-9)
 
     def test_paper_literal_pools_to_closed_form(self):
@@ -287,7 +287,7 @@ class TestIroning:
         for w, a, n in blocks:
             want = min(params.s_max, max(x * w / a - 1.0, 0.0))
             for t in on_time[start : start + n]:
-                assert menu.item(t.index).vdd_size == pytest.approx(want, abs=1e-12)
+                assert menu.sizes[t.index - 1] == pytest.approx(want, abs=1e-12)
             start += n
         assert len(blocks) < len(part)  # the default scenario needs ironing
 
@@ -295,12 +295,12 @@ class TestIroning:
 class TestPartialEndToEnd:
     def test_worked_instance(self):
         menu = solve_partial(WORKED_POP, WORKED_PARAMS, T_MAX)
-        assert menu.item(1).vdd_size == pytest.approx(5.0, rel=1e-12)
-        assert menu.item(2).vdd_size == pytest.approx(17.0, rel=1e-12)
-        assert menu.item(1).reward == pytest.approx(3.5, rel=1e-12)
-        assert menu.item(2).reward == pytest.approx(6.5, rel=1e-12)
+        assert menu.sizes[0] == pytest.approx(5.0, rel=1e-12)
+        assert menu.sizes[1] == pytest.approx(17.0, rel=1e-12)
+        assert menu.rewards[0] == pytest.approx(3.5, rel=1e-12)
+        assert menu.rewards[1] == pytest.approx(6.5, rel=1e-12)
         us = [
-            uav_payoff(t.marginal_cost, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+            uav_payoff(t.marginal_cost, menu.sizes[t.index - 1], menu.rewards[t.index - 1],
                        WORKED_PARAMS.deploy_cost)
             for t in WORKED_POP.types
         ]
@@ -343,16 +343,16 @@ class TestBaselines:
         params = GcsParams(budget=1000.0)
         menu = linear_contract(pop, params, T_MAX)
         # costliest type is indifferent and opts out; cheaper type takes the cap
-        assert menu.item(1).vdd_size == 0.0
-        assert menu.item(1).reward == 0.0
-        assert menu.item(2).vdd_size == pytest.approx(params.s_max)
-        assert menu.item(2).reward == pytest.approx(0.5 * params.s_max)
+        assert menu.sizes[0] == 0.0
+        assert menu.rewards[0] == 0.0
+        assert menu.sizes[1] == pytest.approx(params.s_max)
+        assert menu.rewards[1] == pytest.approx(0.5 * params.s_max)
 
     def test_linear_scales_into_budget(self):
         pop = make_pop([0.5, 0.25, 0.1], counts=[1, 2, 2])
         params = GcsParams(budget=100.0)
         menu = linear_contract(pop, params, T_MAX)
-        paid = sum(t.count * menu.item(t.index).reward for t in pop.types)
+        paid = sum(t.count * menu.rewards[t.index - 1] for t in pop.types)
         assert paid <= params.budget + 1e-9
 
     def test_uniform_replicates_first_item(self):
@@ -360,15 +360,15 @@ class TestBaselines:
         params = GcsParams(budget=30.0)
         uni = uniform_contract(solve_partial(pop, params, T_MAX), pop)
         opt = solve_partial(pop, params, T_MAX)
-        first = opt.item(1)
+        first = opt.sizes[0], opt.rewards[0]
         for t in pop.types:
-            assert uni.item(t.index) == first
+            assert (uni.sizes[t.index - 1], uni.rewards[t.index - 1]) == first
 
     def test_uniform_first_type_zero_rent_others_positive(self):
         pop = make_pop([0.5, 0.25, 0.1])
         params = GcsParams(budget=30.0)
         menu = uniform_contract(solve_partial(pop, params, T_MAX), pop)
-        us = [uav_payoff(t.marginal_cost, menu.item(t.index).vdd_size, menu.item(t.index).reward,
+        us = [uav_payoff(t.marginal_cost, menu.sizes[t.index - 1], menu.rewards[t.index - 1],
                          params.deploy_cost) for t in pop.types]
         assert us[0] == pytest.approx(0.0, abs=1e-9)
         assert all(u > 0 for u in us[1:])
@@ -377,10 +377,10 @@ class TestBaselines:
         pop = make_pop([0.5, 0.25, 0.1])
         params = GcsParams(budget=30.0)
         menu = uniform_contract(solve_partial(pop, params, T_MAX), pop)
-        item = menu.item(1)
+        size = menu.sizes[0]
         per_type = [
-            params.satisfaction * (t.count / t.delay) * math.log1p(item.vdd_size)
-            - t.count * (t.marginal_cost * item.vdd_size + params.deploy_cost)
+            params.satisfaction * (t.count / t.delay) * math.log1p(size)
+            - t.count * (t.marginal_cost * size + params.deploy_cost)
             for t in pop.types
         ]
         # sizes are common, so surplus varies only through the cost term
@@ -392,14 +392,14 @@ class TestDegenerateCases:
         pop = make_pop([0.5], delays=[9.0])
         for solver in (solve_complete, solve_partial):
             menu = solver(pop, WORKED_PARAMS, T_MAX)
-            assert menu.item(1).vdd_size == 0.0
-        assert linear_contract(pop, WORKED_PARAMS, T_MAX).item(1).reward == 0.0
-        assert uniform_contract(solve_partial(pop, WORKED_PARAMS, T_MAX), pop).item(1).reward == 0.0
+            assert menu.sizes[0] == 0.0
+        assert linear_contract(pop, WORKED_PARAMS, T_MAX).rewards[0] == 0.0
+        assert uniform_contract(solve_partial(pop, WORKED_PARAMS, T_MAX), pop).rewards[0] == 0.0
 
     def test_participating_subset_only(self):
         pop = make_pop([0.9, 0.5, 0.2], delays=[1.0, 9.0, 1.0])
         menu = solve_partial(pop, GcsParams(budget=20.0), T_MAX)
-        assert menu.item(2).vdd_size == 0.0  # the late type
+        assert menu.sizes[1] == 0.0  # the late type
         report = check_feasibility(menu, pop, GcsParams(budget=20.0))
         assert report.all_ok
 
@@ -424,8 +424,8 @@ class TestFrozenMenus:
             for name, solver in (("complete", solve_complete), ("partial", solve_partial)):
                 menu = solver(pop, params, case["t_max"], cfg)
                 for t, want in zip(pop.types, case["menus"][mode][name]):
-                    item = menu.item(t.index)
-                    for got, ref in zip((item.vdd_size, item.reward), want):
+                    for got, ref in zip((menu.sizes[t.index - 1], menu.rewards[t.index - 1]),
+                                        want):
                         worst = max(worst, abs(got - ref) / scale(ref))
         return worst
 
